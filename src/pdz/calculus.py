@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import DomainMismatchError, NotEllipticError, SingularSymbolError
 from .symbols import (SampledSymbol, SymbolClassParams, ellipticity_check,
-                      falling_derivative, forward_difference, multi_factorial,
-                      multi_indices_below, multi_indices_of_degree, x_reflect,
-                      ORDER_CAP)
+                      falling_multiplier, from_x_spectrum, lattice_difference,
+                      multi_factorial, multi_indices_below, multi_indices_of_degree,
+                      x_reflect, x_spectrum, ORDER_CAP)
 
 #: Expansion orders are capped by the multi-index machinery.
 MAX_EXPANSION_ORDER = ORDER_CAP
@@ -85,11 +85,15 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     """
     _require_same_domain(sigma, tau)
     order = check_expansion_order(order)
-    acc = np.zeros_like(sigma.samples)
-    for alpha in multi_indices_below(sigma.box.n, order):
-        left = falling_derivative(sigma, alpha).samples
-        right = forward_difference(tau, alpha).samples
-        acc += left * right / multi_factorial(alpha)
+    box, grid = sigma.box, sigma.grid
+    left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
+    spec = x_spectrum(left, grid)
+    acc = left * right
+    for alpha in multi_indices_below(box.n, order)[1:]:
+        term = from_x_spectrum(spec, grid, falling_multiplier(grid, alpha))
+        term *= lattice_difference(right, alpha)
+        term /= multi_factorial(alpha)
+        acc += term
     params = None
     if sigma.params is not None and tau.params is not None:
         params = SymbolClassParams(
@@ -100,26 +104,30 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     return SampledSymbol(sigma.box, sigma.grid, acc, params=params)
 
 
+def _dual_expansion(flipped: SampledSymbol, order: int, params) -> SampledSymbol:
+    """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x flipped, summed
+    on one x-spectrum: Delta^alpha_k acts on the lattice axes, so it commutes
+    with the x-transform and with the falling-factorial multiplier."""
+    order = check_expansion_order(order)
+    box, grid = flipped.box, flipped.grid
+    spec = x_spectrum(flipped.samples, grid).reshape(box.shape + grid.shape)
+    acc = spec.copy()
+    for alpha in multi_indices_below(box.n, order)[1:]:
+        term = lattice_difference(spec, alpha)
+        term *= falling_multiplier(grid, alpha) / multi_factorial(alpha)
+        acc += term
+    samples = from_x_spectrum(acc, grid).reshape(box.size, grid.size)
+    return SampledSymbol(box, grid, samples, params=params)
+
+
 def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated adjoint symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x conj(sigma)."""
-    order = check_expansion_order(order)
-    conj = sigma.with_samples(np.conj(sigma.samples), params=sigma.params)
-    acc = np.zeros_like(sigma.samples)
-    for alpha in multi_indices_below(sigma.box.n, order):
-        term = forward_difference(falling_derivative(conj, alpha), alpha)
-        acc += term.samples / multi_factorial(alpha)
-    return SampledSymbol(sigma.box, sigma.grid, acc, params=sigma.params)
+    return _dual_expansion(sigma.with_samples(np.conj(sigma.samples)), order, sigma.params)
 
 
 def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x)."""
-    order = check_expansion_order(order)
-    reflected = x_reflect(sigma)
-    acc = np.zeros_like(sigma.samples)
-    for alpha in multi_indices_below(sigma.box.n, order):
-        term = forward_difference(falling_derivative(reflected, alpha), alpha)
-        acc += term.samples / multi_factorial(alpha)
-    return SampledSymbol(sigma.box, sigma.grid, acc, params=sigma.params)
+    return _dual_expansion(x_reflect(sigma), order, sigma.params)
 
 
 def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
@@ -161,38 +169,29 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     params = leading.params or SymbolClassParams(mu)
     params.validate_for_calculus()
     step = params.rho - params.delta
-    inv_leading = 1.0 / leading.samples
+    n, grid = leading.box.n, leading.grid
+    shape = leading.box.shape + (grid.size,)
+    lower = [t.samples.reshape(shape) for t in a_terms.terms]
+    inv_leading = 1.0 / lower[0]
     b_terms = [leading.with_samples(inv_leading, params=SymbolClassParams(
         -mu, params.rho, params.delta))]
-
-    deriv_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-    diff_cache: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-
-    def d_b(jdx: int, gamma) -> np.ndarray:
-        key = (jdx, gamma)
-        if key not in deriv_cache:
-            deriv_cache[key] = falling_derivative(b_terms[jdx], gamma).samples
-        return deriv_cache[key]
-
-    def d_a(ldx: int, gamma) -> np.ndarray:
-        key = (ldx, gamma)
-        if key not in diff_cache:
-            diff_cache[key] = forward_difference(a_terms.terms[ldx], gamma).samples
-        return diff_cache[key]
-
-    n = leading.box.n
+    specs = []  # x-spectra of B_0 .. B_{m-1}
     for m in range(1, order):
-        acc = np.zeros_like(leading.samples)
+        specs.append(x_spectrum(b_terms[-1].samples.reshape(shape), grid))
+        acc = np.zeros_like(inv_leading)
         for jdx in range(m):
-            for ldx in range(m):
+            for ldx in range(min(m, len(lower))):
                 g = m - jdx - ldx
-                if g < 0 or ldx >= len(a_terms.terms):
+                if g < 0:
                     continue
                 for gamma in multi_indices_of_degree(n, g):
-                    acc += d_b(jdx, gamma) * d_a(ldx, gamma) / multi_factorial(gamma)
+                    term = from_x_spectrum(specs[jdx], grid, falling_multiplier(grid, gamma))
+                    term *= lattice_difference(lower[ldx], gamma)
+                    term /= multi_factorial(gamma)
+                    acc -= term
+        acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         b_terms.append(leading.with_samples(
-            -inv_leading * acc,
-            params=SymbolClassParams(-mu - step * m, params.rho, params.delta)))
+            acc, params=SymbolClassParams(-mu - step * m, params.rho, params.delta)))
 
     orders = [-mu - step * m for m in range(order)]
     return SymbolExpansion(terms=b_terms, orders=orders)

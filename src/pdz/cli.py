@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as pdzio
 from .analysis import (hs_norm, kernel_decay_fit, lp_bound_report,
                        mikhlin_uniformity, schatten_report, trace)
@@ -22,7 +20,7 @@ from .config import JobConfig, load_config
 from .errors import ConfigError, NotEllipticError, PdzError
 from .quantize import apply, kernel
 from .report import DiagnosticsReport
-from .solver import invert_multiplier, solve_elliptic
+from .solver import invert_multiplier, lattice_deviation, solve_elliptic
 from .symbols import SampledSymbol, sample
 from .grids import LatticeSequence
 
@@ -116,18 +114,13 @@ def _cmd_kernel(cfg: JobConfig, args) -> int:
     return 0
 
 
-def _cmd_binary(cfg: JobConfig, args, op, section_name: str) -> int:
-    section = cfg.section(section_name)
+def _cmd_calculus(cfg: JobConfig, args, op, *keys: str) -> int:
+    section = cfg.section(args.command)
     order = section.get("order", 1)
     if not isinstance(order, int):
-        raise ConfigError(f"{section_name}: 'order' must be an integer")
-    if section_name == "compose":
-        left = _section_symbol(cfg, section, "left")
-        right = _section_symbol(cfg, section, "right")
-        result = compose(left, right, order)
-    else:
-        result = op(_section_symbol(cfg, section), order)
-    _emit(pdzio.symbol_to_csv(result), args.out)
+        raise ConfigError(f"{args.command}: 'order' must be an integer")
+    symbols = [_section_symbol(cfg, section, key) for key in keys]
+    _emit(pdzio.symbol_to_csv(op(*symbols, order)), args.out)
     return 0
 
 
@@ -156,10 +149,8 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
         raise ConfigError("solve: 's_values' must be a list of numbers")
     tol = cfg.tol
 
-    k_constant = bool(np.abs(sym.samples - sym.samples[0][None, :]).max()
-                      <= 1e-12 * max(1.0, float(np.abs(sym.samples).max())))
     if method == "auto":
-        method = "multiplier" if k_constant else "iterative"
+        method = "multiplier" if lattice_deviation(sym)[1] else "iterative"
     if method == "multiplier":
         report = invert_multiplier(sym, g, s_values=s_values)
     elif method == "iterative":
@@ -218,6 +209,9 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
 _COMMANDS = {
     "apply": _cmd_apply,
     "kernel": _cmd_kernel,
+    "compose": lambda cfg, args: _cmd_calculus(cfg, args, compose, "left", "right"),
+    "adjoint": lambda cfg, args: _cmd_calculus(cfg, args, adjoint, "symbol"),
+    "transpose": lambda cfg, args: _cmd_calculus(cfg, args, transpose, "symbol"),
     "parametrix": _cmd_parametrix,
     "solve": _cmd_solve,
     "diagnose": _cmd_diagnose,
@@ -226,12 +220,6 @@ _COMMANDS = {
 
 def run(args) -> int:
     cfg = load_config(args.config, overrides=_overrides(args))
-    if args.command == "compose":
-        return _cmd_binary(cfg, args, None, "compose")
-    if args.command == "adjoint":
-        return _cmd_binary(cfg, args, adjoint, "adjoint")
-    if args.command == "transpose":
-        return _cmd_binary(cfg, args, transpose, "transpose")
     return _COMMANDS[args.command](cfg, args)
 
 

@@ -90,10 +90,6 @@ def torus_to_csv(F: TorusFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_torus_csv(F: TorusFunction, path) -> None:
-    Path(path).write_text(torus_to_csv(F))
-
-
 def symbol_to_csv(sym: SampledSymbol) -> str:
     header = ",".join(_int_columns("k", sym.box.n) + _int_columns("j", sym.grid.n)
                       + ["re", "im"])
@@ -105,10 +101,6 @@ def symbol_to_csv(sym: SampledSymbol) -> str:
             lines.append(",".join(kcols + [str(int(c)) for c in node]
                                   + [_fmt(value.real), _fmt(value.imag)]))
     return "\n".join(lines) + "\n"
-
-
-def write_symbol_csv(sym: SampledSymbol, path) -> None:
-    Path(path).write_text(symbol_to_csv(sym))
 
 
 def kernel_to_csv(ker: Kernel) -> str:
@@ -126,10 +118,6 @@ def kernel_to_csv(ker: Kernel) -> str:
             lines.append(",".join(kcols + [str(int(c)) for c in box.points[j]]
                                   + [_fmt(value.real), _fmt(value.imag)]))
     return "\n".join(lines) + "\n"
-
-
-def write_kernel_csv(ker: Kernel, path) -> None:
-    Path(path).write_text(kernel_to_csv(ker))
 
 
 def write_matrix_binary(op: OperatorMatrix, path) -> None:

@@ -18,13 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainMismatchError, ResourceLimitError
+from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (DEFAULT_DENSE_CAP, LatticeBox, LatticeSequence, TorusFunction,
                     TorusGrid, character_matrix, require_matched)
 from .report import DiagnosticsReport
-from .symbols import (AmplitudeDefinition, SampledSymbol, multi_factorial,
+from .symbols import (AmplitudeDefinition, SampledSymbol, falling_multiplier,
+                      from_x_spectrum, lattice_difference, multi_factorial,
                       multi_indices_below, multi_indices_of_degree,
-                      partial_x_derivative, _fft_frequencies)
+                      partial_x_derivative, x_spectrum)
 
 
 def _require_dense(box: LatticeBox, dense_cap: int, what: str) -> None:
@@ -106,7 +107,7 @@ class OperatorMatrix:
                 f"matrix shape {self.values.shape} does not match box size {self.box.size}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise DomainMismatchError("operator matrix contains non-finite entries")
+            raise NonFiniteValueError("operator matrix contains non-finite entries")
 
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
         if f.box != self.box:
@@ -185,34 +186,19 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
     l_pts = box.points[None, :, None, :]
     x_pts = grid.nodes[None, None, :, :]
     tensor = np.asarray(amp.evaluator(k_pts, l_pts, x_pts), dtype=complex)
-    tensor = np.ascontiguousarray(np.broadcast_to(tensor, (box.size, box.size, grid.size)))
+    tensor = np.broadcast_to(tensor, (box.size, box.size, grid.size))
 
+    # Delta^alpha_l and the falling-factorial multiplier both commute with the
+    # x-transform, so every term is summed on the diagonal l = k of one spectrum
     K = box.size
-    freqs = _fft_frequencies(grid.M)
-    x_axes = tuple(range(2, 2 + grid.n))
+    spec = x_spectrum(tensor, grid).reshape((K,) + box.shape + grid.shape)
     diag = np.arange(K)
-    acc = np.zeros((K, grid.size), dtype=complex)
+    acc = np.zeros((K,) + grid.shape, dtype=complex)
     for alpha in multi_indices_below(box.n, order):
-        work = tensor
-        if any(alpha):
-            spec = np.fft.fftn(work.reshape((K, K) + grid.shape), axes=x_axes)
-            for i, a in enumerate(alpha):
-                if a == 0:
-                    continue
-                mult = np.ones(grid.M)
-                for m in range(a):
-                    mult = mult * (freqs - m)
-                shape = [1] * (2 + grid.n)
-                shape[2 + i] = grid.M
-                spec *= mult.reshape(shape)
-            work = np.fft.ifftn(spec, axes=x_axes)
-            shaped = work.reshape((K,) + box.shape + (grid.size,))
-            for axis, a in enumerate(alpha):
-                for _ in range(a):
-                    shaped = np.roll(shaped, -1, axis=1 + axis) - shaped
-            work = shaped.reshape(K, K, grid.size)
-        acc += work[diag, diag, :] / multi_factorial(alpha)
-    return SampledSymbol(box, grid, acc)
+        work = lattice_difference(spec, alpha, range(1, 1 + box.n))
+        acc += work.reshape((K, K) + grid.shape)[diag, diag] * (
+            falling_multiplier(grid, alpha) / multi_factorial(alpha))
+    return SampledSymbol(box, grid, from_x_spectrum(acc, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +288,8 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol,
     interior = np.abs(box.points).max(axis=1) <= box.N - 1
     phase_max = 0.0
     for j in range(n):
-        rolled = np.roll(phi.reshape(box.shape + grid.shape), -1, axis=j)
-        diff = (rolled - phi.reshape(box.shape + grid.shape)).reshape((box.size,) + grid.shape)
+        diff = lattice_difference(phi.reshape(box.shape + grid.shape), (1,), (j,))
+        diff = diff.reshape((box.size,) + grid.shape)
         diff = diff[interior] if interior.any() else diff
         for total in range(2 * n + 2):
             for alpha in multi_indices_of_degree(n, total):

@@ -70,6 +70,14 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
     )
 
 
+def lattice_deviation(sym: SampledSymbol) -> tuple[float, bool]:
+    """Largest deviation of a symbol row from the first one, and whether it is
+    within 1e-12 of max(1, max |sigma|), i.e. sigma does not depend on k."""
+    scale = max(1.0, float(np.abs(sym.samples).max()))
+    deviation = float(np.abs(sym.samples - sym.samples[0][None, :]).max())
+    return deviation, deviation <= 1e-12 * scale
+
+
 def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
                       s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g for a symbol with no lattice dependence by exact
@@ -80,9 +88,8 @@ def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
     """
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
-    scale = max(1.0, float(np.abs(sym.samples).max()))
-    deviation = float(np.abs(sym.samples - sym.samples[0][None, :]).max())
-    if deviation > 1e-12 * scale:
+    deviation, k_constant = lattice_deviation(sym)
+    if not k_constant:
         raise DomainMismatchError(
             f"symbol varies across lattice rows (deviation {deviation:.3e}); "
             "use solve_elliptic for lattice-dependent elliptic symbols"

@@ -211,15 +211,25 @@ def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbo
 # difference and derivative operators
 
 
+def lattice_difference(values: np.ndarray, alpha, axes=None) -> np.ndarray:
+    """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
+    of alpha; default the leading ones): iterated first differences with
+    cyclic wrap.  Returns ``values`` itself when alpha = 0."""
+    for axis, a in zip(range(len(alpha)) if axes is None else axes, alpha):
+        for _ in range(a):
+            rolled = np.roll(values, -1, axis=axis)
+            rolled -= values
+            values = rolled
+    return values
+
+
 def forward_difference(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Delta^alpha in the lattice variable, iterated first differences with
     cyclic wrap at the box edge."""
     alpha = check_multi_index(alpha, sym.box.n)
     shaped = sym.samples.reshape(sym.box.shape + (sym.grid.size,))
-    for axis, a in enumerate(alpha):
-        for _ in range(a):
-            shaped = np.roll(shaped, -1, axis=axis) - shaped
-    return sym.with_samples(shaped.reshape(sym.box.size, sym.grid.size), params=None)
+    out = lattice_difference(shaped, alpha)
+    return sym.with_samples(out.reshape(sym.box.size, sym.grid.size), params=None)
 
 
 def generalized_difference(sym: SampledSymbol, q: TorusFunction) -> SampledSymbol:
@@ -244,48 +254,61 @@ def _fft_frequencies(M: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(M) * M).astype(int)
 
 
-def _apply_x_multiplier(sym: SampledSymbol, per_axis) -> SampledSymbol:
-    """Multiply the x-frequency content of each row: per_axis(l, axis) maps the
-    integer frequencies of one grid axis to multiplier values."""
-    grid = sym.grid
-    shaped = sym.samples.reshape((sym.box.size,) + grid.shape)
-    axes = tuple(range(1, grid.n + 1))
-    spec = np.fft.fftn(shaped, axes=axes)
+def x_multiplier(grid: TorusGrid, per_axis) -> np.ndarray:
+    """Spectral multiplier of shape ``grid.shape``: the product over axes i of
+    ``per_axis(l, i)``, l the integer FFT frequencies of one grid axis."""
     freqs = _fft_frequencies(grid.M)
+    out = np.ones(())
     for i in range(grid.n):
-        mult = np.asarray(per_axis(freqs, i), dtype=complex)
-        shape = [1] * (grid.n + 1)
-        shape[i + 1] = grid.M
-        spec *= mult.reshape(shape)
-    out = np.fft.ifftn(spec, axes=axes)
-    return sym.with_samples(out.reshape(sym.box.size, grid.size), params=None)
+        out = np.multiply.outer(out, per_axis(freqs, i))
+    return out
+
+
+def falling_multiplier(grid: TorusGrid, beta) -> np.ndarray:
+    """Multiplier of D^(beta): per axis l (l-1) ... (l-beta_j+1)."""
+    return x_multiplier(
+        grid, lambda l, i: np.prod(l - np.arange(beta[i])[:, None], axis=0, dtype=float))
+
+
+def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """FFT over the grid variable of ``values`` shaped (..., grid.size);
+    returns shape (...,) + grid.shape."""
+    shaped = values.reshape(values.shape[:-1] + grid.shape)
+    return np.fft.fftn(shaped, axes=tuple(range(-grid.n, 0)))
+
+
+def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=1.0) -> np.ndarray:
+    """Multiply an :func:`x_spectrum` by ``multiplier`` and invert it; returns
+    shape (...,) + (grid.size,)."""
+    out = np.fft.ifftn(spec * multiplier, axes=tuple(range(-grid.n, 0)))
+    return out.reshape(spec.shape[:-grid.n] + (grid.size,))
+
+
+def _apply_x_multiplier(sym: SampledSymbol, multiplier: np.ndarray) -> SampledSymbol:
+    out = from_x_spectrum(x_spectrum(sym.samples, sym.grid), sym.grid, multiplier)
+    return sym.with_samples(out, params=None)
 
 
 def x_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
     """D^beta with D = (1/2 pi i) d/dx per axis, spectral and exact for
     trigonometric-polynomial rows."""
     beta = check_multi_index(beta, sym.grid.n)
-    return _apply_x_multiplier(sym, lambda l, i: l.astype(float) ** beta[i])
+    return _apply_x_multiplier(
+        sym, x_multiplier(sym.grid, lambda l, i: l.astype(float) ** beta[i]))
 
 
 def falling_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
     """Falling-factorial derivative D^(beta): per axis the spectral multiplier
     is l (l-1) ... (l-beta_j+1); the empty product (beta_j = 0) is 1."""
     beta = check_multi_index(beta, sym.grid.n)
-
-    def mult(l, i):
-        out = np.ones(l.shape, dtype=float)
-        for m in range(beta[i]):
-            out = out * (l - m)
-        return out
-
-    return _apply_x_multiplier(sym, mult)
+    return _apply_x_multiplier(sym, falling_multiplier(sym.grid, beta))
 
 
 def partial_x_derivative(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Plain partial derivative d^alpha/dx^alpha (spectral multiplier (2 pi i l)^alpha)."""
     alpha = check_multi_index(alpha, sym.grid.n)
-    return _apply_x_multiplier(sym, lambda l, i: (2j * np.pi * l) ** alpha[i])
+    return _apply_x_multiplier(
+        sym, x_multiplier(sym.grid, lambda l, i: (2j * np.pi * l) ** alpha[i]))
 
 
 def x_reflect(sym: SampledSymbol) -> SampledSymbol:

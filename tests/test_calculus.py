@@ -328,13 +328,14 @@ def test_parametrix_accepts_multi_term_input():
     assert len(exp.terms) == 3
 
 
-def test_compose_two_dimensional_mixed_frequencies_exact():
-    # per-axis degree 1 in nonnegative frequencies: terminates at order 3
-    box, grid = helpers.box_and_grid(2, 2)
+def _assert_compose_mixed_frequencies_exact(n):
+    # per-axis degree 1 in nonnegative frequencies on the first two axes:
+    # terminates at order 3
+    box, grid = helpers.box_and_grid(n, 2)
     rng = np.random.default_rng(7)
     k = box.points.astype(float)
     phase = np.exp(2j * np.pi * (grid.nodes[:, 0] + grid.nodes[:, 1]))
-    sigma = SampledSymbol(box, grid, np.outer(1.0 + k[:, 0]**2 + k[:, 1]**2, phase))
+    sigma = SampledSymbol(box, grid, np.outer(1.0 + (k**2).sum(axis=1), phase))
     tau = helpers.random_symbol(box, grid, rng)
     product = matrix(sigma).values @ matrix(tau).values
     defect_2 = np.max(np.abs(matrix(compose(sigma, tau, 2)).values - product))
@@ -343,14 +344,31 @@ def test_compose_two_dimensional_mixed_frequencies_exact():
     assert defect_3 <= 1e-10
 
 
-def test_adjoint_two_dimensional_one_sided_family():
-    box, grid = helpers.box_and_grid(2, 2)
+def test_compose_two_dimensional_mixed_frequencies_exact():
+    _assert_compose_mixed_frequencies_exact(2)
+
+
+def test_compose_three_dimensional_mixed_frequencies_exact():
+    _assert_compose_mixed_frequencies_exact(3)
+
+
+def _assert_adjoint_and_transpose_one_sided_exact(n):
+    box, grid = helpers.box_and_grid(n, 2)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
     phase = np.exp(-2j * np.pi * (grid.nodes[:, 0] + grid.nodes[:, 1]))
     s = SampledSymbol(box, grid, np.outer(w, phase))
     oracle = np.conj(matrix(s).values).T
     assert np.max(np.abs(matrix(adjoint(s, 3)).values - oracle)) <= 1e-10
+    assert np.max(np.abs(matrix(transpose(s, 3)).values - matrix(s).values.T)) <= 1e-10
+
+
+def test_adjoint_two_dimensional_one_sided_family():
+    _assert_adjoint_and_transpose_one_sided_exact(2)
+
+
+def test_adjoint_three_dimensional_one_sided_family():
+    _assert_adjoint_and_transpose_one_sided_exact(3)
 
 
 def test_parametrix_of_lattice_only_elliptic_symbol_is_exact():

@@ -8,7 +8,7 @@ import pytest
 from pdz import LatticeBox, LatticeSequence, OperatorMatrix, matrix
 from pdz.cli import main
 from pdz.config import compile_expression, load_config
-from pdz.errors import ConfigError
+from pdz.errors import ConfigError, NonFiniteValueError
 from pdz.io import (read_matrix_binary, read_sequence_csv, write_matrix_binary,
                     write_sequence_csv, torus_to_csv)
 from pdz.grids import TorusFunction, TorusGrid
@@ -242,6 +242,16 @@ def test_matrix_binary_round_trip(tmp_path):
     back = read_matrix_binary(tmp_path / "m.pdzm")
     assert back.box == box
     np.testing.assert_array_equal(back.values, op.values)
+
+
+def test_matrix_binary_with_nan_entry_raises_non_finite(tmp_path):
+    box = LatticeBox(1, 2)
+    write_matrix_binary(OperatorMatrix(box, np.eye(box.size)), tmp_path / "m.pdzm")
+    blob = bytearray((tmp_path / "m.pdzm").read_bytes())
+    blob[16:32] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
+    (tmp_path / "m.pdzm").write_bytes(bytes(blob))
+    with pytest.raises(NonFiniteValueError):
+        read_matrix_binary(tmp_path / "m.pdzm")
 
 
 def test_torus_csv_shape():

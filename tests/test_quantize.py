@@ -206,6 +206,33 @@ def test_amplitude_to_symbol_constant():
                                1.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n, N, d", [(1, 4, (2,)), (2, 2, (1, 1))], ids=["n1", "n2"])
+def test_amplitude_to_symbol_reduces_l_dependent_characters(n, N, d):
+    # a(k, l, x) = b(k) e^{2 pi i l.y} e^{2 pi i d.x} with y a grid node and
+    # d >= 0: the alpha-sum is the binomial expansion of e^{2 pi i d.y}, so
+    # the reduced symbol is b(k) e^{2 pi i (k+d).y} e^{2 pi i d.x} once
+    # order > |d|, and the alpha = d terms are still missing at order |d|
+    box, grid = helpers.box_and_grid(n, N)
+    rng = np.random.default_rng(17)
+    b = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
+    y = np.arange(1, n + 1) / grid.M
+    d = np.asarray(d, dtype=float)
+
+    def evaluator(k, l, x):
+        return b[box.index_of(k)] * np.exp(2j * np.pi * (l @ y + x @ d))
+
+    amp = AmplitudeDefinition(evaluator)
+    expected = np.outer(b * np.exp(2j * np.pi * (box.points + d) @ y),
+                        np.exp(2j * np.pi * grid.nodes @ d))
+    reduced = amplitude_to_symbol(amp, box, grid, int(d.sum()) + 1)
+    np.testing.assert_allclose(reduced.samples, expected, atol=1e-12)
+    amp_matrix = oracles.operator_matrix_by_columns(
+        lambda v: apply_amplitude(amp, LatticeSequence(box, v)).values, box)
+    assert np.max(np.abs(matrix(reduced).values - amp_matrix)) <= 1e-11
+    short = amplitude_to_symbol(amp, box, grid, int(d.sum()))
+    assert np.max(np.abs(short.samples - expected)) > 1e-3
+
+
 def test_amplitude_reduction_matches_operator_once_order_suffices():
     # a(k, l, x) = w(l) e^{2 pi i x}: the second-variable dependence is linear
     # in the character degree, so order 2 reproduces the operator exactly

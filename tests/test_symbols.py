@@ -186,6 +186,16 @@ def test_falling_derivative_multiplier_value():
     np.testing.assert_allclose(out.samples, 2.0 * sym.samples, atol=1e-12)
 
 
+def test_falling_derivative_multiplier_beyond_int64_range():
+    # (-64)(-65) ... (-75) is about 1e22: the multiplier must not wrap
+    box, grid = helpers.box_and_grid(1, 64)
+    sym = helpers.multiplier_symbol(box, grid,
+                                    lambda x: np.exp(-2j * np.pi * 64 * x[:, 0]))
+    want = oracles.falling_factorial(np.array(-64.0), 12)
+    out = falling_derivative(sym, (12,))
+    assert np.max(np.abs(out.samples - want * sym.samples)) <= 1e-10 * abs(want)
+
+
 def test_falling_derivative_annihilation_of_one_sided_polynomials():
     # per-axis degree < 2 with only nonnegative frequencies
     box, grid = helpers.box_and_grid(1, 5)
