@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DomainMismatchError
 from .grids import LatticeBox, LatticeSequence, TorusFunction
 from .quantize import Kernel, OperatorMatrix
-from .symbols import SampledSymbol
+from .symbols import SampledSymbol, row_blocks
 
 MATRIX_MAGIC = b"PDZM"
 _HEADER = struct.Struct("<4sIII")
@@ -109,7 +109,8 @@ def kernel_to_csv(ker: Kernel) -> str:
     box = ker.box
     header = ",".join(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"])
     lines = [header]
-    cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * max(1e-300, float(np.abs(ker.kappa).max()))
+    peak = max(float(np.abs(ker.kappa[rows]).max()) for rows in row_blocks(box.size, box.size))
+    cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * max(1e-300, peak)
     for i, kpoint in enumerate(box.points):
         kcols = [str(int(c)) for c in kpoint]
         row = ker.kappa[i]

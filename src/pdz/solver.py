@@ -15,11 +15,12 @@ import numpy as np
 
 from .calculus import SymbolExpansion, parametrix, partial_sum
 from .analysis import WeightedNormParams, weighted_norm
-from .errors import DivergenceError, DomainMismatchError, SingularSymbolError
+from .errors import (DivergenceError, DomainMismatchError, NonFiniteValueError,
+                     SingularSymbolError)
 from .fourier import forward_fourier, inverse_fourier
 from .grids import LatticeSequence, TorusFunction
 from .quantize import apply
-from .symbols import SampledSymbol
+from .symbols import SampledSymbol, row_blocks
 
 #: Below this grid minimum a symbol is treated as singular.
 ZERO_THRESHOLD = 1e-10
@@ -73,8 +74,11 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
 def lattice_deviation(sym: SampledSymbol) -> tuple[float, bool]:
     """Largest deviation of a symbol row from the first one, and whether it is
     within 1e-12 of max(1, max |sigma|), i.e. sigma does not depend on k."""
-    scale = max(1.0, float(np.abs(sym.samples).max()))
-    deviation = float(np.abs(sym.samples - sym.samples[0][None, :]).max())
+    scale, deviation = 1.0, 0.0
+    for rows in row_blocks(sym.box.size, sym.grid.size):
+        block = sym.samples[rows]
+        scale = max(scale, float(np.abs(block).max()))
+        deviation = max(deviation, float(np.abs(block - sym.samples[0]).max()))
     return deviation, deviation <= 1e-12 * scale
 
 
@@ -119,14 +123,17 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
 
     The expansion makes the error operator smoothing but carries no norm
     guarantee below one, so growth of the residual over three consecutive
-    refinements raises :class:`DivergenceError` with the history attached.
+    refinements, or ``max_iter`` refinements without reaching ``tol * |g|``,
+    raises :class:`DivergenceError` with the history attached; a non-finite
+    residual raises :class:`NonFiniteValueError`.
     """
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
     expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
     precond = partial_sum(expansion, order)
     warnings = []
-    smallest = float(np.abs(sym.samples).min())
+    smallest = min(float(np.abs(sym.samples[rows]).min())
+                   for rows in row_blocks(sym.box.size, sym.grid.size))
     if smallest < CONDITION_WARNING:
         warnings.append(f"symbol minimum {smallest:.3e} is below {CONDITION_WARNING:g}; "
                         "iteration may be ill-conditioned")
@@ -137,21 +144,30 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
                        "parametrix-iteration", warnings, [])
 
     f = apply(precond, g)
-    iterations = 1
     r = _residual(sym, f, g)
     history = [r.norm2()]
     growth = 0
-    while history[-1] > tol * g_norm and iterations < max_iter:
-        f = LatticeSequence(g.box, f.values + apply(precond, r).values)
-        iterations += 1
-        r = _residual(sym, f, g)
-        history.append(r.norm2())
-        growth = growth + 1 if history[-1] > history[-2] else 0
+    while True:
+        if not np.isfinite(history[-1]):
+            raise NonFiniteValueError(
+                f"residual became non-finite after {len(history)} refinements")
         if growth >= 3:
             raise DivergenceError(
                 f"residual grew for three consecutive refinements "
                 f"(last {history[-1]:.3e})",
                 history=history,
             )
-    return _finish(sym, f, g, s_values, iterations, "parametrix-iteration",
+        if history[-1] <= tol * g_norm:
+            break
+        if len(history) >= max_iter:
+            raise DivergenceError(
+                f"residual {history[-1]:.3e} still above tol * |g| = {tol * g_norm:.3e} "
+                f"after {len(history)} refinements",
+                history=history,
+            )
+        f = LatticeSequence(g.box, f.values + apply(precond, r).values)
+        r = _residual(sym, f, g)
+        history.append(r.norm2())
+        growth = growth + 1 if history[-1] > history[-2] else 0
+    return _finish(sym, f, g, s_values, len(history), "parametrix-iteration",
                    warnings, history)

@@ -17,19 +17,32 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonFiniteValueError
+from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import LatticeBox, TorusFunction, TorusGrid, require_matched
 
 #: Largest total expansion order supported by the multi-index machinery.
 ORDER_CAP = 12
 
 _FACTORIALS = tuple(math.factorial(i) for i in range(ORDER_CAP + 1))
+
+#: Target size of one row block in the passes over (K x X) sample arrays, so
+#: that no pass allocates a second array of the samples' size.
+ROW_BLOCK_BYTES = 1 << 20
+
+
+def row_blocks(rows: int, width: int):
+    """Slices covering ``range(rows)`` in blocks of about ``ROW_BLOCK_BYTES``
+    of complex entries, ``width`` per row, and at least one row per block."""
+    step = max(1, ROW_BLOCK_BYTES // (16 * width))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +154,13 @@ class SampledSymbol:
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != (box.size, grid.size):
             samples = samples.reshape(box.size, grid.size)
-        if not np.all(np.isfinite(samples)):
-            bad = np.argwhere(~np.isfinite(samples))[0]
-            raise NonFiniteValueError(
-                f"symbol samples non-finite at k={tuple(box.points[bad[0]])}, "
-                f"x={tuple(grid.nodes[bad[1]])}",
-                where=(tuple(box.points[bad[0]]), tuple(grid.nodes[bad[1]])),
-            )
+        for rows in row_blocks(box.size, grid.size):
+            finite = np.isfinite(samples[rows])
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                k, x = tuple(box.points[rows.start + i]), tuple(grid.nodes[j])
+                raise NonFiniteValueError(
+                    f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
         self.box = box
         self.grid = grid
         self.samples = samples
@@ -162,17 +175,22 @@ class SampledSymbol:
     def kappa(self) -> np.ndarray:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
 
-        Returned as a (box.size, box.size) array with l in box order; the
-        rows reconstruct the samples via sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
+        Returned as a read-only (box.size, box.size) array with l in box
+        order; the rows reconstruct the samples via
+        sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
         """
         if self._kappa is None:
             with self._lock:
                 if self._kappa is None:
-                    shaped = self.samples.reshape((self.box.size,) + self.grid.shape)
+                    K, shape = self.box.size, self.grid.shape
                     axes = tuple(range(1, self.grid.n + 1))
-                    kap = np.fft.ifftn(shaped, axes=axes)
-                    kap = np.fft.fftshift(kap, axes=axes)
-                    self._kappa = kap.reshape(self.box.size, self.box.size)
+                    kap = np.empty((K, K), dtype=complex)
+                    for rows in row_blocks(K, K):
+                        block = np.fft.ifftn(self.samples[rows].reshape((-1,) + shape),
+                                             axes=axes)
+                        kap[rows] = np.fft.fftshift(block, axes=axes).reshape(-1, K)
+                    kap.flags.writeable = False
+                    self._kappa = kap
         return self._kappa
 
     def x_coefficients(self) -> np.ndarray:
@@ -193,13 +211,27 @@ class SampledSymbol:
 
 
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:
-    """Evaluate a closed-form symbol on box x grid."""
+    """Evaluate a closed-form symbol on box x grid, one row block at a time.
+
+    Raises :class:`ResourceLimitError` before allocating when the dense
+    (K x X) samples would not fit in the machine's physical memory.
+    """
     require_matched(box, grid)
-    k = box.points[:, None, :]
+    nbytes = box.size * grid.size * 16
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare
+        physical = None
+    if physical is not None and nbytes > physical:
+        raise ResourceLimitError(
+            f"symbol samples need {box.size} x {grid.size} complex entries "
+            f"({nbytes / 2**30:.1f} GiB), above the {physical / 2**30:.1f} GiB "
+            "of physical memory")
+    values = np.empty((box.size, grid.size), dtype=complex)
     x = grid.nodes[None, :, :]
-    values = np.asarray(definition.evaluator(k, x), dtype=complex)
-    values = np.broadcast_to(values, (box.size, grid.size))
-    return SampledSymbol(box, grid, np.array(values), params=definition.params)
+    for rows in row_blocks(box.size, grid.size):
+        values[rows] = definition.evaluator(box.points[rows, None, :], x)
+    return SampledSymbol(box, grid, values, params=definition.params)
 
 
 def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbol:
@@ -270,6 +302,11 @@ def falling_multiplier(grid: TorusGrid, beta) -> np.ndarray:
         grid, lambda l, i: np.prod(l - np.arange(beta[i])[:, None], axis=0, dtype=float))
 
 
+def partial_multiplier(grid: TorusGrid, alpha) -> np.ndarray:
+    """Multiplier of d^alpha/dx^alpha: per axis (2 pi i l)^alpha_j."""
+    return x_multiplier(grid, lambda l, i: (2j * np.pi * l) ** alpha[i])
+
+
 def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """FFT over the grid variable of ``values`` shaped (..., grid.size);
     returns shape (...,) + grid.shape."""
@@ -307,8 +344,7 @@ def falling_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
 def partial_x_derivative(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Plain partial derivative d^alpha/dx^alpha (spectral multiplier (2 pi i l)^alpha)."""
     alpha = check_multi_index(alpha, sym.grid.n)
-    return _apply_x_multiplier(
-        sym, x_multiplier(sym.grid, lambda l, i: (2j * np.pi * l) ** alpha[i]))
+    return _apply_x_multiplier(sym, partial_multiplier(sym.grid, alpha))
 
 
 def x_reflect(sym: SampledSymbol) -> SampledSymbol:

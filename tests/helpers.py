@@ -3,6 +3,7 @@
 import numpy as np
 
 from pdz import LatticeBox, LatticeSequence, SampledSymbol, SymbolClassParams
+from pdz import symbols
 
 
 def random_sequence(box, rng, real=False):
@@ -64,3 +65,8 @@ def weight_symbol(box, grid, s):
 def box_and_grid(n, N):
     box = LatticeBox(n, N)
     return box, box.matched_grid()
+
+
+def force_block_rows(monkeypatch, rows, width):
+    """Make the blocked passes over (K x width) arrays take ``rows`` rows at a time."""
+    monkeypatch.setattr(symbols, "ROW_BLOCK_BYTES", 16 * width * rows)

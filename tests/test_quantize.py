@@ -7,6 +7,8 @@ from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox,
                  apply_fso, apply_toroidal, constant_symbol, fso_boundedness_check,
                  kernel, kernel_apply, link_defect, matrix, sample_toroidal,
                  symbol_from_operator, toroidal_from_lattice)
+from pdz.symbols import (lattice_difference, multi_indices_of_degree,
+                         partial_x_derivative)
 
 import helpers
 import oracles
@@ -51,6 +53,23 @@ def test_three_path_equivalence(n, N):
         assert np.max(np.abs(fft_path - direct)) <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
+def test_blocked_apply_matches_full_inverse_transform(monkeypatch, n, N, rows):
+    # reference: inverse-transform every weighted row over all grid axes, then
+    # read each row at its own frequency k mod M
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    rng = np.random.default_rng(40 + n)
+    sym = helpers.random_symbol(box, grid, rng)
+    f = helpers.random_sequence(box, rng)
+    fhat = np.fft.fftn(box.to_fft_layout(f.values)).ravel()
+    axes = tuple(range(1, n + 1))
+    full = np.fft.ifftn((sym.samples * fhat).reshape((box.size,) + grid.shape), axes=axes)
+    diagonal = full.reshape(box.size, grid.size)[np.arange(box.size), box.fft_indices]
+    assert np.array_equal(apply(sym, f).values, diagonal)
+
+
 def test_apply_rejects_mismatched_box():
     box, grid = helpers.box_and_grid(1, 4)
     other = LatticeBox(1, 5)
@@ -81,6 +100,15 @@ def test_kernel_of_first_difference_symbol():
         assert row[zero] == pytest.approx(-1.0, abs=1e-13)
         others = np.delete(row, [zero, minus])
         assert np.max(np.abs(others)) <= 1e-13
+
+
+def test_kappa_and_kernel_arrays_are_read_only():
+    box, grid = helpers.box_and_grid(2, 2)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(8))
+    with pytest.raises(ValueError):
+        sym.kappa()[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        kernel(sym).kappa[0, 0] = 0.0
 
 
 def test_kernel_diagonal_is_quadrature_mean():
@@ -327,6 +355,37 @@ def test_fso_boundedness_with_oscillating_phase_part():
     assert np.isfinite(rep.values["phase_difference_derivative_sup"])
     # the lattice difference of the phase is 2 pi x, whose first derivative is 2 pi
     assert rep.values["phase_difference_derivative_sup"] >= 2 * np.pi - 1e-6
+
+
+def test_fso_boundedness_matches_per_alpha_references():
+    # one derivative per multi-index from scratch: a fresh spectral round trip
+    # for sigma, the full gradient chain in axis order for the phase difference
+    box, grid = helpers.box_and_grid(2, 3)
+    n = box.n
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(50))
+
+    def evaluator(k, x):
+        return (2 * np.pi * np.sum(k * x, axis=-1)
+                + (1.0 + k[..., 0] ** 2) * np.sin(2 * np.pi * x[..., 0])
+                * np.cos(2 * np.pi * x[..., 1]))
+
+    phase = PhaseFunction(evaluator, n)
+    alphas = [a for total in range(2 * n + 2) for a in multi_indices_of_degree(n, total)]
+    sigma_ref = max(float(np.abs(partial_x_derivative(sym, a).samples).max()) for a in alphas)
+    phi = phase.samples(box, grid).reshape(box.shape + grid.shape)
+    interior = np.abs(box.points).max(axis=1) <= box.N - 1
+    phase_ref = 0.0
+    for j in range(n):
+        diff = lattice_difference(phi, (1,), (j,)).reshape((box.size,) + grid.shape)[interior]
+        for alpha in alphas:
+            work = diff
+            for axis, a in enumerate(alpha):
+                for _ in range(a):
+                    work = np.gradient(work, 1.0 / grid.M, axis=1 + axis, edge_order=2)
+            phase_ref = max(phase_ref, float(np.abs(work).max()))
+    rep = fso_boundedness_check(phase, sym)
+    assert rep.values["sigma_derivative_sup"] == sigma_ref
+    assert rep.values["phase_difference_derivative_sup"] == phase_ref
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdz import (DivergenceError, DomainMismatchError, LatticeSequence,
-                 NotEllipticError, SampledSymbol, SingularSymbolError,
+                 NonFiniteValueError, NotEllipticError, SampledSymbol, SingularSymbolError,
                  SymbolClassParams, WeightedNormParams, apply, invert_multiplier,
                  matrix, solve_elliptic, weighted_norm)
 
@@ -104,6 +104,17 @@ def test_weighted_transfer_constant_stable_across_sizes():
 # preconditioned refinement
 
 
+def _near_singular_fixture(N):
+    """1 + k^2 + e^{2 pi i x}: elliptic of order 2, but 1 + e^{2 pi i x}
+    vanishes at x = 1/2, so the k = 0 row is nearly singular."""
+    box, grid = helpers.box_and_grid(1, N)
+    k1 = box.points[:, 0].astype(float)
+    return box, SampledSymbol(box, grid,
+                              (1.0 + k1**2)[:, None]
+                              + np.exp(2j * np.pi * grid.nodes[:, 0])[None, :],
+                              params=SymbolClassParams(2.0))
+
+
 def test_solve_elliptic_on_multiplier_converges_immediately():
     box, grid, sym = _example3(1, 8)
     g = helpers.random_sequence(box, np.random.default_rng(2))
@@ -116,12 +127,7 @@ def test_solve_elliptic_on_multiplier_converges_immediately():
 
 
 def test_solve_elliptic_matches_dense_lu():
-    box, grid = helpers.box_and_grid(1, 16)
-    k1 = box.points[:, 0].astype(float)
-    sym = SampledSymbol(box, grid,
-                        (1.0 + k1**2)[:, None]
-                        + np.exp(2j * np.pi * grid.nodes[:, 0])[None, :],
-                        params=SymbolClassParams(2.0))
+    box, sym = _near_singular_fixture(16)
     g = LatticeSequence.delta(box)
     report = solve_elliptic(sym, 2.0, g, 2, max_iter=30, tol=1e-10)
     assert report.residual_l2 <= 1e-8
@@ -133,16 +139,27 @@ def test_solve_elliptic_matches_dense_lu():
 def test_solve_elliptic_reports_divergence_with_history():
     # adding the third expansion term makes the error operator expansive for
     # this near-singular symbol; the solver must detect and report it
-    box, grid = helpers.box_and_grid(1, 16)
-    k1 = box.points[:, 0].astype(float)
-    sym = SampledSymbol(box, grid,
-                        (1.0 + k1**2)[:, None]
-                        + np.exp(2j * np.pi * grid.nodes[:, 0])[None, :],
-                        params=SymbolClassParams(2.0))
+    box, sym = _near_singular_fixture(16)
     with pytest.raises(DivergenceError) as err:
         solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 3, max_iter=30)
     assert len(err.value.history) >= 4
     assert err.value.history[-1] > err.value.history[-4]
+
+
+def test_solve_elliptic_raises_when_the_residual_overflows():
+    # order 5 at N = 64: the residual norm overflows before max_iter
+    box, sym = _near_singular_fixture(64)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError, match="non-finite"):
+        solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 5, max_iter=60)
+
+
+def test_solve_elliptic_raises_at_max_iter_above_tolerance():
+    # the convergent dense-LU fixture needs more than two refinements
+    box, sym = _near_singular_fixture(16)
+    with pytest.raises(DivergenceError, match="after 2 refinements") as err:
+        solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 2, max_iter=2, tol=1e-10)
+    assert len(err.value.history) == 2
+    assert err.value.history[-1] > 1e-10
 
 
 def test_solve_elliptic_rejects_non_elliptic_symbol():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from pdz import (DomainMismatchError, NonFiniteValueError, SampledSymbol,
-                 SymbolClassParams, SymbolDefinition, TorusFunction, constant_symbol,
+import tracemalloc
+
+from pdz import (DomainMismatchError, LatticeBox, NonFiniteValueError, ResourceLimitError,
+                 SampledSymbol, SymbolClassParams, SymbolDefinition, TorusFunction,
+                 constant_symbol,
                  ellipticity_check, forward_difference, generalized_difference,
                  order_fit, periodic_taylor, sample, seminorm_estimate, x_derivative)
 from pdz.symbols import falling_derivative, multi_factorial, multi_indices_below
@@ -51,6 +54,39 @@ def test_sample_rejects_nonfinite_with_location():
     with pytest.raises(NonFiniteValueError) as err:
         sample(SymbolDefinition(bad), box, grid)
     assert err.value.where[0] == (1,)
+
+
+def _k_and_x_dependent(k, x):
+    kf = np.asarray(k, dtype=float)
+    return ((1.0 + np.sqrt((kf**2).sum(axis=-1))) * np.exp(2j * np.pi * x[..., 0])
+            + kf[..., -1] * np.cos(2 * np.pi * x[..., -1]))
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
+def test_blocked_sample_matches_one_evaluator_call(monkeypatch, n, N, rows):
+    # K = M^n is odd, so two-row blocks leave a one-row remainder
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    full = _k_and_x_dependent(box.points[:, None, :], grid.nodes[None, :, :])
+    sym = sample(SymbolDefinition(_k_and_x_dependent), box, grid)
+    assert np.array_equal(sym.samples, full)
+
+
+def test_sample_refuses_samples_beyond_physical_memory():
+    box = LatticeBox(2, 511)  # 1023^4 complex samples: 17.5 TB
+
+    def never(k, x):
+        raise AssertionError("evaluator called before the size check")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="physical memory"):
+            sample(SymbolDefinition(never), box, box.matched_grid())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +415,18 @@ def test_kappa_cache_consistency():
     box, grid = helpers.box_and_grid(1, 5)
     sym = helpers.random_symbol(box, grid, np.random.default_rng(12))
     assert sym.kappa_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
+def test_blocked_kappa_matches_full_transform(monkeypatch, n, N, rows):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, box.size)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(30 + n))
+    axes = tuple(range(1, n + 1))
+    full = np.fft.ifftn(sym.samples.reshape((box.size,) + grid.shape), axes=axes)
+    full = np.fft.fftshift(full, axes=axes).reshape(box.size, box.size)
+    assert np.array_equal(sym.kappa(), full)
 
 
 def test_x_coefficients_are_reflected_kappa_rows():
