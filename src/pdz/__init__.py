@@ -29,9 +29,9 @@ from .calculus import (SymbolExpansion, adjoint, compose, parametrix, partial_su
                        transpose)
 from .report import DiagnosticsReport
 from .analysis import (WeightedNormParams, compactness_tail, hs_norm,
-                       kernel_decay_fit, lp_bound_report, lp_norm,
+                       kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm,
                        mikhlin_uniformity, operator_norm_power, schatten_report,
                        trace, weighted_norm)
-from .solver import SolveReport, invert_multiplier, solve_elliptic
+from .solver import SolveReport, invert_multiplier, solve_dense, solve_elliptic
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainMismatchError, NotEllipticError, SingularSymbolError
-from .symbols import (SampledSymbol, SymbolClassParams, ellipticity_check,
-                      falling_multiplier, from_x_spectrum, lattice_difference,
-                      multi_factorial, multi_indices_below, multi_indices_of_degree,
+from .errors import DomainMismatchError
+from .symbols import (SampledSymbol, SymbolClassParams, falling_multiplier,
+                      from_x_spectrum, lattice_difference, multi_factorial,
+                      multi_indices_below, multi_indices_of_degree, require_invertible,
                       x_reflect, x_spectrum, ORDER_CAP)
 
 #: Expansion orders are capped by the multi-index machinery.
@@ -147,24 +147,7 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     """
     order = check_expansion_order(order)
     leading = a_terms.terms[0]
-    ell = ellipticity_check(leading, mu, m_cut=m_cut, threshold=threshold)
-    if not ell.ok:
-        raise NotEllipticError(
-            f"leading symbol is not elliptic at order {mu}: constant {ell.constant:.3e} "
-            f"at k={ell.witness_k}, x={ell.witness_x}",
-            witness=(ell.witness_k, ell.witness_x),
-            constant=ell.constant,
-        )
-    flat = int(np.argmin(np.abs(leading.samples)))
-    i, j = divmod(flat, leading.grid.size)
-    smallest = abs(leading.samples[i, j])
-    if smallest <= threshold:
-        raise SingularSymbolError(
-            f"leading symbol vanishes on the box at k={tuple(leading.box.points[i])}, "
-            f"x={tuple(leading.grid.nodes[j])}",
-            witness=(tuple(int(v) for v in leading.box.points[i]),
-                     tuple(float(v) for v in leading.grid.nodes[j])),
-        )
+    require_invertible(leading, mu, m_cut=m_cut, threshold=threshold)
 
     params = leading.params or SymbolClassParams(mu)
     params.validate_for_calculus()

@@ -13,16 +13,16 @@ import sys
 from pathlib import Path
 
 from . import io as pdzio
-from .analysis import (hs_norm, kernel_decay_fit, lp_bound_report,
+from .analysis import (hs_norm, kernel_decay_fit, lp_bound_reports,
                        mikhlin_uniformity, schatten_report, trace)
 from .calculus import SymbolExpansion, adjoint, compose, parametrix, transpose
 from .config import JobConfig, load_config
 from .errors import ConfigError, NotEllipticError, PdzError
+from .grids import DEFAULT_DENSE_CAP, LatticeSequence
 from .quantize import apply, kernel
 from .report import DiagnosticsReport
-from .solver import invert_multiplier, lattice_deviation, solve_elliptic
+from .solver import invert_multiplier, lattice_deviation, solve_dense, solve_elliptic
 from .symbols import SampledSymbol, sample
-from .grids import LatticeSequence
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,6 +139,13 @@ def _cmd_parametrix(cfg: JobConfig, args) -> int:
     return 0
 
 
+def _m_cut(section: dict) -> float | None:
+    m_cut = section.get("m_cut")
+    if m_cut is not None and not isinstance(m_cut, (int, float)):
+        raise ConfigError("solve: 'm_cut' must be a number")
+    return m_cut
+
+
 def _cmd_solve(cfg: JobConfig, args) -> int:
     section = cfg.section("solve")
     sym = _section_symbol(cfg, section)
@@ -150,9 +157,18 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
     tol = cfg.tol
 
     if method == "auto":
-        method = "multiplier" if lattice_deviation(sym)[1] else "iterative"
+        if lattice_deviation(sym)[1]:
+            method = "multiplier"
+        elif sym.box.size <= DEFAULT_DENSE_CAP:
+            method = "dense"
+        else:
+            method = "iterative"
     if method == "multiplier":
         report = invert_multiplier(sym, g, s_values=s_values)
+    elif method == "dense":
+        report = solve_dense(sym, float(section.get("mu", 0.0)), g, tol=tol,
+                             s_values=s_values, m_cut=_m_cut(section),
+                             dense_cap=DEFAULT_DENSE_CAP)
     elif method == "iterative":
         mu = section.get("mu", 0.0)
         order = section.get("order", 2)
@@ -160,7 +176,7 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
         if not isinstance(order, int) or not isinstance(max_iter, int):
             raise ConfigError("solve: 'order' and 'max_iter' must be integers")
         report = solve_elliptic(sym, float(mu), g, order, max_iter=max_iter,
-                                tol=tol, s_values=s_values)
+                                tol=tol, s_values=s_values, m_cut=_m_cut(section))
     else:
         raise ConfigError(f"solve: unknown method {method!r}")
 
@@ -195,8 +211,9 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
         for n_t in section.get("n_t", [1, 2, 3]):
             report.add_section(kernel_decay_fit(sym, int(n_t)))
     if "lp" in suites:
-        for p in section.get("p_values", [1.0, 2.0]):
-            report.add_section(lp_bound_report(sym, float(p), seed=seed))
+        p_values = [float(p) for p in section.get("p_values", [1.0, 2.0])]
+        for section_report in lp_bound_reports(sym, p_values, seed=seed):
+            report.add_section(section_report)
     if "mikhlin" in suites:
         name = section.get("symbol")
         sizes = section.get("sizes", [4, 8])

@@ -1,10 +1,10 @@
 """Difference-equation solving by symbol inversion.
 
-Two routes: exact division in frequency for symbols with no lattice
-dependence, and approximate-inverse preconditioned refinement for elliptic
-symbols with lattice dependence.  Every report recomputes its residual by a
-fresh forward application of the original symbol, never from solver
-internals.
+Three routes: exact division in frequency for symbols with no lattice
+dependence, and for elliptic symbols with lattice dependence either LU on
+the dense operator matrix (inside the dense cap) or approximate-inverse
+preconditioned refinement.  Every report recomputes its residual by a fresh
+forward application of the original symbol, never from solver internals.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .analysis import WeightedNormParams, weighted_norm
 from .errors import (DivergenceError, DomainMismatchError, NonFiniteValueError,
                      SingularSymbolError)
 from .fourier import forward_fourier, inverse_fourier
-from .grids import LatticeSequence, TorusFunction
-from .quantize import apply
-from .symbols import SampledSymbol, row_blocks
+from .grids import DEFAULT_DENSE_CAP, LatticeSequence, TorusFunction
+from .quantize import apply, matrix
+from .symbols import SampledSymbol, require_invertible, row_blocks
 
 #: Below this grid minimum a symbol is treated as singular.
 ZERO_THRESHOLD = 1e-10
@@ -57,12 +57,26 @@ def _residual(sym: SampledSymbol, f: LatticeSequence, g: LatticeSequence) -> Lat
     return LatticeSequence(g.box, g.values - apply(sym, f).values)
 
 
+def _conditioning(smallest: float, what: str) -> list[str]:
+    if smallest >= CONDITION_WARNING:
+        return []
+    return [f"symbol minimum {smallest:.3e} is below {CONDITION_WARNING:g}; "
+            f"{what} may be ill-conditioned"]
+
+
+def _norm(r: LatticeSequence) -> float:
+    with np.errstate(over="ignore"):  # an overflow is raised as NonFiniteValueError
+        return r.norm2()
+
+
 def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> SolveReport:
     r = _residual(sym, f, g)
-    weighted = {float(s): weighted_norm(r, WeightedNormParams(float(s))) for s in s_values}
+    with np.errstate(over="ignore"):  # an overflow is raised as NonFiniteValueError
+        weighted = {float(s): weighted_norm(r, WeightedNormParams(float(s)))
+                    for s in s_values}
     return SolveReport(
         solution=f,
-        residual_l2=r.norm2(),
+        residual_l2=_norm(r),
         weighted_residuals=weighted,
         iterations=iterations,
         method=method,
@@ -105,13 +119,43 @@ def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
         node = tuple(float(v) for v in sym.grid.nodes[j])
         raise SingularSymbolError(
             f"symbol vanishes on the grid at node x={node}", witness=node)
-    warnings = []
-    if smallest < CONDITION_WARNING:
-        warnings.append(f"symbol minimum {smallest:.3e} is below {CONDITION_WARNING:g}; "
-                        "solution may be ill-conditioned")
+    warnings = _conditioning(smallest, "solution")
     ghat = forward_fourier(g, sym.grid)
     f = inverse_fourier(TorusFunction(sym.grid, ghat.values / row), sym.box)
     return _finish(sym, f, g, s_values, 0, "exact-multiplier", warnings, [])
+
+
+def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 1e-10,
+                s_values=(0.0, 2.0), m_cut: float | None = None,
+                dense_cap: int = DEFAULT_DENSE_CAP) -> SolveReport:
+    """Solve Op(sigma) f = g by LU on the dense matrix of Op(sigma), which
+    holds about five (K x K) complex arrays at once (K = box.size).
+
+    Runs the ellipticity and vanishing checks of :func:`parametrix` first, so
+    a symbol fails here exactly as in :func:`solve_elliptic`.  A singular
+    matrix raises :class:`SingularSymbolError`, a box above the dense cap
+    :class:`ResourceLimitError`, a non-finite residual
+    :class:`NonFiniteValueError`, and a residual above ``tol * |g|``
+    :class:`DivergenceError` with the history ``[residual]``.
+    """
+    if g.box != sym.box:
+        raise DomainMismatchError("data and symbol live on different boxes")
+    warnings = _conditioning(require_invertible(sym, mu, m_cut=m_cut), "solution")
+    try:
+        values = np.linalg.solve(matrix(sym, dense_cap).values, g.values)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSymbolError(f"operator matrix is singular: {exc}") from exc
+    report = _finish(sym, LatticeSequence(g.box, values), g, s_values, 0, "dense-lu",
+                     warnings, [])
+    residual, limit = report.residual_l2, tol * g.norm2()
+    if not np.isfinite(residual):
+        raise NonFiniteValueError("residual of the dense solution is non-finite")
+    if residual > limit:
+        raise DivergenceError(
+            f"dense residual {residual:.3e} is above tol * |g| = {limit:.3e}",
+            history=[residual],
+        )
+    return report
 
 
 def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int,
@@ -131,12 +175,9 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
         raise DomainMismatchError("data and symbol live on different boxes")
     expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
     precond = partial_sum(expansion, order)
-    warnings = []
     smallest = min(float(np.abs(sym.samples[rows]).min())
                    for rows in row_blocks(sym.box.size, sym.grid.size))
-    if smallest < CONDITION_WARNING:
-        warnings.append(f"symbol minimum {smallest:.3e} is below {CONDITION_WARNING:g}; "
-                        "iteration may be ill-conditioned")
+    warnings = _conditioning(smallest, "iteration")
 
     g_norm = g.norm2()
     if g_norm == 0.0:
@@ -145,7 +186,7 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
 
     f = apply(precond, g)
     r = _residual(sym, f, g)
-    history = [r.norm2()]
+    history = [_norm(r)]
     growth = 0
     while True:
         if not np.isfinite(history[-1]):
@@ -167,7 +208,7 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
             )
         f = LatticeSequence(g.box, f.values + apply(precond, r).values)
         r = _residual(sym, f, g)
-        history.append(r.norm2())
+        history.append(_norm(r))
         growth = growth + 1 if history[-1] > history[-2] else 0
     return _finish(sym, f, g, s_values, len(history), "parametrix-iteration",
                    warnings, history)

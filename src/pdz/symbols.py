@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
+from .errors import (DomainMismatchError, NonFiniteValueError, NotEllipticError,
+                     ResourceLimitError, SingularSymbolError)
 from .grids import LatticeBox, TorusFunction, TorusGrid, require_matched
 
 #: Largest total expansion order supported by the multi-index machinery.
@@ -449,6 +450,39 @@ def ellipticity_check(sym: SampledSymbol, mu: float, m_cut: float | None = None,
         cutoff=float(m_cut),
         threshold=threshold,
     )
+
+
+def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None,
+                       threshold: float = 1e-10) -> float:
+    """Check that sigma can be inverted pointwise: raise
+    :class:`NotEllipticError` when :func:`ellipticity_check` fails at order
+    mu, and :class:`SingularSymbolError` when |sigma| <= threshold anywhere on
+    the box (the lower bound covers only |k| >= m_cut).  Returns the
+    smallest |sigma| on the box."""
+    ell = ellipticity_check(sym, mu, m_cut=m_cut, threshold=threshold)
+    if not ell.ok:
+        raise NotEllipticError(
+            f"symbol is not elliptic at order {mu}: constant {ell.constant:.3e} "
+            f"at k={ell.witness_k}, x={ell.witness_x}",
+            witness=(ell.witness_k, ell.witness_x),
+            constant=ell.constant,
+        )
+    smallest, i, j = np.inf, 0, 0
+    for rows in row_blocks(sym.box.size, sym.grid.size):
+        block = np.abs(sym.samples[rows])
+        flat = int(np.argmin(block))
+        if block.flat[flat] < smallest:  # strict: the first minimum in row order
+            smallest = float(block.flat[flat])
+            i, j = divmod(flat, sym.grid.size)
+            i += rows.start
+    if smallest <= threshold:
+        raise SingularSymbolError(
+            f"symbol vanishes on the box at k={tuple(sym.box.points[i])}, "
+            f"x={tuple(sym.grid.nodes[j])}",
+            witness=(tuple(int(v) for v in sym.box.points[i]),
+                     tuple(float(v) for v in sym.grid.nodes[j])),
+        )
+    return smallest
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from pdz import (DomainMismatchError, LatticeSequence, SampledSymbol,
                  SymbolDefinition, WeightedNormParams, apply,
                  compactness_tail, constant_symbol, hs_norm, kernel,
-                 kernel_decay_fit, lp_bound_report, lp_norm, matrix,
+                 kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm, matrix,
                  mikhlin_uniformity, operator_norm_power, schatten_report, trace,
                  weighted_norm)
 
@@ -201,6 +201,58 @@ def test_lp_bound_holds_on_smooth_random_symbols(p):
         sym = SampledSymbol(box, grid, np.outer(w, profile))
         rep = lp_bound_report(sym, p)
         assert rep.all_ok, rep.render()
+
+
+def _lp_reference(sym, p, n_random=20, seed=0):
+    """The per-p evaluation: every probe applied again for this p."""
+    from pdz import analysis
+    best, tag = 0.0, "none"
+    for idx, f in enumerate(analysis._probe_sequences(sym.box, n_random, seed)):
+        ratio = lp_norm(apply(sym, f), p) / lp_norm(f, p)
+        if ratio > best:
+            best, tag = ratio, f"probe {idx}"
+    bound = float(np.abs(sym.kappa()).max(axis=0).sum())
+    return best, tag, bound
+
+
+def _decaying_symbol(N):
+    box, grid = helpers.box_and_grid(1, N)
+    k1 = box.points[:, 0].astype(float)
+    return SampledSymbol(box, grid, 1.5 + (0.7 / (1.0 + k1**2))[:, None]
+                         * np.exp(2j * np.pi * grid.nodes[:, 0])[None, :])
+
+
+def test_lp_bound_reports_equal_per_p_evaluation():
+    sym = _decaying_symbol(12)
+    p_values = [1.0, 2.0, 3.5]
+    reports = lp_bound_reports(sym, p_values, n_random=5, seed=3)
+    assert [r.render() for r in reports] == [
+        lp_bound_report(sym, p, n_random=5, seed=3).render() for p in p_values]
+    for rep, p in zip(reports, p_values):
+        best, tag, bound = _lp_reference(sym, p, n_random=5, seed=3)
+        assert rep.name == f"lp_bound_p={p:g}"
+        assert rep.values["empirical_norm"] == best
+        assert rep.values["omega_l1"] == bound
+        assert f"from {tag}," in rep.render()
+
+
+def test_lp_bound_reports_apply_each_probe_once(monkeypatch):
+    from pdz import analysis
+    calls = []
+
+    def counted(sym, f):
+        calls.append(1)
+        return f  # the count is what matters here
+
+    monkeypatch.setattr(analysis, "apply", counted)
+    sym = _decaying_symbol(256)  # K = 513: 128 sites and 2 * 20 random probes
+    assert len(lp_bound_reports(sym, [1.0, 2.0])) == 2
+    assert len(calls) == 168
+
+
+def test_lp_bound_reports_reject_p_below_one():
+    with pytest.raises(DomainMismatchError):
+        lp_bound_reports(_decaying_symbol(4), [2.0, 0.5])
 
 
 def test_compactness_tail_slope_for_decaying_symbol():

@@ -323,6 +323,99 @@ def test_solve_command_iterative_method(tmp_path, capsys):
     assert np.max(np.abs(f.values - lu)) <= 1e-7
 
 
+def _solve_job(tmp_path, expr, N, g=None, name="job.json", **solve):
+    """Write g.csv (default: the delta at the origin) and a solve config for
+    the expression symbol ``expr`` (declared order 2) on the box n=1, N."""
+    box = LatticeBox(1, N)
+    write_sequence_csv(g if g is not None else LatticeSequence.delta(box),
+                       tmp_path / "g.csv")
+    job = {
+        "box": {"n": 1, "N": N},
+        "symbols": [{"name": "E", "kind": "expression",
+                     "params": {"expr": expr, "mu": 2.0}}],
+        "solve": {"symbol": "E", "input": "g.csv", "mu": 2.0, "s_values": [0.0],
+                  **solve},
+    }
+    (tmp_path / name).write_text(json.dumps(job))
+    return str(tmp_path / name)
+
+
+def _report_field(report: str, key: str) -> str:
+    return next(ln for ln in report.splitlines() if ln.startswith(key + ":")).split(": ")[1]
+
+
+_NEAR_SINGULAR = "1 + abs_k**2 + exp(2*pi*i*x_1)"
+
+
+@pytest.mark.parametrize("expr, cap, method", [
+    (_NEAR_SINGULAR, None, "dense-lu"),
+    (_NEAR_SINGULAR, 16, "parametrix-iteration"),
+    ("3 + exp(2*pi*i*x_1)", None, "exact-multiplier"),
+])
+def test_solve_auto_route(tmp_path, capsys, monkeypatch, expr, cap, method):
+    if cap is not None:  # below K = 17
+        monkeypatch.setattr("pdz.cli.DEFAULT_DENSE_CAP", cap)
+    path = _solve_job(tmp_path, expr, 8, method="auto", order=2, max_iter=40)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "f.csv")]) == 0
+    report = capsys.readouterr().out
+    assert _report_field(report, "method") == method
+    assert float(_report_field(report, "residual_l2")) <= 1e-10
+
+
+def test_solve_dense_method_above_the_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pdz.cli.DEFAULT_DENSE_CAP", 16)  # below K = 17
+    path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="dense")
+    assert main(["solve", "--config", path]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["auto", "dense", "iterative"])
+def test_solve_non_elliptic_lattice_dependent_symbol_exits_4(tmp_path, capsys, method):
+    path = _solve_job(tmp_path, "(1 + abs_k**2) * (exp(2*pi*i*x_1) - 1)", 8, method=method)
+    assert main(["solve", "--config", path]) == 4
+    assert "x=(0.0,)" in capsys.readouterr().err
+
+
+def test_solve_auto_meets_tolerance_on_the_divergence_fixture(tmp_path, capsys):
+    # order 3 at N = 256 makes the preconditioned refinement diverge; auto
+    # solves it by LU and the recomputed residual meets tol * |g|
+    box = LatticeBox(1, 256)
+    rng = np.random.default_rng(8)
+    g = LatticeSequence(box, rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size))
+    path = _solve_job(tmp_path, _NEAR_SINGULAR, 256, g=g, method="auto", order=3,
+                      max_iter=60)
+    out = tmp_path / "f.csv"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert _report_field(capsys.readouterr().out, "method") == "dense-lu"
+    cfg = load_config(path)
+    sym = sample(cfg.symbol("E"), cfg.box, cfg.box.matched_grid())
+    from pdz import apply
+    f = read_sequence_csv(out, cfg.box)
+    assert np.linalg.norm(g.values - apply(sym, f).values) <= cfg.tol * g.norm2()
+
+    iterative = _solve_job(tmp_path, _NEAR_SINGULAR, 256, g=g, name="iter.json",
+                           method="iterative", order=3, max_iter=60)
+    assert main(["solve", "--config", iterative]) == 3
+    assert "grew" in capsys.readouterr().err
+
+
+def test_solve_dense_method_matches_the_iterative_solution(tmp_path, capsys):
+    # the job of test_solve_command_iterative_method, solved both ways
+    solutions = {}
+    for method in ("dense", "iterative"):
+        path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, name=f"{method}.json",
+                          method=method, order=2, max_iter=40)
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        solutions[method] = read_sequence_csv(out, LatticeBox(1, 8)).values
+    assert np.max(np.abs(solutions["dense"] - solutions["iterative"])) <= 1e-9
+
+
+def test_solve_m_cut_must_be_a_number(tmp_path):
+    path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="dense", m_cut="two")
+    assert main(["solve", "--config", path]) == 2
+
+
 def test_diagnose_full_suites_render(tmp_path, capsys):
     job = {
         "box": {"n": 1, "N": 8},
@@ -362,6 +455,26 @@ def test_diagnose_seed_override_is_deterministic(tmp_path, capsys):
                      "--lp", "--seed", "7", "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_diagnose_lp_renders_one_section_per_p(tmp_path):
+    from pdz import DiagnosticsReport, lp_bound_report
+    job = {
+        "box": {"n": 1, "N": 12},
+        "symbols": [{"name": "E", "kind": "expression",
+                     "params": {"expr": "1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2)"}}],
+        "diagnose": {"symbol": "E", "p_values": [1, 2.0, 3.5]},
+    }
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    out = tmp_path / "report.txt"
+    assert main(["diagnose", "--config", str(tmp_path / "job.json"), "--lp",
+                 "--seed", "4", "--out", str(out)]) == 0
+    cfg = load_config(tmp_path / "job.json")
+    sym = sample(cfg.symbol("E"), cfg.box, cfg.box.matched_grid())
+    want = DiagnosticsReport("diagnostics")
+    for p in (1.0, 2.0, 3.5):
+        want.add_section(lp_bound_report(sym, p, seed=4))
+    assert out.read_text() == want.render() + "\n"
 
 
 def test_compose_command_output_matches_library(workdir):

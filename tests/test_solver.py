@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pdz import (DivergenceError, DomainMismatchError, LatticeSequence,
-                 NonFiniteValueError, NotEllipticError, SampledSymbol, SingularSymbolError,
-                 SymbolClassParams, WeightedNormParams, apply, invert_multiplier,
-                 matrix, solve_elliptic, weighted_norm)
+                 NonFiniteValueError, NotEllipticError, SampledSymbol,
+                 SingularSymbolError, SymbolClassParams, WeightedNormParams, apply,
+                 invert_multiplier, matrix, solve_dense, solve_elliptic, weighted_norm)
 
 import helpers
 import oracles
@@ -153,6 +155,14 @@ def test_solve_elliptic_raises_when_the_residual_overflows():
         solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 5, max_iter=60)
 
 
+def test_solve_elliptic_overflow_raises_without_a_numpy_warning():
+    box, sym = _near_singular_fixture(64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match="non-finite"):
+            solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 5, max_iter=60)
+
+
 def test_solve_elliptic_raises_at_max_iter_above_tolerance():
     # the convergent dense-LU fixture needs more than two refinements
     box, sym = _near_singular_fixture(16)
@@ -216,3 +226,90 @@ def test_residual_recomputation_closure():
     for s, value in report.weighted_residuals.items():
         resid = LatticeSequence(box, g.values - apply(sym, report.solution).values)
         assert abs(value - weighted_norm(resid, WeightedNormParams(s))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense LU
+
+
+def test_solve_dense_matches_lu_and_recomputes_its_residual():
+    box, sym = _near_singular_fixture(16)
+    g = helpers.random_sequence(box, np.random.default_rng(5))
+    report = solve_dense(sym, 2.0, g, tol=1e-10, s_values=(0.0, 2.0))
+    assert report.method == "dense-lu"
+    assert report.iterations == 0
+    lu = np.linalg.solve(matrix(sym).values, g.values)
+    assert np.max(np.abs(report.solution.values - lu)) <= 1e-12
+    resid = LatticeSequence(box, g.values - apply(sym, report.solution).values)
+    assert report.residual_l2 == resid.norm2()
+    assert report.residual_l2 <= 1e-10 * g.norm2()
+    for s, value in report.weighted_residuals.items():
+        assert value == weighted_norm(resid, WeightedNormParams(s))
+
+
+def test_solve_dense_warns_near_zero():
+    box, grid = helpers.box_and_grid(1, 8)
+    k1 = box.points[:, 0].astype(float)
+    sym = SampledSymbol(box, grid, (k1**2 + 1e-7)[:, None] * np.ones(grid.size)[None, :],
+                        params=SymbolClassParams(2.0))
+    # data away from the near-zero row k = 0, so the solution stays O(1)
+    report = solve_dense(sym, 2.0, LatticeSequence.delta(box, at=(1,)))
+    assert report.warnings and "ill-conditioned" in report.warnings[0]
+
+
+def _bad_symbols():
+    box, grid = helpers.box_and_grid(1, 8)
+    k1 = box.points[:, 0].astype(float)
+    not_elliptic = SampledSymbol(
+        box, grid, (1.0 + k1**2)[:, None] * (np.exp(2j * np.pi * grid.nodes[:, 0]) - 1.0),
+        params=SymbolClassParams(2.0))
+    vanishing = SampledSymbol(
+        box, grid, (k1**2)[:, None] * np.ones(grid.size)[None, :],
+        params=SymbolClassParams(2.0))
+    return [(not_elliptic, NotEllipticError), (vanishing, SingularSymbolError)]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["not-elliptic", "vanishing"])
+def test_solve_dense_rejects_bad_symbols_as_refinement_does(case):
+    sym, error = _bad_symbols()[case]
+    g = LatticeSequence.delta(sym.box)
+    with pytest.raises(error) as dense:
+        solve_dense(sym, 2.0, g)
+    with pytest.raises(error) as iterative:
+        solve_elliptic(sym, 2.0, g, 2)
+    assert dense.value.witness == iterative.value.witness
+
+
+def test_solve_dense_maps_a_singular_matrix_to_singular_symbol_error(monkeypatch):
+    box, sym = _near_singular_fixture(8)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSymbolError, match="singular"):
+        solve_dense(sym, 2.0, LatticeSequence.delta(box))
+
+
+def test_solve_dense_raises_divergence_above_tolerance():
+    box, sym = _near_singular_fixture(16)
+    with pytest.raises(DivergenceError, match="above tol") as err:
+        solve_dense(sym, 2.0, LatticeSequence.delta(box), tol=1e-30)
+    assert len(err.value.history) == 1
+    assert err.value.history[0] > 1e-30
+
+
+def test_solve_dense_raises_on_a_non_finite_residual(monkeypatch):
+    box, sym = _near_singular_fixture(16)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, 1e200 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match="residual"):
+            solve_dense(sym, 2.0, LatticeSequence.delta(box))
+
+
+def test_solve_dense_rejects_data_on_another_box():
+    box, sym = _near_singular_fixture(8)
+    other = LatticeSequence.delta(helpers.box_and_grid(1, 4)[0])
+    with pytest.raises(DomainMismatchError):
+        solve_dense(sym, 2.0, other)
