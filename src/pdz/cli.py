@@ -139,13 +139,6 @@ def _cmd_parametrix(cfg: JobConfig, args) -> int:
     return 0
 
 
-def _m_cut(section: dict) -> float | None:
-    m_cut = section.get("m_cut")
-    if m_cut is not None and not isinstance(m_cut, (int, float)):
-        raise ConfigError("solve: 'm_cut' must be a number")
-    return m_cut
-
-
 def _cmd_solve(cfg: JobConfig, args) -> int:
     section = cfg.section("solve")
     sym = _section_symbol(cfg, section)
@@ -167,8 +160,7 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
         report = invert_multiplier(sym, g, s_values=s_values)
     elif method == "dense":
         report = solve_dense(sym, float(section.get("mu", 0.0)), g, tol=tol,
-                             s_values=s_values, m_cut=_m_cut(section),
-                             dense_cap=DEFAULT_DENSE_CAP)
+                             s_values=s_values, dense_cap=DEFAULT_DENSE_CAP)
     elif method == "iterative":
         mu = section.get("mu", 0.0)
         order = section.get("order", 2)
@@ -176,7 +168,7 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
         if not isinstance(order, int) or not isinstance(max_iter, int):
             raise ConfigError("solve: 'order' and 'max_iter' must be integers")
         report = solve_elliptic(sym, float(mu), g, order, max_iter=max_iter,
-                                tol=tol, s_values=s_values, m_cut=_m_cut(section))
+                                tol=tol, s_values=s_values)
     else:
         raise ConfigError(f"solve: unknown method {method!r}")
 

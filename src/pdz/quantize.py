@@ -36,20 +36,9 @@ def _require_dense(box: LatticeBox, dense_cap: int, what: str) -> None:
 
 @lru_cache(maxsize=8)
 def _difference_table(box: LatticeBox) -> np.ndarray:
-    """table[i, j] = box index of points[i] - points[j], wrapped cyclically.
-
-    Along each axis the index of the difference of the digits d_i, d_j in
-    0..M-1 is (d_i - d_j + N) mod M; the flat index sums these with the
-    lexicographic strides, built in place on the (K x K) table."""
-    n, M = box.n, box.M
-    digits = np.arange(M)
-    along = (digits[:, None] - digits[None, :] + box.N) % M
-    table = np.zeros((M,) * (2 * n), dtype=np.intp)
-    for axis in range(n):
-        shape = [1] * (2 * n)
-        shape[axis] = shape[n + axis] = M
-        table += (along * M ** (n - 1 - axis)).reshape(shape)
-    return table.reshape(box.size, box.size)
+    """table[i, j] = box index of points[i] - points[j], wrapped cyclically."""
+    diff = box.points[:, None, :] - box.points[None, :, :]
+    return box.index_of(diff)
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,10 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
     with np.errstate(over="ignore"):  # an overflow is raised as NonFiniteValueError
         weighted = {float(s): weighted_norm(r, WeightedNormParams(float(s)))
                     for s in s_values}
+        residual_l2 = r.norm2()
     return SolveReport(
         solution=f,
-        residual_l2=_norm(r),
+        residual_l2=residual_l2,
         weighted_residuals=weighted,
         iterations=iterations,
         method=method,

@@ -411,11 +411,6 @@ def test_solve_dense_method_matches_the_iterative_solution(tmp_path, capsys):
     assert np.max(np.abs(solutions["dense"] - solutions["iterative"])) <= 1e-9
 
 
-def test_solve_m_cut_must_be_a_number(tmp_path):
-    path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="dense", m_cut="two")
-    assert main(["solve", "--config", path]) == 2
-
-
 def test_diagnose_full_suites_render(tmp_path, capsys):
     job = {
         "box": {"n": 1, "N": 8},

@@ -504,13 +504,3 @@ def test_lattice_only_symbols_act_diagonally():
     sym = helpers.weight_symbol(box, grid, 1.5)
     expected = (1.0 + box.norms) ** 1.5 * f.values
     np.testing.assert_allclose(apply(sym, f).values, expected, atol=1e-11)
-
-
-@pytest.mark.parametrize("n, N", [(1, 1), (1, 5), (2, 3), (3, 2), (4, 1)])
-def test_difference_table_indexes_the_wrapped_point_differences(n, N):
-    from pdz.quantize import _difference_table
-    box = LatticeBox(n, N)
-    want = box.index_of(box.points[:, None, :] - box.points[None, :, :])
-    got = _difference_table(box)
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
