@@ -90,16 +90,6 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _expansion_csv(expansion: SymbolExpansion) -> str:
-    blocks = []
-    for idx, term in enumerate(expansion.terms):
-        body = pdzio.symbol_to_csv(term).splitlines()
-        if idx == 0:
-            blocks.append("term," + body[0])
-        blocks.extend(f"{idx},{line}" for line in body[1:])
-    return "\n".join(blocks) + "\n"
-
-
 def _cmd_apply(cfg: JobConfig, args) -> int:
     section = cfg.section("apply")
     sym = _section_symbol(cfg, section)
@@ -135,7 +125,7 @@ def _cmd_parametrix(cfg: JobConfig, args) -> int:
         raise ConfigError("parametrix: 'order' must be an integer")
     expansion = parametrix(SymbolExpansion([sym], [float(mu)]), float(mu), order,
                            m_cut=section.get("m_cut"))
-    _emit(_expansion_csv(expansion), args.out)
+    _emit(pdzio.expansion_to_csv(expansion), args.out)
     return 0
 
 
@@ -172,13 +162,8 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
     else:
         raise ConfigError(f"solve: unknown method {method!r}")
 
-    csv_text = pdzio.sequence_to_csv(report.solution)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-        sys.stdout.write(report.render() + "\n")
-    else:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(report.render() + "\n")
+    _emit(pdzio.sequence_to_csv(report.solution), args.out)
+    (sys.stdout if args.out else sys.stderr).write(report.render() + "\n")
     return 0
 
 

@@ -218,10 +218,10 @@ def load_config(path, overrides: dict | None = None) -> JobConfig:
     box_spec = raw.get("box", {})
     if not isinstance(box_spec, dict):
         raise ConfigError("'box' must be an object with fields n and N")
-    n = overrides.get("dim") or box_spec.get("n")
-    N = overrides.get("box") or box_spec.get("N")
-    if not isinstance(n, int) or not isinstance(N, int):
-        raise ConfigError(f"box needs integer fields n and N, got n={n!r}, N={N!r}")
+    n = overrides.get("dim", box_spec.get("n"))
+    N = overrides.get("box", box_spec.get("N"))
+    if not isinstance(n, int) or not isinstance(N, int) or n < 1 or N < 1:
+        raise ConfigError(f"box needs integer fields n >= 1 and N >= 1, got n={n!r}, N={N!r}")
     box = LatticeBox(n, N)
 
     entries = raw.get("symbols", [])

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .calculus import SymbolExpansion
 from .errors import ConfigError, DomainMismatchError
-from .grids import LatticeBox, LatticeSequence, TorusFunction
+from .grids import LatticeBox, LatticeSequence
 from .quantize import Kernel, OperatorMatrix
 from .symbols import SampledSymbol, row_blocks
 
@@ -26,21 +27,26 @@ _HEADER = struct.Struct("<4sIII")
 KERNEL_CSV_RELATIVE_THRESHOLD = 1e-14
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def _int_columns(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
+def _csv(columns: list[str], blocks) -> str:
+    """Header, then one row per entry of each ``(ints, values)`` block: its
+    integer columns, then re and im of its value; one ``%`` per block.  The
+    integers pass through float64, exact for lattice coordinates (< 2**53)."""
+    row = ",".join(["%d"] * (len(columns) - 2) + ["%.17g", "%.17g"]) + "\n"
+    parts = [",".join(columns) + "\n"]
+    for ints, values in blocks:
+        table = np.column_stack([ints, values.real, values.imag])
+        parts.append(row * len(values) % tuple(table.ravel().tolist()))
+    return "".join(parts)
+
+
 def sequence_to_csv(f: LatticeSequence) -> str:
-    header = ",".join(_int_columns("k", f.box.n) + ["re", "im"])
-    lines = [header]
-    for point, value in zip(f.box.points, f.values):
-        cols = [str(int(c)) for c in point] + [_fmt(value.real), _fmt(value.imag)]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    box = f.box
+    blocks = ((box.points[rows], f.values[rows]) for rows in row_blocks(box.size, 1))
+    return _csv(_int_columns("k", box.n) + ["re", "im"], blocks)
 
 
 def write_sequence_csv(f: LatticeSequence, path) -> None:
@@ -81,44 +87,45 @@ def read_sequence_csv(path, box: LatticeBox) -> LatticeSequence:
     return LatticeSequence(box, values)
 
 
-def torus_to_csv(F: TorusFunction) -> str:
-    header = ",".join(_int_columns("j", F.grid.n) + ["re", "im"])
-    lines = [header]
-    for node, value in zip(F.grid.node_indices, F.values):
-        cols = [str(int(c)) for c in node] + [_fmt(value.real), _fmt(value.imag)]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+def _symbol_blocks(sym: SampledSymbol):
+    box, grid = sym.box, sym.grid
+    for rows in row_blocks(box.size, grid.size):
+        k = np.repeat(box.points[rows], grid.size, axis=0)
+        j = np.tile(grid.node_indices, (rows.stop - rows.start, 1))
+        yield np.hstack([k, j]), sym.samples[rows].ravel()
+
+
+def _symbol_columns(sym: SampledSymbol) -> list[str]:
+    return _int_columns("k", sym.box.n) + _int_columns("j", sym.grid.n) + ["re", "im"]
 
 
 def symbol_to_csv(sym: SampledSymbol) -> str:
-    header = ",".join(_int_columns("k", sym.box.n) + _int_columns("j", sym.grid.n)
-                      + ["re", "im"])
-    lines = [header]
-    for i, point in enumerate(sym.box.points):
-        kcols = [str(int(c)) for c in point]
-        for j, node in enumerate(sym.grid.node_indices):
-            value = sym.samples[i, j]
-            lines.append(",".join(kcols + [str(int(c)) for c in node]
-                                  + [_fmt(value.real), _fmt(value.imag)]))
-    return "\n".join(lines) + "\n"
+    return _csv(_symbol_columns(sym), _symbol_blocks(sym))
+
+
+def expansion_to_csv(expansion: SymbolExpansion) -> str:
+    """The terms' symbol CSVs in one table, behind a leading ``term`` column
+    (the term's index in the expansion)."""
+    def blocks():
+        for idx, term in enumerate(expansion.terms):
+            for ints, values in _symbol_blocks(term):
+                yield np.hstack([np.full((len(values), 1), idx), ints]), values
+    return _csv(["term"] + _symbol_columns(expansion.terms[0]), blocks())
 
 
 def kernel_to_csv(ker: Kernel) -> str:
     """Sparse kernel rows ``k_1..k_n, l_1..l_n, re, im`` in lexicographic
     order; entries below the relative magnitude threshold are omitted."""
     box = ker.box
-    header = ",".join(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"])
-    lines = [header]
     peak = max(float(np.abs(ker.kappa[rows]).max()) for rows in row_blocks(box.size, box.size))
     cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * max(1e-300, peak)
-    for i, kpoint in enumerate(box.points):
-        kcols = [str(int(c)) for c in kpoint]
-        row = ker.kappa[i]
-        for j in np.flatnonzero(np.abs(row) > cutoff):
-            value = row[j]
-            lines.append(",".join(kcols + [str(int(c)) for c in box.points[j]]
-                                  + [_fmt(value.real), _fmt(value.imag)]))
-    return "\n".join(lines) + "\n"
+
+    def blocks():
+        for rows in row_blocks(box.size, box.size):
+            block = ker.kappa[rows]
+            i, j = np.nonzero(np.abs(block) > cutoff)
+            yield np.hstack([box.points[rows][i], box.points[j]]), block[i, j]
+    return _csv(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"], blocks())
 
 
 def write_matrix_binary(op: OperatorMatrix, path) -> None:

@@ -14,7 +14,6 @@ identity tying the two quantizations together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,11 +33,15 @@ def _require_dense(box: LatticeBox, dense_cap: int, what: str) -> None:
         )
 
 
-@lru_cache(maxsize=8)
 def _difference_table(box: LatticeBox) -> np.ndarray:
-    """table[i, j] = box index of points[i] - points[j], wrapped cyclically."""
-    diff = box.points[:, None, :] - box.points[None, :, :]
-    return box.index_of(diff)
+    """table[i, j] = box index of points[i] - points[j], wrapped cyclically;
+    built one axis (lexicographic digit (p_i - p_j + N) mod M) at a time, so
+    that beside it, which each dense op builds anew, one (K x K) temporary lives."""
+    table = np.zeros((box.size, box.size), dtype=np.intp)
+    for c in box.points.T:
+        table *= box.M
+        table += (c[:, None] - c + box.N) % box.M
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -74,3 +74,55 @@ def falling_coefficient_at_zero(values, grid, alpha):
         if mult != 0.0:
             total += mult * torus_fourier_coefficient(values, grid, l)
     return total
+
+
+# ---------------------------------------------------------------------------
+# CSV text, one formatted line per row
+
+
+def _columns(prefix, n):
+    return [f"{prefix}_{i + 1}" for i in range(n)]
+
+
+def _csv_line(ints, value):
+    return ",".join([str(int(c)) for c in ints] + ["%.17g" % value.real, "%.17g" % value.imag])
+
+
+def _csv_text(header, lines):
+    return "\n".join([",".join(header)] + lines) + "\n"
+
+
+def sequence_csv(f):
+    lines = [_csv_line(p, v) for p, v in zip(f.box.points, f.values)]
+    return _csv_text(_columns("k", f.box.n) + ["re", "im"], lines)
+
+
+def _symbol_lines(sym, lead=""):
+    return [lead + _csv_line(np.concatenate([point, node]), sym.samples[i, j])
+            for i, point in enumerate(sym.box.points)
+            for j, node in enumerate(sym.grid.node_indices)]
+
+
+def _symbol_header(sym):
+    return _columns("k", sym.box.n) + _columns("j", sym.grid.n) + ["re", "im"]
+
+
+def symbol_csv(sym):
+    return _csv_text(_symbol_header(sym), _symbol_lines(sym))
+
+
+def expansion_csv(expansion):
+    lines = [ln for idx, term in enumerate(expansion.terms)
+             for ln in _symbol_lines(term, f"{idx},")]
+    return _csv_text(["term"] + _symbol_header(expansion.terms[0]), lines)
+
+
+def kernel_csv(ker, threshold):
+    """Entries with |kappa| strictly above threshold * max|kappa| (at least
+    threshold * 1e-300), row by row."""
+    box = ker.box
+    cutoff = threshold * max(1e-300, float(np.abs(ker.kappa).max()))
+    lines = [_csv_line(np.concatenate([box.points[i], box.points[j]]), ker.kappa[i, j])
+             for i in range(box.size)
+             for j in np.flatnonzero(np.abs(ker.kappa[i]) > cutoff)]
+    return _csv_text(_columns("k", box.n) + _columns("l", box.n) + ["re", "im"], lines)

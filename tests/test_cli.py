@@ -5,16 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdz import LatticeBox, LatticeSequence, OperatorMatrix, matrix
+from pdz import (LatticeBox, LatticeSequence, OperatorMatrix, SymbolExpansion, matrix,
+                 parametrix)
 from pdz.cli import main
 from pdz.config import compile_expression, load_config
 from pdz.errors import ConfigError, NonFiniteValueError
 from pdz.io import (read_matrix_binary, read_sequence_csv, write_matrix_binary,
-                    write_sequence_csv, torus_to_csv)
-from pdz.grids import TorusFunction, TorusGrid
+                    write_sequence_csv)
 from pdz.symbols import sample
 
 import helpers
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,6 +163,29 @@ def test_parametrix_command_writes_terms(workdir):
     assert terms == {"0", "1"}
 
 
+def test_parametrix_command_matches_per_row_reference(workdir):
+    job = json.loads((workdir / "example3_job.json").read_text())
+    job["parametrix"] = {"symbol": "T", "mu": 0.0, "order": 3}
+    cfg_path = workdir / "par.json"
+    cfg_path.write_text(json.dumps(job))
+    out = workdir / "terms.csv"
+    assert main(["parametrix", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    sym = sample(cfg.symbol("T"), cfg.box, cfg.box.matched_grid())
+    expansion = parametrix(SymbolExpansion([sym], [0.0]), 0.0, 3)
+    assert out.read_text() == oracles.expansion_csv(expansion)
+
+
+def test_solve_without_out_writes_csv_to_stdout_and_report_to_stderr(workdir, capsys):
+    out = workdir / "f.csv"
+    assert main(["solve", "--config", _job_path(workdir), "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert main(["solve", "--config", _job_path(workdir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text()
+    assert captured.err == report
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -202,6 +226,23 @@ def test_box_override_changes_domain(workdir):
     # overriding to a size that no longer matches the stored sequence fails
     assert main(["apply", "--config", _job_path(workdir), "--box", "8",
                  "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--box", "0"], ["--dim", "0"], ["--box", "-1"]])
+def test_box_override_below_one_exits_2(workdir, capsys, flags):
+    out = workdir / "o.csv"
+    assert main(["apply", "--config", _job_path(workdir), *flags, "--out", str(out)]) == 2
+    assert "n >= 1 and N >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_box_half_width_zero_exits_2(workdir, capsys):
+    job = json.loads((workdir / "example3_job.json").read_text())
+    job["box"]["N"] = 0
+    path = workdir / "zero.json"
+    path.write_text(json.dumps(job))
+    assert main(["apply", "--config", str(path)]) == 2
+    assert "n >= 1 and N >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +293,6 @@ def test_matrix_binary_with_nan_entry_raises_non_finite(tmp_path):
     (tmp_path / "m.pdzm").write_bytes(bytes(blob))
     with pytest.raises(NonFiniteValueError):
         read_matrix_binary(tmp_path / "m.pdzm")
-
-
-def test_torus_csv_shape():
-    grid = TorusGrid(2, 3)
-    text = torus_to_csv(TorusFunction.ones(grid))
-    lines = text.strip().splitlines()
-    assert lines[0] == "j_1,j_2,re,im"
-    assert len(lines) - 1 == grid.size
 
 
 # ---------------------------------------------------------------------------
