@@ -31,7 +31,7 @@ from .report import DiagnosticsReport
 from .analysis import (WeightedNormParams, compactness_tail, hs_norm,
                        kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm,
                        mikhlin_uniformity, operator_norm_power, schatten_report,
-                       trace, weighted_norm)
+                       schatten_reports, trace, weighted_norm)
 from .solver import SolveReport, invert_multiplier, solve_dense, solve_elliptic
 
 __version__ = "0.1.0"

@@ -61,36 +61,46 @@ def _row_lq_norms(sym: SampledSymbol, q: float) -> np.ndarray:
 
 def schatten_report(sym: SampledSymbol, p: float,
                     dense_cap: int = DEFAULT_DENSE_CAP) -> DiagnosticsReport:
+    """Schatten report for one p; see :func:`schatten_reports`."""
+    return schatten_reports(sym, [p], dense_cap)[0]
+
+
+def schatten_reports(sym: SampledSymbol, p_values,
+                     dense_cap: int = DEFAULT_DENSE_CAP) -> list[DiagnosticsReport]:
     """Singular-value quasi-norm S_p of the dense matrix against the
-    symbol-side bound B_p:
+    symbol-side bound B_p, one report per p from one SVD:
 
     * p <= 2:  B_p = ( sum_k ||sigma(k,.)||_{L^2}^p )^{1/p},
     * p >= 2:  B_p = ( sum_k ||sigma(k,.)||_{L^{p'}}^{p'} )^{1/p'}, 1/p + 1/p' = 1.
 
     At p = 2 the two sides agree to roundoff.
     """
-    if p <= 0:
-        raise DomainMismatchError(f"Schatten exponent must be positive, got {p}")
-    mat = matrix(sym, dense_cap).values
-    singular = np.linalg.svd(mat, compute_uv=False)
-    s_p = float(np.sum(singular**p) ** (1.0 / p))
-    if p <= 2:
-        rows = _row_lq_norms(sym, 2.0)
-        bound = float(np.sum(rows**p) ** (1.0 / p))
-    else:
-        q = p / (p - 1.0)
-        rows = _row_lq_norms(sym, q)
-        bound = float(np.sum(rows**q) ** (1.0 / q))
-    rep = DiagnosticsReport(f"schatten_p={p:g}")
-    rep.add_value("schatten_quasi_norm", s_p)
-    rep.add_value("symbol_side_bound", bound)
-    scale = max(1.0, bound)
-    rep.add_flag("schatten_le_bound", s_p <= bound + 1e-10 * scale,
-                 f"S_p={s_p:.12g}, B_p={bound:.12g}")
-    if p == 2:
-        rep.add_flag("hs_equality", abs(s_p - bound) <= 1e-10 * scale,
-                     f"|S_2 - B_2| = {abs(s_p - bound):.3e}")
-    return rep
+    p_values = list(p_values)
+    for p in p_values:
+        if p <= 0:
+            raise DomainMismatchError(f"Schatten exponent must be positive, got {p}")
+    singular = np.linalg.svd(matrix(sym, dense_cap).values, compute_uv=False)
+    reports = []
+    for p in p_values:
+        s_p = float(np.sum(singular**p) ** (1.0 / p))
+        if p <= 2:
+            rows = _row_lq_norms(sym, 2.0)
+            bound = float(np.sum(rows**p) ** (1.0 / p))
+        else:
+            q = p / (p - 1.0)
+            rows = _row_lq_norms(sym, q)
+            bound = float(np.sum(rows**q) ** (1.0 / q))
+        rep = DiagnosticsReport(f"schatten_p={p:g}")
+        rep.add_value("schatten_quasi_norm", s_p)
+        rep.add_value("symbol_side_bound", bound)
+        scale = max(1.0, bound)
+        rep.add_flag("schatten_le_bound", s_p <= bound + 1e-10 * scale,
+                     f"S_p={s_p:.12g}, B_p={bound:.12g}")
+        if p == 2:
+            rep.add_flag("hs_equality", abs(s_p - bound) <= 1e-10 * scale,
+                         f"|S_2 - B_2| = {abs(s_p - bound):.3e}")
+        reports.append(rep)
+    return reports
 
 
 def kernel_decay_fit(sym: SampledSymbol, n_t: int,
@@ -160,6 +170,7 @@ def lp_bound_reports(sym: SampledSymbol, p_values, n_random: int = 20,
     for p in p_values:
         if p < 1:
             raise DomainMismatchError(f"p must be >= 1, got {p}")
+    sym.samples  # stored once here: every probe below passes over all the rows
     omega = np.abs(sym.kappa()).max(axis=0)
     bound = float(omega.sum())
     best = [0.0] * len(p_values)

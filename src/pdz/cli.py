@@ -14,14 +14,14 @@ from pathlib import Path
 
 from . import io as pdzio
 from .analysis import (hs_norm, kernel_decay_fit, lp_bound_reports,
-                       mikhlin_uniformity, schatten_report, trace)
+                       mikhlin_uniformity, schatten_reports, trace)
 from .calculus import SymbolExpansion, adjoint, compose, parametrix, transpose
 from .config import JobConfig, load_config
 from .errors import ConfigError, NotEllipticError, PdzError
 from .grids import DEFAULT_DENSE_CAP, LatticeSequence
-from .quantize import apply, kernel
+from .quantize import apply
 from .report import DiagnosticsReport
-from .solver import invert_multiplier, lattice_deviation, solve_dense, solve_elliptic
+from .solver import _divide, _row_scan, solve_dense, solve_elliptic
 from .symbols import SampledSymbol, sample
 
 
@@ -100,7 +100,7 @@ def _cmd_apply(cfg: JobConfig, args) -> int:
 
 def _cmd_kernel(cfg: JobConfig, args) -> int:
     sym = _section_symbol(cfg, cfg.section("kernel"))
-    _emit(pdzio.kernel_to_csv(kernel(sym)), args.out)
+    _emit(pdzio.kernel_to_csv(sym), args.out)
     return 0
 
 
@@ -139,15 +139,17 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
         raise ConfigError("solve: 's_values' must be a list of numbers")
     tol = cfg.tol
 
+    scan = None
     if method == "auto":
-        if lattice_deviation(sym)[1]:
+        scan = _row_scan(sym)  # kept, so the multiplier route does not scan again
+        if scan[2]:
             method = "multiplier"
         elif sym.box.size <= DEFAULT_DENSE_CAP:
             method = "dense"
         else:
             method = "iterative"
     if method == "multiplier":
-        report = invert_multiplier(sym, g, s_values=s_values)
+        report = _divide(sym, scan or _row_scan(sym), g, s_values)
     elif method == "dense":
         report = solve_dense(sym, float(section.get("mu", 0.0)), g, tol=tol,
                              s_values=s_values, dense_cap=DEFAULT_DENSE_CAP)
@@ -182,8 +184,9 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
     if "trace" in suites:
         report.add_value("trace", trace(sym))
     if "schatten" in suites:
-        for p in section.get("p_values", [1.0, 2.0]):
-            report.add_section(schatten_report(sym, float(p)))
+        p_values = [float(p) for p in section.get("p_values", [1.0, 2.0])]
+        for section_report in schatten_reports(sym, p_values):
+            report.add_section(section_report)
     if "decay" in suites:
         for n_t in section.get("n_t", [1, 2, 3]):
             report.add_section(kernel_decay_fit(sym, int(n_t)))

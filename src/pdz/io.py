@@ -54,6 +54,9 @@ def write_sequence_csv(f: LatticeSequence, path) -> None:
 
 
 def read_sequence_csv(path, box: LatticeBox) -> LatticeSequence:
+    """Read a sequence CSV: every row is parsed at once and mapped with one
+    :meth:`LatticeBox.index_of`; a file that fails is re-read row by row for
+    the first row at fault, in file order."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -64,35 +67,57 @@ def read_sequence_csv(path, box: LatticeBox) -> LatticeSequence:
     expected = ",".join(_int_columns("k", box.n) + ["re", "im"])
     if lines[0].strip() != expected:
         raise ConfigError(f"{path}: header {lines[0]!r} does not match {expected!r}")
-    values = np.zeros(box.size, dtype=complex)
-    seen = np.zeros(box.size, dtype=bool)
-    for ln in lines[1:]:
+    rows, n = lines[1:], box.n
+    cells = [ln.split(",") for ln in rows]
+    if any(len(c) != n + 2 for c in cells):
+        raise _first_row_at_fault(path, rows, box)
+    try:
+        columns = list(zip(*cells)) or [()] * (n + 2)
+        points = np.array([list(map(int, c)) for c in columns[:n]], dtype=np.int64)
+        points = points.T.reshape(len(rows), n)
+        values = np.empty(len(rows), dtype=complex)
+        values.real, values.imag = list(map(float, columns[n])), list(map(float, columns[n + 1]))
+    except (ValueError, OverflowError):
+        raise _first_row_at_fault(path, rows, box) from None
+    if ((points < -box.N) | (points > box.N)).any():  # abs would wrap at -2**63
+        raise _first_row_at_fault(path, rows, box)
+    idx = box.index_of(points)
+    counts = np.bincount(idx, minlength=box.size)
+    if (counts > 1).any():
+        raise _first_row_at_fault(path, rows, box)
+    if not counts.all():
+        raise ConfigError(f"{path}: {int((counts == 0).sum())} box points missing")
+    out = np.zeros(box.size, dtype=complex)
+    out[idx] = values
+    return LatticeSequence(box, out)
+
+
+def _first_row_at_fault(path, rows: list[str], box: LatticeBox) -> ConfigError:
+    """The error of the first malformed, outside or repeated row."""
+    seen = set()
+    for ln in rows:
         cols = ln.split(",")
         if len(cols) != box.n + 2:
-            raise ConfigError(f"{path}: malformed row {ln!r}")
+            return ConfigError(f"{path}: malformed row {ln!r}")
         try:
             point = [int(c) for c in cols[: box.n]]
-            re, im = float(cols[box.n]), float(cols[box.n + 1])
+            float(cols[box.n]), float(cols[box.n + 1])
         except ValueError as exc:
-            raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from exc
+            return ConfigError(f"{path}: malformed row {ln!r}: {exc}")
         if any(abs(c) > box.N for c in point):
-            raise ConfigError(f"{path}: point {point} outside the box (N={box.N})")
-        idx = box.index_of(np.asarray(point))
-        if seen[idx]:
-            raise ConfigError(f"{path}: duplicate point {point}")
-        seen[idx] = True
-        values[idx] = complex(re, im)
-    if not seen.all():
-        raise ConfigError(f"{path}: {int((~seen).sum())} box points missing")
-    return LatticeSequence(box, values)
+            return ConfigError(f"{path}: point {point} outside the box (N={box.N})")
+        if tuple(point) in seen:
+            return ConfigError(f"{path}: duplicate point {point}")
+        seen.add(tuple(point))
+    raise AssertionError("no row at fault")
 
 
 def _symbol_blocks(sym: SampledSymbol):
     box, grid = sym.box, sym.grid
-    for rows in row_blocks(box.size, grid.size):
+    for rows, block in sym.blocks():
         k = np.repeat(box.points[rows], grid.size, axis=0)
         j = np.tile(grid.node_indices, (rows.stop - rows.start, 1))
-        yield np.hstack([k, j]), sym.samples[rows].ravel()
+        yield np.hstack([k, j]), block.ravel()
 
 
 def _symbol_columns(sym: SampledSymbol) -> list[str]:
@@ -113,18 +138,28 @@ def expansion_to_csv(expansion: SymbolExpansion) -> str:
     return _csv(["term"] + _symbol_columns(expansion.terms[0]), blocks())
 
 
-def kernel_to_csv(ker: Kernel) -> str:
+def kernel_to_csv(source: Kernel | SampledSymbol) -> str:
     """Sparse kernel rows ``k_1..k_n, l_1..l_n, re, im`` in lexicographic
-    order; entries below the relative magnitude threshold are omitted."""
-    box = ker.box
-    peak = max(float(np.abs(ker.kappa[rows]).max()) for rows in row_blocks(box.size, box.size))
-    cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * max(1e-300, peak)
+    order; entries below the relative magnitude threshold are omitted.
+
+    One pass over the row blocks of kappa: each block keeps its entries above
+    the threshold times the running peak, a superset of the final ones, and
+    one filter at the end applies the cutoff of the global peak.  A symbol's
+    row transform is computed block by block and not cached."""
+    box, K = source.box, source.box.size
+    peak, kept = 1e-300, []
+    for rows, block in source.kappa_blocks():
+        mags = np.abs(block).ravel()
+        peak = max(peak, float(mags.max()))
+        flat = np.flatnonzero(mags > KERNEL_CSV_RELATIVE_THRESHOLD * peak)
+        kept.append((rows.start * K + flat, block.ravel()[flat], mags[flat]))
+    cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * peak
 
     def blocks():
-        for rows in row_blocks(box.size, box.size):
-            block = ker.kappa[rows]
-            i, j = np.nonzero(np.abs(block) > cutoff)
-            yield np.hstack([box.points[rows][i], box.points[j]]), block[i, j]
+        for flat, values, mags in kept:
+            keep = mags > cutoff
+            i, j = np.divmod(flat[keep], K)
+            yield np.hstack([box.points[i], box.points[j]]), values[keep]
     return _csv(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"], blocks())
 
 

@@ -63,8 +63,8 @@ def apply(sym: SampledSymbol, f: LatticeSequence) -> LatticeSequence:
     fhat = np.fft.fftn(box.to_fft_layout(f.values)).ravel()
     own = box.points % box.M  # row k's frequency k mod M along each axis
     out = np.empty(box.size, dtype=complex)
-    for rows in row_blocks(box.size, grid.size):
-        block = sym.samples[rows] * fhat
+    for rows, block in sym.blocks():
+        block = block * fhat
         held = np.arange(len(block))
         for axis in reversed(range(grid.n)):
             block = np.fft.ifft(block.reshape(len(held), -1, grid.M), axis=-1)
@@ -84,6 +84,11 @@ class Kernel:
         k = np.asarray(k, dtype=int)
         m = np.asarray(m, dtype=int)
         return complex(self.kappa[self.box.index_of(k), self.box.index_of(k - m)])
+
+    def kappa_blocks(self):
+        """Yield ``(rows, kappa[rows])`` like :meth:`SampledSymbol.kappa_blocks`."""
+        for rows in row_blocks(self.box.size, self.box.size):
+            yield rows, self.kappa[rows]
 
     def summation_matrix(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
         _require_dense(self.box, dense_cap, "kernel matrix")

@@ -20,7 +20,7 @@ from .errors import (DivergenceError, DomainMismatchError, NonFiniteValueError,
 from .fourier import forward_fourier, inverse_fourier
 from .grids import DEFAULT_DENSE_CAP, LatticeSequence, TorusFunction
 from .quantize import apply, matrix
-from .symbols import SampledSymbol, require_invertible, row_blocks
+from .symbols import SampledSymbol, require_invertible
 
 #: Below this grid minimum a symbol is treated as singular.
 ZERO_THRESHOLD = 1e-10
@@ -86,15 +86,22 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
     )
 
 
+def _row_scan(sym: SampledSymbol) -> tuple[np.ndarray, float, bool]:
+    """Row 0 of sigma, the largest deviation of a row from it, and whether
+    that is within 1e-12 of max(1, max |sigma|); one pass over the rows."""
+    first, scale, deviation = None, 1.0, 0.0
+    for _, block in sym.blocks():
+        if first is None:
+            first = block[0].copy()
+        scale = max(scale, float(np.abs(block).max()))
+        deviation = max(deviation, float(np.abs(block - first).max()))
+    return first, deviation, deviation <= 1e-12 * scale
+
+
 def lattice_deviation(sym: SampledSymbol) -> tuple[float, bool]:
     """Largest deviation of a symbol row from the first one, and whether it is
     within 1e-12 of max(1, max |sigma|), i.e. sigma does not depend on k."""
-    scale, deviation = 1.0, 0.0
-    for rows in row_blocks(sym.box.size, sym.grid.size):
-        block = sym.samples[rows]
-        scale = max(scale, float(np.abs(block).max()))
-        deviation = max(deviation, float(np.abs(block - sym.samples[0]).max()))
-    return deviation, deviation <= 1e-12 * scale
+    return _row_scan(sym)[1:]
 
 
 def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
@@ -105,15 +112,19 @@ def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
     Raises when the rows of sigma actually vary in k (use
     :func:`solve_elliptic` then) or when sigma vanishes on the grid.
     """
+    return _divide(sym, _row_scan(sym), g, s_values)
+
+
+def _divide(sym: SampledSymbol, scan, g: LatticeSequence, s_values) -> SolveReport:
+    """:func:`invert_multiplier` on the result of :func:`_row_scan`."""
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
-    deviation, k_constant = lattice_deviation(sym)
+    row, deviation, k_constant = scan
     if not k_constant:
         raise DomainMismatchError(
             f"symbol varies across lattice rows (deviation {deviation:.3e}); "
             "use solve_elliptic for lattice-dependent elliptic symbols"
         )
-    row = sym.samples[0]
     j = int(np.argmin(np.abs(row)))
     smallest = float(np.abs(row[j]))
     if smallest <= ZERO_THRESHOLD:
@@ -176,8 +187,7 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
         raise DomainMismatchError("data and symbol live on different boxes")
     expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
     precond = partial_sum(expansion, order)
-    smallest = min(float(np.abs(sym.samples[rows]).min())
-                   for rows in row_blocks(sym.box.size, sym.grid.size))
+    smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
     warnings = _conditioning(smallest, "iteration")
 
     g_norm = g.norm2()

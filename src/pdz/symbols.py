@@ -115,7 +115,8 @@ class SymbolDefinition:
 
     ``k`` is an integer array (..., n) of lattice points and ``x`` a float
     array (..., n) of torus points; the evaluator must be total and finite
-    on box x grid.
+    on box x grid, and pure: a symbol sampled from it may evaluate each row
+    block once per pass over the rows.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -143,35 +144,91 @@ class SampledSymbol:
     """Grid samples of a symbol: ``samples[i, j] = sigma(k_i, x_j)``.
 
     Rows run over box points (lexicographic), columns over grid nodes
-    (C order).  The row Fourier coefficients kappa(k, l) are computed once
-    on demand under a lock; everything else treats instances as immutable.
+    (C order).  A symbol is backed either by the stored (K x X) array or by
+    a :class:`SymbolDefinition`, whose row blocks :meth:`blocks` evaluates
+    each time it is asked; the array of a definition-backed symbol is built
+    by the first read of ``samples`` and kept.  That array and the row
+    Fourier coefficients kappa(k, l) are each computed once on demand under
+    a lock; everything else treats instances as immutable.
     """
 
-    __slots__ = ("box", "grid", "samples", "params", "_kappa", "_lock")
+    __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa", "_lock")
 
-    def __init__(self, box: LatticeBox, grid: TorusGrid, samples: np.ndarray,
+    def __init__(self, box: LatticeBox, grid: TorusGrid,
+                 samples: np.ndarray | SymbolDefinition,
                  params: SymbolClassParams | None = None):
         require_matched(box, grid)
-        samples = np.asarray(samples, dtype=complex)
-        if samples.shape != (box.size, grid.size):
-            samples = samples.reshape(box.size, grid.size)
-        for rows in row_blocks(box.size, grid.size):
-            finite = np.isfinite(samples[rows])
-            if not finite.all():
-                i, j = np.argwhere(~finite)[0]
-                k, x = tuple(box.points[rows.start + i]), tuple(grid.nodes[j])
-                raise NonFiniteValueError(
-                    f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
         self.box = box
         self.grid = grid
-        self.samples = samples
         self.params = params
         self._kappa = None
         self._lock = threading.Lock()
+        if isinstance(samples, SymbolDefinition):
+            self._samples, self._definition = None, samples
+            return
+        samples = np.asarray(samples, dtype=complex)
+        if samples.shape != (box.size, grid.size):
+            samples = samples.reshape(box.size, grid.size)
+        self._samples, self._definition = samples, None
+        for rows, block in self.blocks():
+            self._require_finite(rows, block)
+
+    def _require_finite(self, rows: slice, block: np.ndarray) -> None:
+        finite = np.isfinite(block)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            k, x = tuple(self.box.points[rows.start + i]), tuple(self.grid.nodes[j])
+            raise NonFiniteValueError(
+                f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
+
+    def blocks(self):
+        """Yield ``(rows, samples[rows])`` over the row blocks of
+        :func:`row_blocks`: slices of the stored array when there is one,
+        otherwise the definition evaluated on the block's rows, checked finite."""
+        K, X = self.box.size, self.grid.size
+        x = self.grid.nodes[None, :, :]
+        for rows in row_blocks(K, X):
+            stored = self._samples
+            if stored is not None:
+                yield rows, stored[rows]
+                continue
+            block = np.asarray(self._definition.evaluator(self.box.points[rows, None, :], x),
+                               dtype=complex)
+            if block.shape != (rows.stop - rows.start, X):  # broadcast like an assignment
+                value, block = block, np.empty((rows.stop - rows.start, X), dtype=complex)
+                block[...] = value
+            self._require_finite(rows, block)
+            yield rows, block
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (K x X) samples, built from the definition on first read."""
+        if self._samples is None:
+            with self._lock:
+                if self._samples is None:
+                    values = np.empty((self.box.size, self.grid.size), dtype=complex)
+                    for rows, block in self.blocks():
+                        values[rows] = block
+                    self._samples = values
+        return self._samples
 
     def with_samples(self, samples: np.ndarray, params=None) -> "SampledSymbol":
         return SampledSymbol(self.box, self.grid, samples,
                              params if params is not None else self.params)
+
+    def kappa_blocks(self):
+        """Yield ``(rows, kappa[rows])`` over the same row blocks as
+        :meth:`blocks`: slices of the cached row transform when it is filled,
+        otherwise transforms of the sample blocks, none of them kept."""
+        K, shape = self.box.size, self.grid.shape
+        if self._kappa is not None:
+            for rows in row_blocks(K, K):
+                yield rows, self._kappa[rows]
+            return
+        axes = tuple(range(1, self.grid.n + 1))
+        for rows, block in self.blocks():
+            block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
+            yield rows, np.fft.fftshift(block, axes=axes).reshape(-1, K)
 
     def kappa(self) -> np.ndarray:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
@@ -183,13 +240,10 @@ class SampledSymbol:
         if self._kappa is None:
             with self._lock:
                 if self._kappa is None:
-                    K, shape = self.box.size, self.grid.shape
-                    axes = tuple(range(1, self.grid.n + 1))
+                    K = self.box.size
                     kap = np.empty((K, K), dtype=complex)
-                    for rows in row_blocks(K, K):
-                        block = np.fft.ifftn(self.samples[rows].reshape((-1,) + shape),
-                                             axes=axes)
-                        kap[rows] = np.fft.fftshift(block, axes=axes).reshape(-1, K)
+                    for rows, block in self.kappa_blocks():
+                        kap[rows] = block
                     kap.flags.writeable = False
                     self._kappa = kap
         return self._kappa
@@ -212,10 +266,13 @@ class SampledSymbol:
 
 
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:
-    """Evaluate a closed-form symbol on box x grid, one row block at a time.
+    """Sample a closed-form symbol on box x grid.
 
-    Raises :class:`ResourceLimitError` before allocating when the dense
-    (K x X) samples would not fit in the machine's physical memory.
+    Samples that fit in one row block are evaluated and stored at once;
+    larger ones stay with the definition, which each pass then evaluates one
+    row block at a time (so the evaluator must be pure).  Raises
+    :class:`ResourceLimitError` when the dense (K x X) samples would not fit
+    in the machine's physical memory.
     """
     require_matched(box, grid)
     nbytes = box.size * grid.size * 16
@@ -228,11 +285,10 @@ def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> Sa
             f"symbol samples need {box.size} x {grid.size} complex entries "
             f"({nbytes / 2**30:.1f} GiB), above the {physical / 2**30:.1f} GiB "
             "of physical memory")
-    values = np.empty((box.size, grid.size), dtype=complex)
-    x = grid.nodes[None, :, :]
-    for rows in row_blocks(box.size, grid.size):
-        values[rows] = definition.evaluator(box.points[rows, None, :], x)
-    return SampledSymbol(box, grid, values, params=definition.params)
+    sym = SampledSymbol(box, grid, definition, params=definition.params)
+    if nbytes <= ROW_BLOCK_BYTES:  # one block: streaming would save nothing
+        sym.samples
+    return sym
 
 
 def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbol:
@@ -468,8 +524,8 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
             constant=ell.constant,
         )
     smallest, i, j = np.inf, 0, 0
-    for rows in row_blocks(sym.box.size, sym.grid.size):
-        block = np.abs(sym.samples[rows])
+    for rows, block in sym.blocks():
+        block = np.abs(block)
         flat = int(np.argmin(block))
         if block.flat[flat] < smallest:  # strict: the first minimum in row order
             smallest = float(block.flat[flat])

@@ -5,8 +5,8 @@ from pdz import (DomainMismatchError, LatticeSequence, SampledSymbol,
                  SymbolDefinition, WeightedNormParams, apply,
                  compactness_tail, constant_symbol, hs_norm, kernel,
                  kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm, matrix,
-                 mikhlin_uniformity, operator_norm_power, schatten_report, trace,
-                 weighted_norm)
+                 mikhlin_uniformity, operator_norm_power, schatten_report,
+                 schatten_reports, trace, weighted_norm)
 
 import helpers
 
@@ -105,6 +105,18 @@ def test_schatten_bound_is_one_sided(p):
     for _ in range(5):
         rep = schatten_report(helpers.random_symbol(box, grid, rng), p)
         assert rep.all_ok, rep.render()
+
+
+def test_schatten_reports_match_per_p_evaluation():
+    box, grid = helpers.box_and_grid(1, 6)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(7))
+    p_values = [0.5, 1.0, 2.0, 3.0]
+    reports = schatten_reports(sym, p_values)
+    singular = np.linalg.svd(matrix(sym).values, compute_uv=False)
+    assert [rep.name for rep in reports] == [f"schatten_p={p:g}" for p in p_values]
+    for p, rep in zip(p_values, reports):
+        assert rep.render() == schatten_report(sym, p).render()
+        assert rep.values["schatten_quasi_norm"] == float(np.sum(singular**p) ** (1.0 / p))
 
 
 def test_schatten_rejects_nonpositive_exponent():

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdz import (LatticeBox, LatticeSequence, OperatorMatrix, SymbolExpansion, matrix,
-                 parametrix)
+from pdz import (LatticeBox, LatticeSequence, OperatorMatrix, SampledSymbol,
+                 SymbolExpansion, matrix, parametrix)
 from pdz.cli import main
 from pdz.config import compile_expression, load_config
 from pdz.errors import ConfigError, NonFiniteValueError
@@ -393,6 +393,25 @@ def test_solve_auto_route(tmp_path, capsys, monkeypatch, expr, cap, method):
     report = capsys.readouterr().out
     assert _report_field(report, "method") == method
     assert float(_report_field(report, "residual_l2")) <= 1e-10
+
+
+@pytest.mark.parametrize("method", ["auto", "multiplier"])
+def test_solve_multiplier_route_scans_the_rows_once(tmp_path, capsys, monkeypatch, method):
+    # one pass over the symbol's rows checks k-constancy, one recomputes the
+    # residual; one-row blocks keep the sampled symbol streamed (K = 17)
+    helpers.force_block_rows(monkeypatch, 1, 17)
+    passes = []
+    blocks = SampledSymbol.blocks
+
+    def counted(sym):
+        passes.append(sym)
+        return blocks(sym)
+
+    monkeypatch.setattr(SampledSymbol, "blocks", counted)
+    path = _solve_job(tmp_path, "3 + exp(2*pi*i*x_1)", 8, method=method)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "f.csv")]) == 0
+    assert _report_field(capsys.readouterr().out, "method") == "exact-multiplier"
+    assert len(passes) == 2
 
 
 def test_solve_dense_method_above_the_cap_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,11 +1,12 @@
 """The block-wise CSV writers against the per-row formatter in ``oracles``,
-byte for byte."""
+byte for byte, and the sequence reader's messages."""
 
 import numpy as np
 import pytest
 
-from pdz import Kernel, LatticeSequence, SymbolExpansion
+from pdz import Kernel, LatticeBox, LatticeSequence, SymbolExpansion
 from pdz import io as pdzio
+from pdz.errors import ConfigError
 
 import helpers
 import oracles
@@ -105,3 +106,86 @@ def test_zero_kernel_csv_is_the_header_alone(n, N, block_rows):
     text = pdzio.kernel_to_csv(ker)
     assert text == header + ",re,im\n"
     assert text == oracles.kernel_csv(ker, pdzio.KERNEL_CSV_RELATIVE_THRESHOLD)
+
+
+# ---------------------------------------------------------------------------
+# reading sequences: one vectorized parse, the per-row messages on failure
+
+
+def test_sequence_csv_read_round_trips_special_values(tmp_path):
+    box, _ = helpers.box_and_grid(1, 7)
+    f = LatticeSequence(box, _with_specials(helpers.random_sequence(
+        box, np.random.default_rng(3)).values.copy()))
+    pdzio.write_sequence_csv(f, tmp_path / "f.csv")
+    back = pdzio.read_sequence_csv(tmp_path / "f.csv", box)
+    assert np.array_equal(back.values, f.values)
+    assert np.array_equal(np.signbit(back.values.real), np.signbit(f.values.real))
+    assert np.array_equal(np.signbit(back.values.imag), np.signbit(f.values.imag))
+
+
+def test_sequence_csv_read_accepts_any_row_order(tmp_path):
+    box, _ = helpers.box_and_grid(2, 2)
+    f = helpers.random_sequence(box, np.random.default_rng(4))
+    header, *rows = pdzio.sequence_to_csv(f).splitlines()
+    (tmp_path / "f.csv").write_text("\n".join([header] + rows[::-1] + [""]))
+    assert np.array_equal(pdzio.read_sequence_csv(tmp_path / "f.csv", box).values, f.values)
+
+
+def _read_error(tmp_path, text, box=None):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        pdzio.read_sequence_csv(path, box or LatticeBox(1, 1))
+    return str(err.value).replace(f"{path}: ", "", 1)
+
+
+_ROWS = "-1,1,0\n0,2,0\n1,3,0\n"  # the whole box n=1, N=1
+
+
+def test_sequence_csv_read_header_message(tmp_path):
+    assert (_read_error(tmp_path, "k,re,im\n" + _ROWS)
+            == "header 'k,re,im' does not match 'k_1,re,im'")
+
+
+@pytest.mark.parametrize("row, detail", [
+    ("0,2", ""),
+    ("0,2,0,0", ""),
+    ("a,2,0", ": invalid literal for int() with base 10: 'a'"),
+    ("0.0,2,0", ": invalid literal for int() with base 10: '0.0'"),
+    ("0,2,x", ": could not convert string to float: 'x'"),
+])
+def test_sequence_csv_read_malformed_row_message(tmp_path, row, detail):
+    text = "k_1,re,im\n-1,1,0\n" + row + "\n1,3,0\n"
+    assert _read_error(tmp_path, text) == f"malformed row {row!r}{detail}"
+
+
+def test_sequence_csv_read_outside_message(tmp_path):
+    assert (_read_error(tmp_path, "k_1,re,im\n" + _ROWS + "2,4,0\n")
+            == "point [2] outside the box (N=1)")
+    assert (_read_error(tmp_path, "k_1,k_2,re,im\n0,-5,4,0\n", LatticeBox(2, 1))
+            == "point [0, -5] outside the box (N=1)")
+    assert (_read_error(tmp_path, "k_1,re,im\n" + _ROWS + "99999999999999999999,4,0\n")
+            == "point [99999999999999999999] outside the box (N=1)")  # beyond int64
+    assert (_read_error(tmp_path, "k_1,re,im\n" + _ROWS + "-9223372036854775808,4,0\n")
+            == "point [-9223372036854775808] outside the box (N=1)")  # the int64 minimum
+
+
+def test_sequence_csv_read_duplicate_message(tmp_path):
+    assert (_read_error(tmp_path, "k_1,re,im\n" + _ROWS + "0,5,0\n")
+            == "duplicate point [0]")
+
+
+def test_sequence_csv_read_missing_message(tmp_path):
+    assert _read_error(tmp_path, "k_1,re,im\n0,2,0\n") == "2 box points missing"
+    assert _read_error(tmp_path, "k_1,re,im\n") == "3 box points missing"
+
+
+def test_sequence_csv_read_reports_the_first_row_at_fault(tmp_path):
+    # every later row is at fault too, each in another way
+    faults = ["5,1,0", "0,0", "x,1,0", "-1,1,0"]
+    assert (_read_error(tmp_path, "k_1,re,im\n-1,1,0\n" + "\n".join(faults) + "\n")
+            == "point [5] outside the box (N=1)")
+    assert (_read_error(tmp_path, "k_1,re,im\n-1,1,0\n" + "\n".join(faults[1:]) + "\n")
+            == "malformed row '0,0'")
+    assert (_read_error(tmp_path, "k_1,re,im\n-1,1,0\n" + "\n".join(faults[3:] + faults[:3]))
+            == "duplicate point [-1]")

@@ -1,0 +1,146 @@
+"""Definition-backed (streamed) symbols against array-backed ones: every pass
+that evaluates row blocks on demand must give exactly the stored-array result."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, SampledSymbol,
+                 SingularSymbolError, SymbolDefinition, apply, kernel, sample)
+from pdz import io as pdzio
+from pdz.solver import lattice_deviation
+from pdz.symbols import ROW_BLOCK_BYTES, require_invertible
+
+import helpers
+import oracles
+
+#: (n, N) per block setting: at the default size two blocks each, since
+#: the symbol CSV has K x X rows; forced blocks on small boxes (K odd, so
+#: two-row blocks leave a one-row remainder).
+BOXES = {None: [(1, 150), (2, 9), (3, 3)], 1: [(1, 6), (2, 3), (3, 2)],
+         2: [(1, 6), (2, 3), (3, 2)]}
+
+
+def _elliptic(k, x):
+    """(1+|k|) (2 + e^{2 pi i x_1}) + k_n cos(2 pi x_n)/4: elliptic of order 1,
+    a trigonometric polynomial in x (so its kernel has few bands)."""
+    kf = np.asarray(k, dtype=float)
+    return ((1.0 + np.sqrt((kf**2).sum(axis=-1))) * (2.0 + np.exp(2j * np.pi * x[..., 0]))
+            + kf[..., -1] * np.cos(2 * np.pi * x[..., -1]) / 4)
+
+
+def _pair(n, N, evaluator=_elliptic):
+    """The streamed symbol of ``evaluator`` and the array-backed one of a
+    single evaluator call on the whole box x grid."""
+    box, grid = helpers.box_and_grid(n, N)
+    streamed = sample(SymbolDefinition(evaluator), box, grid)
+    stored = SampledSymbol(box, grid, evaluator(box.points[:, None, :], grid.nodes[None, :, :]))
+    return streamed, stored
+
+
+def _force(monkeypatch, rows, width):
+    if rows is not None:
+        helpers.force_block_rows(monkeypatch, rows, width)
+
+
+@pytest.fixture(params=[None, 1, 2], ids=["default-blocks", "one-row-blocks", "two-row-blocks"])
+def block_rows(request, monkeypatch):
+    return lambda width: _force(monkeypatch, request.param, width)
+
+
+@pytest.mark.parametrize("rows,n,N", [
+    pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks") + f"-n{n}")
+    for r, boxes in BOXES.items() for n, N in boxes])
+def test_streamed_passes_equal_the_stored_array(monkeypatch, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    _force(monkeypatch, rows, grid.size)
+    streamed, stored = _pair(n, N)
+    assert streamed._samples is None  # several blocks: nothing evaluated yet
+    f = helpers.random_sequence(box, np.random.default_rng(n))
+    assert np.array_equal(apply(streamed, f).values, apply(stored, f).values)
+    assert pdzio.kernel_to_csv(streamed) == pdzio.kernel_to_csv(kernel(stored))
+    assert pdzio.symbol_to_csv(streamed) == pdzio.symbol_to_csv(stored)
+    assert lattice_deviation(streamed) == lattice_deviation(stored)
+    assert streamed._samples is None and streamed._kappa is None  # nothing (K x X) kept
+    assert require_invertible(streamed, 1.0) == require_invertible(stored, 1.0)
+
+
+def test_streamed_vanishing_symbol_has_the_stored_witness(block_rows):
+    block_rows(helpers.box_and_grid(1, 300)[1].size)
+
+    def vanishing(k, x):  # zero on the row k = 0, elliptic of order 1 away from it
+        return np.asarray(k[..., 0], dtype=float) * (2.0 + np.exp(2j * np.pi * x[..., 0]))
+
+    streamed, stored = _pair(1, 300, vanishing)
+    errors = []
+    for sym in (streamed, stored):
+        with pytest.raises(SingularSymbolError) as err:
+            require_invertible(sym, 1.0)
+        errors.append((str(err.value), err.value.witness))
+    assert errors[0] == errors[1]
+
+
+def _rising(k, x):
+    """Rows grow like 2^{k_1} along the block order, with a 1e-10 side band:
+    early blocks keep side-band entries that the global cutoff drops."""
+    scale = 2.0 ** np.asarray(k[..., 0], dtype=float)
+    return scale * (1.0 + 1e-10 * np.exp(2j * np.pi * x[..., 0]))
+
+
+@pytest.mark.parametrize("n,N", [(1, 300), (2, 16)])
+def test_kernel_csv_when_the_running_peak_rises(n, N, block_rows):
+    box, grid = helpers.box_and_grid(n, N)
+    block_rows(grid.size)
+    streamed, stored = _pair(n, N, _rising)
+    rows, first = next(streamed.kappa_blocks())
+    peak = float(np.abs(stored.kappa()).max())
+    mags = np.abs(first)
+    running = pdzio.KERNEL_CSV_RELATIVE_THRESHOLD * mags.max()
+    final = pdzio.KERNEL_CSV_RELATIVE_THRESHOLD * peak
+    assert rows.stop < box.size and mags.max() < peak
+    assert ((mags > running) & (mags <= final)).any()  # kept by the block, dropped at the end
+    text = pdzio.kernel_to_csv(streamed)
+    assert text == pdzio.kernel_to_csv(kernel(stored))
+    assert text == oracles.kernel_csv(kernel(stored), pdzio.KERNEL_CSV_RELATIVE_THRESHOLD)
+
+
+def _infinite_at_k_1(k, x):
+    kf = np.asarray(k[..., 0], dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (1.0 / (kf - 1.0)) * np.exp(2j * np.pi * x[..., 0])
+
+
+def test_non_finite_evaluator_raises_through_apply_and_samples(block_rows):
+    box, grid = helpers.box_and_grid(1, 300)
+    block_rows(grid.size)
+    with pytest.raises(NonFiniteValueError) as err:
+        SampledSymbol(box, grid, _infinite_at_k_1(box.points[:, None, :], grid.nodes[None, :, :]))
+    expected = (str(err.value), err.value.where)
+    assert expected[1][0] == (1,)
+    streamed = sample(SymbolDefinition(_infinite_at_k_1), box, grid)  # nothing evaluated yet
+    with pytest.raises(NonFiniteValueError) as err:
+        apply(streamed, LatticeSequence.delta(box))
+    assert (str(err.value), err.value.where) == expected
+    with pytest.raises(NonFiniteValueError) as err:
+        streamed.samples
+    assert (str(err.value), err.value.where) == expected
+
+
+def test_samples_that_fit_one_block_are_stored_at_once():
+    box, grid = helpers.box_and_grid(1, 100)
+    assert box.size * grid.size * 16 <= ROW_BLOCK_BYTES
+    assert sample(SymbolDefinition(_elliptic), box, grid)._samples is not None
+
+
+def test_streamed_apply_holds_a_fraction_of_the_samples():
+    box = LatticeBox(2, 16)
+    grid = box.matched_grid()
+    f = helpers.random_sequence(box, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        apply(sample(SymbolDefinition(_elliptic), box, grid), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < box.size * grid.size * 16 / 4
