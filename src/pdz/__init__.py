@@ -10,8 +10,7 @@ desk-scale model.
 from .errors import (ConfigError, DivergenceError, DomainMismatchError,
                      NonFiniteValueError, NotEllipticError, PdzError,
                      ResourceLimitError, SingularSymbolError)
-from .grids import (DEFAULT_DENSE_CAP, LatticeBox, LatticeSequence, TorusFunction,
-                    TorusGrid, character_matrix)
+from .grids import LatticeBox, LatticeSequence, TorusFunction, TorusGrid, character_matrix
 from .fourier import forward_fourier, inverse_fourier, plancherel_defect
 from .symbols import (AmplitudeDefinition, EllipticityReport, PeriodicTaylor,
                       SampledSymbol, SymbolClassParams, SymbolDefinition,
@@ -32,6 +31,6 @@ from .analysis import (WeightedNormParams, compactness_tail, hs_norm,
                        kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm,
                        mikhlin_uniformity, operator_norm_power, schatten_report,
                        schatten_reports, trace, weighted_norm)
-from .solver import SolveReport, invert_multiplier, solve_dense, solve_elliptic
+from .solver import SolveReport, invert_multiplier, solve, solve_dense, solve_elliptic
 
 __version__ = "0.1.0"

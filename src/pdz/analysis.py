@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError
-from .grids import DEFAULT_DENSE_CAP, LatticeBox, LatticeSequence
-from .quantize import apply, kernel, matrix
+from .grids import LatticeBox, LatticeSequence
+from .quantize import _difference_table, apply, kernel, matrix
 from .report import DiagnosticsReport
 from .symbols import SampledSymbol, SymbolDefinition, sample
 
@@ -59,14 +59,12 @@ def _row_lq_norms(sym: SampledSymbol, q: float) -> np.ndarray:
     return (np.sum(np.abs(sym.samples) ** q, axis=1) * sym.grid.weight) ** (1.0 / q)
 
 
-def schatten_report(sym: SampledSymbol, p: float,
-                    dense_cap: int = DEFAULT_DENSE_CAP) -> DiagnosticsReport:
+def schatten_report(sym: SampledSymbol, p: float) -> DiagnosticsReport:
     """Schatten report for one p; see :func:`schatten_reports`."""
-    return schatten_reports(sym, [p], dense_cap)[0]
+    return schatten_reports(sym, [p])[0]
 
 
-def schatten_reports(sym: SampledSymbol, p_values,
-                     dense_cap: int = DEFAULT_DENSE_CAP) -> list[DiagnosticsReport]:
+def schatten_reports(sym: SampledSymbol, p_values) -> list[DiagnosticsReport]:
     """Singular-value quasi-norm S_p of the dense matrix against the
     symbol-side bound B_p, one report per p from one SVD:
 
@@ -79,7 +77,7 @@ def schatten_reports(sym: SampledSymbol, p_values,
     for p in p_values:
         if p <= 0:
             raise DomainMismatchError(f"Schatten exponent must be positive, got {p}")
-    singular = np.linalg.svd(matrix(sym, dense_cap).values, compute_uv=False)
+    singular = np.linalg.svd(matrix(sym).values, compute_uv=False)
     reports = []
     for p in p_values:
         s_p = float(np.sum(singular**p) ** (1.0 / p))
@@ -103,8 +101,7 @@ def schatten_reports(sym: SampledSymbol, p_values,
     return reports
 
 
-def kernel_decay_fit(sym: SampledSymbol, n_t: int,
-                     dense_cap: int = DEFAULT_DENSE_CAP) -> DiagnosticsReport:
+def kernel_decay_fit(sym: SampledSymbol, n_t: int) -> DiagnosticsReport:
     """Witnessed constant in the kernel decay bound
 
         |K(k, m)| <= C (1+|k|)^{mu} (1+|k-m|)^{-2 n_t},
@@ -120,9 +117,8 @@ def kernel_decay_fit(sym: SampledSymbol, n_t: int,
         raise DomainMismatchError(f"kernel decay fit needs N >= 8, got {sym.box.N}")
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
-    kmat = np.abs(kernel(sym).summation_matrix(dense_cap))
-    diff = box.wrap(box.points[:, None, :] - box.points[None, :, :])
-    dist = np.sqrt((diff.astype(float) ** 2).sum(axis=-1))
+    kmat = np.abs(kernel(sym).summation_matrix())
+    dist = box.norms[_difference_table(box)]  # cyclic distance |k - m|
     weights = ((1.0 + box.norms) ** (-mu))[:, None] * (1.0 + dist) ** (2 * n_t)
     masked = np.where(dist <= box.N, kmat * weights, 0.0)
     i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
@@ -237,8 +233,7 @@ def operator_norm_power(mat: np.ndarray, tol: float = 1e-8, max_iter: int = 1000
 
 
 def mikhlin_uniformity(definition: SymbolDefinition, n: int, box_sizes,
-                       tol: float = 1e-8, dense_cap: int = DEFAULT_DENSE_CAP,
-                       seed: int = 0) -> DiagnosticsReport:
+                       tol: float = 1e-8, seed: int = 0) -> DiagnosticsReport:
     """Dense l2 operator norms of one symbol definition across box sizes.
 
     For symbols with k-uniformly bounded x-derivatives the sequence is
@@ -250,7 +245,7 @@ def mikhlin_uniformity(definition: SymbolDefinition, n: int, box_sizes,
     for N in box_sizes:
         box = LatticeBox(n, int(N))
         sym = sample(definition, box, box.matched_grid())
-        value = operator_norm_power(matrix(sym, dense_cap).values, tol=tol, seed=seed)
+        value = operator_norm_power(matrix(sym).values, tol=tol, seed=seed)
         norms.append(value)
         rep.add_value(f"norm_N={N}", value)
     rep.add_value("norms", norms)

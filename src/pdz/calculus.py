@@ -74,6 +74,16 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
+def _product_terms(spec: np.ndarray, right: np.ndarray, grid, alphas):
+    """Yield (1/alpha!) D^(alpha)_x left . Delta^alpha_k right for each alpha,
+    the left factor given by its x-spectrum ``spec``."""
+    for alpha in alphas:
+        term = from_x_spectrum(spec, grid, falling_multiplier(grid, alpha))
+        term *= lattice_difference(right, alpha)
+        term /= multi_factorial(alpha)
+        yield term
+
+
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated composition symbol
 
@@ -89,10 +99,7 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     spec = x_spectrum(left, grid)
     acc = left * right
-    for alpha in multi_indices_below(box.n, order)[1:]:
-        term = from_x_spectrum(spec, grid, falling_multiplier(grid, alpha))
-        term *= lattice_difference(right, alpha)
-        term /= multi_factorial(alpha)
+    for term in _product_terms(spec, right, grid, multi_indices_below(box.n, order)[1:]):
         acc += term
     params = None
     if sigma.params is not None and tau.params is not None:
@@ -131,7 +138,7 @@ def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
 
 
 def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
-               m_cut: float | None = None, threshold: float = 1e-10) -> SymbolExpansion:
+               m_cut: float | None = None) -> SymbolExpansion:
     """Recursive approximate-inverse expansion for an elliptic symbol.
 
     With A given as terms A_0, A_1, ... (term l declared of order mu - (rho-delta) l,
@@ -147,7 +154,7 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     """
     order = check_expansion_order(order)
     leading = a_terms.terms[0]
-    require_invertible(leading, mu, m_cut=m_cut, threshold=threshold)
+    require_invertible(leading, mu, m_cut=m_cut)
 
     params = leading.params or SymbolClassParams(mu)
     params.validate_for_calculus()
@@ -167,10 +174,8 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
                 g = m - jdx - ldx
                 if g < 0:
                     continue
-                for gamma in multi_indices_of_degree(n, g):
-                    term = from_x_spectrum(specs[jdx], grid, falling_multiplier(grid, gamma))
-                    term *= lattice_difference(lower[ldx], gamma)
-                    term /= multi_factorial(gamma)
+                for term in _product_terms(specs[jdx], lower[ldx], grid,
+                                           multi_indices_of_degree(n, g)):
                     acc -= term
         acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         b_terms.append(leading.with_samples(

@@ -18,10 +18,10 @@ from .analysis import (hs_norm, kernel_decay_fit, lp_bound_reports,
 from .calculus import SymbolExpansion, adjoint, compose, parametrix, transpose
 from .config import JobConfig, load_config
 from .errors import ConfigError, NotEllipticError, PdzError
-from .grids import DEFAULT_DENSE_CAP, LatticeSequence
+from .grids import LatticeSequence
 from .quantize import apply
 from .report import DiagnosticsReport
-from .solver import _divide, _row_scan, solve_dense, solve_elliptic
+from .solver import solve
 from .symbols import SampledSymbol, sample
 
 
@@ -65,15 +65,28 @@ def _overrides(args) -> dict:
     return out
 
 
-def _sampled(cfg: JobConfig, name: str) -> SampledSymbol:
-    return sample(cfg.symbol(name), cfg.box, cfg.box.matched_grid())
+def _number(command: str, section: dict, key: str, default=None):
+    """``section[key]``, or ``default`` when absent: ints where ``default`` has
+    ints, else floats; a list where it is a list.  Else :class:`ConfigError`."""
+    value = section.get(key, default)
+    many = isinstance(default, list)
+    integer = isinstance(default[0] if many else default, int)
+    kinds, noun = ((int,), "integer") if integer else ((int, float), "number")
+    items = value if many else [value]
+    # type(), not isinstance(): a JSON true or false is a bool, an int subclass
+    if not isinstance(items, list) or not all(type(v) in kinds for v in items):
+        raise ConfigError(f"{command}: {key!r} must be a list of {noun}s" if many else
+                          f"{command}: {key!r} must be an integer" if integer else
+                          f"{command}: numeric {key!r} is required")
+    items = [v if integer else float(v) for v in items]
+    return items if many else items[0]
 
 
 def _section_symbol(cfg: JobConfig, section: dict, key: str = "symbol") -> SampledSymbol:
     name = section.get(key)
     if not isinstance(name, str):
         raise ConfigError(f"section needs a string {key!r} field")
-    return _sampled(cfg, name)
+    return sample(cfg.symbol(name), cfg.box, cfg.box.matched_grid())
 
 
 def _read_input(cfg: JobConfig, section: dict) -> LatticeSequence:
@@ -106,9 +119,7 @@ def _cmd_kernel(cfg: JobConfig, args) -> int:
 
 def _cmd_calculus(cfg: JobConfig, args, op, *keys: str) -> int:
     section = cfg.section(args.command)
-    order = section.get("order", 1)
-    if not isinstance(order, int):
-        raise ConfigError(f"{args.command}: 'order' must be an integer")
+    order = _number(args.command, section, "order", 1)
     symbols = [_section_symbol(cfg, section, key) for key in keys]
     _emit(pdzio.symbol_to_csv(op(*symbols, order)), args.out)
     return 0
@@ -117,14 +128,10 @@ def _cmd_calculus(cfg: JobConfig, args, op, *keys: str) -> int:
 def _cmd_parametrix(cfg: JobConfig, args) -> int:
     section = cfg.section("parametrix")
     sym = _section_symbol(cfg, section)
-    mu = section.get("mu")
-    order = section.get("order", 3)
-    if not isinstance(mu, (int, float)):
-        raise ConfigError("parametrix: numeric 'mu' is required")
-    if not isinstance(order, int):
-        raise ConfigError("parametrix: 'order' must be an integer")
-    expansion = parametrix(SymbolExpansion([sym], [float(mu)]), float(mu), order,
-                           m_cut=section.get("m_cut"))
+    mu = _number("parametrix", section, "mu")
+    order = _number("parametrix", section, "order", 3)
+    m_cut = None if section.get("m_cut") is None else _number("parametrix", section, "m_cut")
+    expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
     _emit(pdzio.expansion_to_csv(expansion), args.out)
     return 0
 
@@ -133,37 +140,11 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
     section = cfg.section("solve")
     sym = _section_symbol(cfg, section)
     g = _read_input(cfg, section)
-    method = section.get("method", "auto")
-    s_values = section.get("s_values", [0.0, 2.0])
-    if not isinstance(s_values, list) or not all(isinstance(s, (int, float)) for s in s_values):
-        raise ConfigError("solve: 's_values' must be a list of numbers")
-    tol = cfg.tol
-
-    scan = None
-    if method == "auto":
-        scan = _row_scan(sym)  # kept, so the multiplier route does not scan again
-        if scan[2]:
-            method = "multiplier"
-        elif sym.box.size <= DEFAULT_DENSE_CAP:
-            method = "dense"
-        else:
-            method = "iterative"
-    if method == "multiplier":
-        report = _divide(sym, scan or _row_scan(sym), g, s_values)
-    elif method == "dense":
-        report = solve_dense(sym, float(section.get("mu", 0.0)), g, tol=tol,
-                             s_values=s_values, dense_cap=DEFAULT_DENSE_CAP)
-    elif method == "iterative":
-        mu = section.get("mu", 0.0)
-        order = section.get("order", 2)
-        max_iter = section.get("max_iter", 50)
-        if not isinstance(order, int) or not isinstance(max_iter, int):
-            raise ConfigError("solve: 'order' and 'max_iter' must be integers")
-        report = solve_elliptic(sym, float(mu), g, order, max_iter=max_iter,
-                                tol=tol, s_values=s_values)
-    else:
-        raise ConfigError(f"solve: unknown method {method!r}")
-
+    report = solve(sym, g, section.get("method", "auto"),
+                   mu=_number("solve", section, "mu", 0.0),
+                   order=_number("solve", section, "order", 2),
+                   max_iter=_number("solve", section, "max_iter", 50), tol=cfg.tol,
+                   s_values=_number("solve", section, "s_values", [0.0, 2.0]))
     _emit(pdzio.sequence_to_csv(report.solution), args.out)
     (sys.stdout if args.out else sys.stderr).write(report.render() + "\n")
     return 0
@@ -178,27 +159,24 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
     report = DiagnosticsReport("diagnostics")
     needs_symbol = any(s in suites for s in ("hs", "trace", "schatten", "decay", "lp"))
     sym = _section_symbol(cfg, section) if needs_symbol else None
-    seed = cfg.seed
+    p_values = _number("diagnose", section, "p_values", [1.0, 2.0])
     if "hs" in suites:
         report.add_value("hs_norm", hs_norm(sym))
     if "trace" in suites:
         report.add_value("trace", trace(sym))
     if "schatten" in suites:
-        p_values = [float(p) for p in section.get("p_values", [1.0, 2.0])]
         for section_report in schatten_reports(sym, p_values):
             report.add_section(section_report)
     if "decay" in suites:
-        for n_t in section.get("n_t", [1, 2, 3]):
-            report.add_section(kernel_decay_fit(sym, int(n_t)))
+        for n_t in _number("diagnose", section, "n_t", [1, 2, 3]):
+            report.add_section(kernel_decay_fit(sym, n_t))
     if "lp" in suites:
-        p_values = [float(p) for p in section.get("p_values", [1.0, 2.0])]
-        for section_report in lp_bound_reports(sym, p_values, seed=seed):
+        for section_report in lp_bound_reports(sym, p_values, seed=cfg.seed):
             report.add_section(section_report)
     if "mikhlin" in suites:
-        name = section.get("symbol")
-        sizes = section.get("sizes", [4, 8])
-        report.add_section(mikhlin_uniformity(cfg.symbol(name), cfg.box.n, sizes,
-                                              seed=seed))
+        sizes = _number("diagnose", section, "sizes", [4, 8])
+        report.add_section(mikhlin_uniformity(cfg.symbol(section.get("symbol")), cfg.box.n,
+                                              sizes, seed=cfg.seed))
     _emit(report.render() + "\n", args.out)
     return 0
 

@@ -238,6 +238,8 @@ def load_config(path, overrides: dict | None = None) -> JobConfig:
     tol = overrides.get("tol", raw.get("tol", 1e-10))
     if not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not isinstance(tol, (int, float)):
+        raise ConfigError(f"tol must be a number, got {tol!r}")
     params = {k: v for k, v in raw.items() if k not in ("box", "symbols", "seed", "tol")}
     return JobConfig(box=box, symbols=symbols, params=params, seed=seed,
                      tol=float(tol), base_dir=path.parent)

@@ -19,9 +19,6 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 #: Hard cap on the number of box points a constructor will accept.
 DEFAULT_POINT_CAP = 1 << 20
 
-#: Default cap on M^n for operations that materialize dense (M^n)^2 objects.
-DEFAULT_DENSE_CAP = 4096
-
 
 @dataclass(frozen=True)
 class LatticeBox:

@@ -18,18 +18,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
-from .grids import (DEFAULT_DENSE_CAP, LatticeBox, LatticeSequence, TorusFunction,
-                    TorusGrid, character_matrix, require_matched)
+from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
+                    character_matrix, require_matched)
 from .report import DiagnosticsReport
 from .symbols import (AmplitudeDefinition, SampledSymbol, falling_multiplier,
                       from_x_spectrum, lattice_difference, multi_factorial,
                       multi_indices_below, partial_multiplier, row_blocks, x_spectrum)
 
 
-def _require_dense(box: LatticeBox, dense_cap: int, what: str) -> None:
-    if box.size > dense_cap:
+#: Cap on M^n for dense (M^n)^2 objects, read at each call (and by ``solve``).
+DENSE_CAP = 4096
+
+
+def _require_dense(box: LatticeBox, what: str) -> None:
+    if box.size > DENSE_CAP:
         raise ResourceLimitError(
-            f"{what} needs {box.size}^2 dense entries; cap is {dense_cap}^2"
+            f"{what} needs {box.size}^2 dense entries; cap is {DENSE_CAP}^2"
         )
 
 
@@ -90,8 +94,8 @@ class Kernel:
         for rows in row_blocks(self.box.size, self.box.size):
             yield rows, self.kappa[rows]
 
-    def summation_matrix(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        _require_dense(self.box, dense_cap, "kernel matrix")
+    def summation_matrix(self) -> np.ndarray:
+        _require_dense(self.box, "kernel matrix")
         table = _difference_table(self.box)
         return self.kappa[np.arange(self.box.size)[:, None], table]
 
@@ -101,12 +105,11 @@ def kernel(sym: SampledSymbol) -> Kernel:
     return Kernel(sym.box, sym.kappa())
 
 
-def kernel_apply(ker: Kernel, f: LatticeSequence,
-                 dense_cap: int = DEFAULT_DENSE_CAP) -> LatticeSequence:
+def kernel_apply(ker: Kernel, f: LatticeSequence) -> LatticeSequence:
     """Direct kernel summation (Op sigma) f(k) = sum_l kappa(k, l) f(k - l)."""
     if f.box != ker.box:
         raise DomainMismatchError("sequence and kernel live on different boxes")
-    _require_dense(ker.box, dense_cap, "kernel summation")
+    _require_dense(ker.box, "kernel summation")
     table = _difference_table(ker.box)
     return LatticeSequence(ker.box, (ker.kappa * f.values[table]).sum(axis=1))
 
@@ -133,10 +136,10 @@ class OperatorMatrix:
         return LatticeSequence(self.box, self.values @ f.values)
 
 
-def matrix(sym: SampledSymbol, dense_cap: int = DEFAULT_DENSE_CAP) -> OperatorMatrix:
+def matrix(sym: SampledSymbol) -> OperatorMatrix:
     """Dense matrix[k, m] = K(k, m); matvec agrees with :func:`apply`."""
-    _require_dense(sym.box, dense_cap, "operator matrix")
-    return OperatorMatrix(sym.box, kernel(sym).summation_matrix(dense_cap))
+    _require_dense(sym.box, "operator matrix")
+    return OperatorMatrix(sym.box, kernel(sym).summation_matrix())
 
 
 def symbol_from_operator(op: OperatorMatrix, grid: TorusGrid | None = None) -> SampledSymbol:
@@ -388,28 +391,28 @@ def apply_toroidal(tau: ToroidalSymbol, v: TorusFunction) -> TorusFunction:
     return TorusFunction(grid, out)
 
 
-def toroidal_matrix(tau: ToroidalSymbol, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def toroidal_matrix(tau: ToroidalSymbol) -> np.ndarray:
     """Dense node-basis matrix of the torus-side operator."""
-    _require_dense(tau.box, dense_cap, "toroidal matrix")
+    _require_dense(tau.box, "toroidal matrix")
     E = character_matrix(tau.box, tau.grid)  # e^{2 pi i k.x}, (K, X)
     P1 = E.T * tau.samples
     P2 = np.conj(E) * tau.grid.weight
     return P1 @ P2
 
 
-def link_defect(sym: SampledSymbol, dense_cap: int = DEFAULT_DENSE_CAP) -> float:
+def link_defect(sym: SampledSymbol) -> float:
     """Max-abs difference between matrix(sigma) and the conjugated torus-side
     operator F^{-1} Op_T(tau)^* F with tau(x, k) = conj(sigma(-k, x)).
 
     The identity is exact on the cyclic model; the defect is roundoff-level.
     """
     box, grid = sym.box, sym.grid
-    _require_dense(box, dense_cap, "link check")
+    _require_dense(box, "link check")
     E = character_matrix(box, grid)
     F = np.conj(E).T            # lattice -> grid transform matrix
     Finv = E * grid.weight      # grid -> lattice, quadrature weighted
-    T = toroidal_matrix(toroidal_from_lattice(sym), dense_cap)
+    T = toroidal_matrix(toroidal_from_lattice(sym))
     # adjoint w.r.t. the uniform-weight inner product equals the conjugate
     # transpose because the quadrature weights are constant
     composite = Finv @ np.conj(T).T @ F
-    return float(np.max(np.abs(composite - matrix(sym, dense_cap).values)))
+    return float(np.max(np.abs(composite - matrix(sym).values)))

@@ -1,10 +1,10 @@
 """Difference-equation solving by symbol inversion.
 
-Three routes: exact division in frequency for symbols with no lattice
-dependence, and for elliptic symbols with lattice dependence either LU on
-the dense operator matrix (inside the dense cap) or approximate-inverse
-preconditioned refinement.  Every report recomputes its residual by a fresh
-forward application of the original symbol, never from solver internals.
+Three routes, chosen by :func:`solve`: exact division in frequency for
+symbols with no lattice dependence, and for elliptic symbols with lattice
+dependence either LU on the dense operator matrix (inside the dense cap) or
+approximate-inverse preconditioned refinement.  Every report recomputes its
+residual by a fresh forward application, never from solver internals.
 """
 
 from __future__ import annotations
@@ -13,17 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quantize
 from .calculus import SymbolExpansion, parametrix, partial_sum
 from .analysis import WeightedNormParams, weighted_norm
-from .errors import (DivergenceError, DomainMismatchError, NonFiniteValueError,
-                     SingularSymbolError)
+from .errors import (ConfigError, DivergenceError, DomainMismatchError,
+                     NonFiniteValueError, SingularSymbolError)
 from .fourier import forward_fourier, inverse_fourier
-from .grids import DEFAULT_DENSE_CAP, LatticeSequence, TorusFunction
+from .grids import LatticeSequence, TorusFunction
 from .quantize import apply, matrix
-from .symbols import SampledSymbol, require_invertible
+from .symbols import ZERO_THRESHOLD, SampledSymbol, require_invertible
 
-#: Below this grid minimum a symbol is treated as singular.
-ZERO_THRESHOLD = 1e-10
 #: Below this grid minimum a conditioning warning is attached to reports.
 CONDITION_WARNING = 1e-6
 
@@ -99,8 +98,7 @@ def _row_scan(sym: SampledSymbol) -> tuple[np.ndarray, float, bool]:
 
 
 def lattice_deviation(sym: SampledSymbol) -> tuple[float, bool]:
-    """Largest deviation of a symbol row from the first one, and whether it is
-    within 1e-12 of max(1, max |sigma|), i.e. sigma does not depend on k."""
+    """The deviation and the k-independence verdict of :func:`_row_scan`."""
     return _row_scan(sym)[1:]
 
 
@@ -138,10 +136,9 @@ def _divide(sym: SampledSymbol, scan, g: LatticeSequence, s_values) -> SolveRepo
 
 
 def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 1e-10,
-                s_values=(0.0, 2.0), m_cut: float | None = None,
-                dense_cap: int = DEFAULT_DENSE_CAP) -> SolveReport:
+                s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g by LU on the dense matrix of Op(sigma), which
-    holds about five (K x K) complex arrays at once (K = box.size).
+    holds about four (K x K) complex arrays at once (K = box.size).
 
     Runs the ellipticity and vanishing checks of :func:`parametrix` first, so
     a symbol fails here exactly as in :func:`solve_elliptic`.  A singular
@@ -152,9 +149,9 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
     """
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
-    warnings = _conditioning(require_invertible(sym, mu, m_cut=m_cut), "solution")
+    warnings = _conditioning(require_invertible(sym, mu), "solution")
     try:
-        values = np.linalg.solve(matrix(sym, dense_cap).values, g.values)
+        values = np.linalg.solve(matrix(sym).values, g.values)
     except np.linalg.LinAlgError as exc:
         raise SingularSymbolError(f"operator matrix is singular: {exc}") from exc
     report = _finish(sym, LatticeSequence(g.box, values), g, s_values, 0, "dense-lu",
@@ -172,7 +169,7 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
 
 def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int,
                    max_iter: int = 50, tol: float = 1e-10,
-                   s_values=(0.0, 2.0), m_cut: float | None = None) -> SolveReport:
+                   s_values=(0.0, 2.0)) -> SolveReport:
     """Richardson refinement f <- f + Op(B)(g - Op(sigma) f) preconditioned by
     the approximate-inverse expansion B of sigma (summed to ``order`` terms),
     starting from f = Op(B) g.
@@ -185,7 +182,7 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
     """
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
-    expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
+    expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order)
     precond = partial_sum(expansion, order)
     smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
     warnings = _conditioning(smallest, "iteration")
@@ -223,3 +220,24 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
         growth = growth + 1 if history[-1] > history[-2] else 0
     return _finish(sym, f, g, s_values, len(history), "parametrix-iteration",
                    warnings, history)
+
+
+def solve(sym: SampledSymbol, g: LatticeSequence, method: str = "auto", mu: float = 0.0,
+          order: int = 2, max_iter: int = 50, tol: float = 1e-10,
+          s_values=(0.0, 2.0)) -> SolveReport:
+    """Solve Op(sigma) f = g by :func:`invert_multiplier` (``multiplier``),
+    :func:`solve_dense` (``dense``) or :func:`solve_elliptic` (``iterative``).
+    ``auto`` takes multiplier when one pass over the rows, which the division
+    reuses, finds sigma k-independent, else dense inside ``quantize.DENSE_CAP``,
+    else iterative.  Any other ``method`` raises :class:`ConfigError`."""
+    if method not in ("auto", "multiplier", "dense", "iterative"):
+        raise ConfigError(f"solve: unknown method {method!r}")
+    scan = _row_scan(sym) if method in ("auto", "multiplier") else None
+    if method == "auto":
+        method = ("multiplier" if scan[2] else
+                  "dense" if sym.box.size <= quantize.DENSE_CAP else "iterative")
+    if method == "multiplier":
+        return _divide(sym, scan, g, s_values)
+    if method == "dense":
+        return solve_dense(sym, mu, g, tol=tol, s_values=s_values)
+    return solve_elliptic(sym, mu, g, order, max_iter=max_iter, tol=tol, s_values=s_values)

@@ -33,6 +33,9 @@ ORDER_CAP = 12
 
 _FACTORIALS = tuple(math.factorial(i) for i in range(ORDER_CAP + 1))
 
+#: |sigma| at or below this counts as zero, wherever a symbol is inverted.
+ZERO_THRESHOLD = 1e-10
+
 #: Target size of one row block in the passes over (K x X) sample arrays, so
 #: that no pass allocates a second array of the samples' size.
 ROW_BLOCK_BYTES = 1 << 20
@@ -479,12 +482,12 @@ class EllipticityReport:
     threshold: float
 
 
-def ellipticity_check(sym: SampledSymbol, mu: float, m_cut: float | None = None,
-                      threshold: float = 1e-10) -> EllipticityReport:
+def ellipticity_check(sym: SampledSymbol, mu: float,
+                      m_cut: float | None = None) -> EllipticityReport:
     """Witness the lower bound |sigma(k, x)| >= C (1+|k|)^mu over |k| >= m_cut.
 
     Returns the minimized constant and the minimizing (k, x); ``ok`` means the
-    constant clears the zero-detection threshold.
+    constant clears :data:`ZERO_THRESHOLD`.
     """
     if m_cut is None:
         m_cut = max(1, sym.box.N // 2)
@@ -498,24 +501,23 @@ def ellipticity_check(sym: SampledSymbol, mu: float, m_cut: float | None = None,
     k_index = np.flatnonzero(mask)[i]
     constant = float(sub.flat[flat])
     return EllipticityReport(
-        ok=constant > threshold,
+        ok=constant > ZERO_THRESHOLD,
         constant=constant,
         witness_k=tuple(int(v) for v in sym.box.points[k_index]),
         witness_x=tuple(float(v) for v in sym.grid.nodes[j]),
         mu=mu,
         cutoff=float(m_cut),
-        threshold=threshold,
+        threshold=ZERO_THRESHOLD,
     )
 
 
-def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None,
-                       threshold: float = 1e-10) -> float:
+def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None) -> float:
     """Check that sigma can be inverted pointwise: raise
     :class:`NotEllipticError` when :func:`ellipticity_check` fails at order
-    mu, and :class:`SingularSymbolError` when |sigma| <= threshold anywhere on
-    the box (the lower bound covers only |k| >= m_cut).  Returns the
-    smallest |sigma| on the box."""
-    ell = ellipticity_check(sym, mu, m_cut=m_cut, threshold=threshold)
+    mu, and :class:`SingularSymbolError` when |sigma| <= :data:`ZERO_THRESHOLD`
+    anywhere on the box (the lower bound covers only |k| >= m_cut).  Returns
+    the smallest |sigma| on the box."""
+    ell = ellipticity_check(sym, mu, m_cut=m_cut)
     if not ell.ok:
         raise NotEllipticError(
             f"symbol is not elliptic at order {mu}: constant {ell.constant:.3e} "
@@ -531,7 +533,7 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
             smallest = float(block.flat[flat])
             i, j = divmod(flat, sym.grid.size)
             i += rows.start
-    if smallest <= threshold:
+    if smallest <= ZERO_THRESHOLD:
         raise SingularSymbolError(
             f"symbol vanishes on the box at k={tuple(sym.box.points[i])}, "
             f"x={tuple(sym.grid.nodes[j])}",

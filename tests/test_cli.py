@@ -245,6 +245,27 @@ def test_config_box_half_width_zero_exits_2(workdir, capsys):
     assert "n >= 1 and N >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key, value, flags", [
+    ("parametrix", "parametrix", "m_cut", "3", []),
+    ("solve", "solve", "mu", "two", []),
+    ("apply", None, "tol", "abc", []),
+    ("diagnose", "diagnose", "p_values", ["x"], ["--schatten"]),
+    ("diagnose", "diagnose", "n_t", ["y"], ["--decay"]),
+    ("diagnose", "diagnose", "n_t", [True], ["--decay"]),
+    ("diagnose", "diagnose", "sizes", ["z"], ["--mikhlin"]),
+])
+def test_non_numeric_config_value_exits_2(workdir, capsys, command, section, key, value,
+                                          flags):
+    job = json.loads((workdir / "example3_job.json").read_text())
+    job["parametrix"]["symbol"] = "T"  # elliptic, so only the bad value can fail
+    (job[section] if section else job)[key] = value
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(job))
+    assert main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 
@@ -387,7 +408,7 @@ _NEAR_SINGULAR = "1 + abs_k**2 + exp(2*pi*i*x_1)"
 ])
 def test_solve_auto_route(tmp_path, capsys, monkeypatch, expr, cap, method):
     if cap is not None:  # below K = 17
-        monkeypatch.setattr("pdz.cli.DEFAULT_DENSE_CAP", cap)
+        monkeypatch.setattr("pdz.quantize.DENSE_CAP", cap)
     path = _solve_job(tmp_path, expr, 8, method="auto", order=2, max_iter=40)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "f.csv")]) == 0
     report = capsys.readouterr().out
@@ -415,7 +436,7 @@ def test_solve_multiplier_route_scans_the_rows_once(tmp_path, capsys, monkeypatc
 
 
 def test_solve_dense_method_above_the_cap_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("pdz.cli.DEFAULT_DENSE_CAP", 16)  # below K = 17
+    monkeypatch.setattr("pdz.quantize.DENSE_CAP", 16)  # below K = 17
     path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="dense")
     assert main(["solve", "--config", path]) == 3
     assert "cap" in capsys.readouterr().err

@@ -133,11 +133,12 @@ def test_matrix_of_identity_and_shift():
     np.testing.assert_allclose(shift, perm, atol=1e-13)
 
 
-def test_matrix_respects_dense_cap():
+def test_matrix_respects_dense_cap(monkeypatch):
+    monkeypatch.setattr("pdz.quantize.DENSE_CAP", 64)
     box = LatticeBox(1, 40)
     grid = box.matched_grid()
     with pytest.raises(ResourceLimitError):
-        matrix(constant_symbol(box, grid), dense_cap=64)
+        matrix(constant_symbol(box, grid))
 
 
 def test_box_point_cap():

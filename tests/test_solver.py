@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pdz import (DivergenceError, DomainMismatchError, LatticeSequence,
-                 NonFiniteValueError, NotEllipticError, SampledSymbol,
-                 SingularSymbolError, SymbolClassParams, WeightedNormParams, apply,
-                 invert_multiplier, matrix, solve_dense, solve_elliptic, weighted_norm)
+from pdz import (ConfigError, DivergenceError, DomainMismatchError, LatticeSequence,
+                 NonFiniteValueError, NotEllipticError, ResourceLimitError, SampledSymbol,
+                 SingularSymbolError, SymbolClassParams, SymbolDefinition,
+                 WeightedNormParams, apply, invert_multiplier, kernel, kernel_apply,
+                 matrix, sample, solve, solve_dense, solve_elliptic, weighted_norm)
 
 import helpers
 import oracles
@@ -313,3 +314,68 @@ def test_solve_dense_rejects_data_on_another_box():
     other = LatticeSequence.delta(helpers.box_and_grid(1, 4)[0])
     with pytest.raises(DomainMismatchError):
         solve_dense(sym, 2.0, other)
+
+
+# ---------------------------------------------------------------------------
+# route policy
+
+
+@pytest.mark.parametrize("method", ["auto", "multiplier"])
+def test_solve_multiplier_route_scans_the_rows_once(monkeypatch, method):
+    # one pass checks k-constancy and feeds the division, one recomputes the
+    # residual; one-row blocks keep the sampled symbol streamed (K = 17)
+    helpers.force_block_rows(monkeypatch, 1, 17)
+    box, grid = helpers.box_and_grid(1, 8)
+    sym = sample(SymbolDefinition(lambda k, x: 3.0 + np.exp(2j * np.pi * x[..., 0])),
+                 box, grid)
+    passes = []
+    blocks = SampledSymbol.blocks
+
+    def counted(self):
+        passes.append(self)
+        return blocks(self)
+
+    monkeypatch.setattr(SampledSymbol, "blocks", counted)
+    g = helpers.random_sequence(box, np.random.default_rng(3))
+    report = solve(sym, g, method)
+    assert report.method == "exact-multiplier"
+    assert len(passes) == 2
+    np.testing.assert_allclose(apply(sym, report.solution).values, g.values, atol=1e-12)
+
+
+def test_solve_routes_a_lattice_dependent_symbol_inside_the_cap_to_lu():
+    box, sym = _near_singular_fixture(8)
+    g = helpers.random_sequence(box, np.random.default_rng(4))
+    report = solve(sym, g, mu=2.0)
+    assert report.method == "dense-lu"
+    lu = solve_dense(sym, 2.0, g)
+    assert np.array_equal(report.solution.values, lu.solution.values)
+
+
+def test_solve_named_routes_match_the_direct_calls():
+    box, sym = _near_singular_fixture(8)
+    g = helpers.random_sequence(box, np.random.default_rng(6))
+    dense = solve(sym, g, "dense", mu=2.0, tol=1e-10, s_values=(0.0, 1.0))
+    assert dense.method == "dense-lu" and set(dense.weighted_residuals) == {0.0, 1.0}
+    iterative = solve(sym, g, "iterative", mu=2.0, order=2, max_iter=40)
+    direct = solve_elliptic(sym, 2.0, g, 2, max_iter=40)
+    assert iterative.method == "parametrix-iteration"
+    assert np.array_equal(iterative.solution.values, direct.solution.values)
+    assert np.max(np.abs(iterative.solution.values - dense.solution.values)) <= 1e-9
+    with pytest.raises(DomainMismatchError, match="solve_elliptic"):
+        solve(sym, g, "multiplier")
+    with pytest.raises(ConfigError, match="unknown method 'lu'"):
+        solve(sym, g, "lu")
+
+
+def test_one_dense_cap_governs_every_dense_path(monkeypatch):
+    monkeypatch.setattr("pdz.quantize.DENSE_CAP", 16)  # below K = 17
+    box, sym = _near_singular_fixture(8)
+    g = LatticeSequence.delta(box)
+    assert solve(sym, g, mu=2.0, order=2, max_iter=40).method == "parametrix-iteration"
+    with pytest.raises(ResourceLimitError, match="cap is 16"):
+        matrix(sym)
+    with pytest.raises(ResourceLimitError, match="cap is 16"):
+        kernel_apply(kernel(sym), g)
+    with pytest.raises(ResourceLimitError, match="cap is 16"):
+        solve_dense(sym, 2.0, g)
