@@ -16,13 +16,17 @@ from . import io as pdzio
 from .analysis import (hs_norm, kernel_decay_fit, lp_bound_reports,
                        mikhlin_uniformity, schatten_reports, trace)
 from .calculus import SymbolExpansion, adjoint, compose, parametrix, transpose
-from .config import JobConfig, load_config
+from .config import JobConfig, load_config, number
 from .errors import ConfigError, NotEllipticError, PdzError
 from .grids import LatticeSequence
 from .quantize import apply
 from .report import DiagnosticsReport
 from .solver import solve
 from .symbols import SampledSymbol, sample
+
+
+#: Diagnostic suites: ``pdz diagnose`` flags and the entries of ``diagnose.suites``.
+_SUITES = ("hs", "trace", "schatten", "decay", "lp", "mikhlin")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name, parents=[common], help=help_text)
 
     diag = sub.add_parser("diagnose", parents=[common], help="run diagnostic suites")
-    for flag in ("hs", "trace", "schatten", "decay", "lp", "mikhlin"):
+    for flag in _SUITES:
         diag.add_argument(f"--{flag}", action="store_true")
     return parser
 
@@ -63,23 +67,6 @@ def _overrides(args) -> dict:
         if value is not None:
             out[key] = value
     return out
-
-
-def _number(command: str, section: dict, key: str, default=None):
-    """``section[key]``, or ``default`` when absent: ints where ``default`` has
-    ints, else floats; a list where it is a list.  Else :class:`ConfigError`."""
-    value = section.get(key, default)
-    many = isinstance(default, list)
-    integer = isinstance(default[0] if many else default, int)
-    kinds, noun = ((int,), "integer") if integer else ((int, float), "number")
-    items = value if many else [value]
-    # type(), not isinstance(): a JSON true or false is a bool, an int subclass
-    if not isinstance(items, list) or not all(type(v) in kinds for v in items):
-        raise ConfigError(f"{command}: {key!r} must be a list of {noun}s" if many else
-                          f"{command}: {key!r} must be an integer" if integer else
-                          f"{command}: numeric {key!r} is required")
-    items = [v if integer else float(v) for v in items]
-    return items if many else items[0]
 
 
 def _section_symbol(cfg: JobConfig, section: dict, key: str = "symbol") -> SampledSymbol:
@@ -119,7 +106,7 @@ def _cmd_kernel(cfg: JobConfig, args) -> int:
 
 def _cmd_calculus(cfg: JobConfig, args, op, *keys: str) -> int:
     section = cfg.section(args.command)
-    order = _number(args.command, section, "order", 1)
+    order = number(args.command, section, "order", 1)
     symbols = [_section_symbol(cfg, section, key) for key in keys]
     _emit(pdzio.symbol_to_csv(op(*symbols, order)), args.out)
     return 0
@@ -128,9 +115,9 @@ def _cmd_calculus(cfg: JobConfig, args, op, *keys: str) -> int:
 def _cmd_parametrix(cfg: JobConfig, args) -> int:
     section = cfg.section("parametrix")
     sym = _section_symbol(cfg, section)
-    mu = _number("parametrix", section, "mu")
-    order = _number("parametrix", section, "order", 3)
-    m_cut = None if section.get("m_cut") is None else _number("parametrix", section, "m_cut")
+    mu = number("parametrix", section, "mu")
+    order = number("parametrix", section, "order", 3)
+    m_cut = None if section.get("m_cut") is None else number("parametrix", section, "m_cut")
     expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order, m_cut=m_cut)
     _emit(pdzio.expansion_to_csv(expansion), args.out)
     return 0
@@ -141,10 +128,10 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
     sym = _section_symbol(cfg, section)
     g = _read_input(cfg, section)
     report = solve(sym, g, section.get("method", "auto"),
-                   mu=_number("solve", section, "mu", 0.0),
-                   order=_number("solve", section, "order", 2),
-                   max_iter=_number("solve", section, "max_iter", 50), tol=cfg.tol,
-                   s_values=_number("solve", section, "s_values", [0.0, 2.0]))
+                   mu=number("solve", section, "mu", 0.0),
+                   order=number("solve", section, "order", 2),
+                   max_iter=number("solve", section, "max_iter", 50), tol=cfg.tol,
+                   s_values=number("solve", section, "s_values", [0.0, 2.0]))
     _emit(pdzio.sequence_to_csv(report.solution), args.out)
     (sys.stdout if args.out else sys.stderr).write(report.render() + "\n")
     return 0
@@ -152,14 +139,13 @@ def _cmd_solve(cfg: JobConfig, args) -> int:
 
 def _cmd_diagnose(cfg: JobConfig, args) -> int:
     section = cfg.section("diagnose")
-    suites = [s for s in ("hs", "trace", "schatten", "decay", "lp", "mikhlin")
-              if getattr(args, s, False)]
-    if not suites:
-        suites = section.get("suites", ["hs", "trace"])
+    suites = [s for s in _SUITES if getattr(args, s)] or section.get("suites", ["hs", "trace"])
+    if not isinstance(suites, list) or not all(s in _SUITES for s in suites):
+        raise ConfigError(f"diagnose: 'suites' must be a list drawn from {', '.join(_SUITES)}")
     report = DiagnosticsReport("diagnostics")
-    needs_symbol = any(s in suites for s in ("hs", "trace", "schatten", "decay", "lp"))
+    needs_symbol = any(s != "mikhlin" for s in suites)
     sym = _section_symbol(cfg, section) if needs_symbol else None
-    p_values = _number("diagnose", section, "p_values", [1.0, 2.0])
+    p_values = number("diagnose", section, "p_values", [1.0, 2.0])
     if "hs" in suites:
         report.add_value("hs_norm", hs_norm(sym))
     if "trace" in suites:
@@ -168,13 +154,13 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
         for section_report in schatten_reports(sym, p_values):
             report.add_section(section_report)
     if "decay" in suites:
-        for n_t in _number("diagnose", section, "n_t", [1, 2, 3]):
+        for n_t in number("diagnose", section, "n_t", [1, 2, 3]):
             report.add_section(kernel_decay_fit(sym, n_t))
     if "lp" in suites:
         for section_report in lp_bound_reports(sym, p_values, seed=cfg.seed):
             report.add_section(section_report)
     if "mikhlin" in suites:
-        sizes = _number("diagnose", section, "sizes", [4, 8])
+        sizes = number("diagnose", section, "sizes", [4, 8])
         report.add_section(mikhlin_uniformity(cfg.symbol(section.get("symbol")), cfg.box.n,
                                               sizes, seed=cfg.seed))
     _emit(report.render() + "\n", args.out)

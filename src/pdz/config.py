@@ -1,15 +1,17 @@
 """Job configuration: box size, named symbol definitions, command parameters.
 
-Symbols come in two kinds.  Builtins cover the bundled operator family:
-
-* ``shift(j)``          -- e^{2 pi i x_j}, the translate f(k + v_j)
-* ``forward_diff(j)``   -- e^{2 pi i x_j} - 1, the first difference
-* ``multiplier(expr)``  -- lattice-independent symbol from an expression in x
-* ``weight(s)``         -- (1 + |k|)^s
-* ``example3(a)``       -- 2i sum_j sin(2 pi x_j) + a
-
+Symbols come in two kinds, both compiled from the expression language.
 Expression symbols accept arithmetic over k_1..k_n, x_1..x_n, the functions
-sin, cos, exp, the constants i and pi, and abs_k for |k|.
+sin, cos, exp, the constants i and pi, and abs_k for |k|.  Builtins are
+templates in that language for the bundled operator family:
+
+* ``shift(j)``          -- ``exp(2*pi*i*x_j)``, the translate f(k + v_j)
+* ``forward_diff(j)``   -- ``exp(2*pi*i*x_j) - 1``, the first difference
+* ``multiplier(expr)``  -- ``expr``, in x only
+* ``weight(s)``         -- ``(1 + abs_k)**s``, declared of order s
+* ``example3(a)``       -- ``2*i*sin(2*pi*x_1) + ... + 2*i*sin(2*pi*x_n) + a``
+
+Every numeric value, in the file or from a flag, is read by :func:`number`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import ast
 import json
 import operator
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,11 +104,47 @@ def _expression_evaluator(text: str, n: int, allow_k: bool = True):
     return evaluator
 
 
-def _axis_index(params: dict, n: int) -> int:
-    j = params.get("j", 1)
-    if not isinstance(j, int) or not 1 <= j <= n:
-        raise ConfigError(f"axis j={j!r} must be an integer in [1, {n}]")
-    return j - 1
+def number(where: str, section: dict, key: str, default=float):
+    """``section[key]`` as a finite number, or ``default`` when absent: an
+    int where ``default`` is an int, else a float, and a list of them where
+    ``default`` is a list; ``default`` = ``int`` or ``float`` makes the key
+    required.  Anything else, a JSON true or false included, raises
+    :class:`ConfigError` naming ``where`` and ``key``."""
+    required = isinstance(default, type)
+    value = section.get(key, None if required else default)
+    many = isinstance(default, list)
+    first = default[0] if many else default
+    integer = first is int or type(first) is int
+    kinds, noun = ((int,), "integer") if integer else ((int, float), "finite number")
+    items = value if many else [value]
+    # type(), not isinstance(): a JSON true or false is a bool, an int subclass;
+    # the bound rejects nan, inf and ints too large for a float
+    if not isinstance(items, list) or not all(
+            type(v) in kinds and (integer or abs(v) <= sys.float_info.max) for v in items):
+        raise ConfigError(f"{where}: {key!r} must be " + (
+            f"a list of {noun}s" if many else f"an {noun}" if integer else f"a {noun}"))
+    items = [v if integer else float(v) for v in items]
+    return items if many else items[0]
+
+
+def _builtin_template(where: str, params: dict, n: int) -> tuple[str, float, bool]:
+    """The expression a builtin stands for, its declared order, and whether
+    it may read k."""
+    builtin = params.get("builtin")
+    if builtin in ("shift", "forward_diff"):
+        j = number(where, params, "j", 1)
+        if not 1 <= j <= n:
+            raise ConfigError(f"{where}: axis 'j' must be in [1, {n}], got {j}")
+        return f"exp(2*pi*i*x_{j})" + (" - 1" if builtin == "forward_diff" else ""), 0.0, True
+    if builtin == "multiplier":
+        return params.get("expr"), 0.0, False
+    if builtin == "weight":
+        s = number(where, params, "s")
+        return f"(1 + abs_k)**{s!r}", s, True
+    if builtin == "example3":
+        terms = [f"2*i*sin(2*pi*x_{j})" for j in range(1, n + 1)]
+        return " + ".join(terms + [repr(number(where, params, "a"))]), 0.0, True
+    raise ConfigError(f"{where}: unknown builtin {builtin!r}")
 
 
 def build_symbol(entry: dict, n: int) -> SymbolDefinition:
@@ -116,62 +155,21 @@ def build_symbol(entry: dict, n: int) -> SymbolDefinition:
     name = entry.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("symbol entry needs a nonempty 'name'")
+    where = f"symbol {name!r}"
     kind = entry.get("kind")
     params = entry.get("params", {})
     if not isinstance(params, dict):
-        raise ConfigError(f"symbol {name!r}: params must be a mapping")
-
+        raise ConfigError(f"{where}: params must be a mapping")
     if kind == "expression":
-        text = params.get("expr")
-        if not isinstance(text, str):
-            raise ConfigError(f"symbol {name!r}: expression kind needs string 'expr'")
-        mu = float(params.get("mu", 0.0))
-        return SymbolDefinition(_expression_evaluator(text, n),
-                                params=SymbolClassParams(mu), name=name)
-
-    if kind != "builtin":
-        raise ConfigError(f"symbol {name!r}: kind must be 'builtin' or 'expression'")
-
-    builtin = params.get("builtin")
-    if builtin == "shift":
-        axis = _axis_index(params, n)
-        return SymbolDefinition(
-            lambda k, x: np.exp(2j * np.pi * x[..., axis]) + 0.0 * k[..., 0],
-            params=SymbolClassParams(0.0), name=name)
-    if builtin == "forward_diff":
-        axis = _axis_index(params, n)
-        return SymbolDefinition(
-            lambda k, x: np.exp(2j * np.pi * x[..., axis]) - 1.0 + 0.0 * k[..., 0],
-            params=SymbolClassParams(0.0), name=name)
-    if builtin == "multiplier":
-        text = params.get("expr")
-        if not isinstance(text, str):
-            raise ConfigError(f"symbol {name!r}: multiplier needs string 'expr' in x")
-        inner = _expression_evaluator(text, n, allow_k=False)
-        return SymbolDefinition(lambda k, x: inner(k, x) + 0.0 * k[..., 0],
-                                params=SymbolClassParams(0.0), name=name)
-    if builtin == "weight":
-        s = params.get("s")
-        if not isinstance(s, (int, float)):
-            raise ConfigError(f"symbol {name!r}: weight needs numeric 's'")
-        return SymbolDefinition(
-            lambda k, x: (1.0 + np.sqrt((np.asarray(k, dtype=float)**2).sum(axis=-1)))**float(s)
-            + 0.0 * x[..., 0],
-            params=SymbolClassParams(float(s)), name=name)
-    if builtin == "example3":
-        a = params.get("a")
-        if not isinstance(a, (int, float, complex)):
-            raise ConfigError(f"symbol {name!r}: example3 needs numeric 'a'")
-
-        def evaluator(k, x, a=complex(a)):
-            out = np.zeros(np.broadcast_shapes(k.shape[:-1], x.shape[:-1]), dtype=complex)
-            for j in range(n):
-                out = out + 2j * np.sin(2 * np.pi * x[..., j])
-            return out + a
-
-        return SymbolDefinition(evaluator, params=SymbolClassParams(0.0), name=name)
-
-    raise ConfigError(f"symbol {name!r}: unknown builtin {builtin!r}")
+        text, mu, allow_k = params.get("expr"), number(where, params, "mu", 0.0), True
+    elif kind == "builtin":
+        text, mu, allow_k = _builtin_template(where, params, n)
+    else:
+        raise ConfigError(f"{where}: kind must be 'builtin' or 'expression'")
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: needs a string 'expr'" + ("" if allow_k else " in x"))
+    return SymbolDefinition(_expression_evaluator(text, n, allow_k),
+                            params=SymbolClassParams(mu), name=name)
 
 
 @dataclass
@@ -218,9 +216,10 @@ def load_config(path, overrides: dict | None = None) -> JobConfig:
     box_spec = raw.get("box", {})
     if not isinstance(box_spec, dict):
         raise ConfigError("'box' must be an object with fields n and N")
-    n = overrides.get("dim", box_spec.get("n"))
-    N = overrides.get("box", box_spec.get("N"))
-    if not isinstance(n, int) or not isinstance(N, int) or n < 1 or N < 1:
+    flags = {"n": "dim", "N": "box"}
+    box_spec = {**box_spec, **{key: overrides[f] for key, f in flags.items() if f in overrides}}
+    n, N = number("box", box_spec, "n", int), number("box", box_spec, "N", int)
+    if n < 1 or N < 1:
         raise ConfigError(f"box needs integer fields n >= 1 and N >= 1, got n={n!r}, N={N!r}")
     box = LatticeBox(n, N)
 
@@ -234,12 +233,8 @@ def load_config(path, overrides: dict | None = None) -> JobConfig:
             raise ConfigError(f"symbol {definition.name!r} defined twice")
         symbols[definition.name] = definition
 
-    seed = overrides.get("seed", raw.get("seed", 0))
-    tol = overrides.get("tol", raw.get("tol", 1e-10))
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if not isinstance(tol, (int, float)):
-        raise ConfigError(f"tol must be a number, got {tol!r}")
+    top = {**raw, **{key: overrides[key] for key in ("seed", "tol") if key in overrides}}
     params = {k: v for k, v in raw.items() if k not in ("box", "symbols", "seed", "tol")}
-    return JobConfig(box=box, symbols=symbols, params=params, seed=seed,
-                     tol=float(tol), base_dir=path.parent)
+    return JobConfig(box=box, symbols=symbols, params=params,
+                     seed=number("top level", top, "seed", 0),
+                     tol=number("top level", top, "tol", 1e-10), base_dir=path.parent)

@@ -9,15 +9,16 @@ Statements about the full lattice are probed by refining N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 
-#: Hard cap on the number of box points a constructor will accept.
-DEFAULT_POINT_CAP = 1 << 20
+#: Hard cap on the number of box points a constructor will accept, read at
+#: construction time.
+POINT_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -31,16 +32,15 @@ class LatticeBox:
 
     n: int
     N: int
-    point_cap: int = field(default=DEFAULT_POINT_CAP, compare=False, repr=False)
 
     def __post_init__(self):
         if int(self.n) < 1:
             raise DomainMismatchError(f"dimension must be >= 1, got {self.n}")
         if int(self.N) < 1:
             raise DomainMismatchError(f"half-width must be >= 1, got {self.N}")
-        if self.size > self.point_cap:
+        if self.size > POINT_CAP:
             raise ResourceLimitError(
-                f"box {self.shape} has {self.size} points, above the cap {self.point_cap}"
+                f"box {self.shape} has {self.size} points, above the cap {POINT_CAP}"
             )
 
     @property

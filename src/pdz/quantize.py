@@ -255,19 +255,20 @@ class PhaseFunction:
         return worst
 
 
-def apply_fso(phase: PhaseFunction, sym: SampledSymbol, f: LatticeSequence,
-              periodicity_tol: float = 1e-10) -> LatticeSequence:
+def apply_fso(phase: PhaseFunction, sym: SampledSymbol,
+              f: LatticeSequence) -> LatticeSequence:
     """Apply the operator with general phase,
 
         T f(k) = (1/M^n) sum_j e^{i phi(k, x_j)} sigma(k, x_j) F(x_j);
 
-    with phi(k, x) = 2 pi k.x this coincides with :func:`apply`.
+    with phi(k, x) = 2 pi k.x this coincides with :func:`apply`.  The phase
+    must be 1-periodic on the grid to within 1e-10.
     """
     box, grid = sym.box, sym.grid
     if f.box != box:
         raise DomainMismatchError("sequence and symbol live on different boxes")
     defect = phase.periodicity_defect(box, grid)
-    if defect > periodicity_tol:
+    if defect > 1e-10:
         raise DomainMismatchError(
             f"phase is not 1-periodic on the grid (defect {defect:.3e})"
         )
@@ -299,12 +300,12 @@ def _gradient_chain_sup(values: np.ndarray, grid: TorusGrid, budget: int,
     return out
 
 
-def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol,
-                          pair_sample: int = 256, seed: int = 0) -> DiagnosticsReport:
+def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> DiagnosticsReport:
     """Witness the constants entering the boundedness hypotheses for operators
     with a general phase: sup |d^alpha_x sigma| for |alpha| <= 2n+1, sup of
     |d^alpha_x Delta^beta_k phi| for |beta| = 1, and the phase-gradient
-    separation min_{k != l, x} |grad_x phi(k,x) - grad_x phi(l,x)| / |k-l|.
+    separation min_{k != l, x} |grad_x phi(k,x) - grad_x phi(l,x)| / |k-l|,
+    taken over 256 box points drawn with seed 0 on larger boxes.
 
     Constants are reported, never asserted.
     """
@@ -332,9 +333,9 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol,
     grads = np.stack([_grid_gradient(phi, grid, axis) for axis in range(n)], axis=-1)
     grads = grads.reshape(box.size, grid.size, n)
     idx = np.arange(box.size)
-    if box.size > pair_sample:
-        idx = np.random.default_rng(seed).choice(box.size, size=pair_sample, replace=False)
-        rep.add_value("separation_pairs_subsampled_to", int(pair_sample))
+    if box.size > 256:
+        idx = np.random.default_rng(0).choice(box.size, size=256, replace=False)
+        rep.add_value("separation_pairs_subsampled_to", 256)
     pts = box.points[idx].astype(float)
     sub = grads[idx]
     kdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)

@@ -143,6 +143,14 @@ class AmplitudeDefinition:
 # sampled symbols
 
 
+def _witness(box: LatticeBox, grid: TorusGrid, row, node) -> tuple[tuple, tuple]:
+    """``(k, x)``: the box point of ``row`` as a tuple of Python ints and the
+    grid node ``node`` as a tuple of Python floats, as errors and reports
+    print and carry them."""
+    return (tuple(int(v) for v in box.points[row]),
+            tuple(float(v) for v in grid.nodes[node]))
+
+
 class SampledSymbol:
     """Grid samples of a symbol: ``samples[i, j] = sigma(k_i, x_j)``.
 
@@ -180,7 +188,7 @@ class SampledSymbol:
         finite = np.isfinite(block)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
-            k, x = tuple(self.box.points[rows.start + i]), tuple(self.grid.nodes[j])
+            k, x = _witness(self.box, self.grid, rows.start + i, j)
             raise NonFiniteValueError(
                 f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
 
@@ -500,15 +508,10 @@ def ellipticity_check(sym: SampledSymbol, mu: float,
     i, j = divmod(flat, sym.grid.size)
     k_index = np.flatnonzero(mask)[i]
     constant = float(sub.flat[flat])
-    return EllipticityReport(
-        ok=constant > ZERO_THRESHOLD,
-        constant=constant,
-        witness_k=tuple(int(v) for v in sym.box.points[k_index]),
-        witness_x=tuple(float(v) for v in sym.grid.nodes[j]),
-        mu=mu,
-        cutoff=float(m_cut),
-        threshold=ZERO_THRESHOLD,
-    )
+    witness_k, witness_x = _witness(sym.box, sym.grid, k_index, j)
+    return EllipticityReport(ok=constant > ZERO_THRESHOLD, constant=constant,
+                             witness_k=witness_k, witness_x=witness_x, mu=mu,
+                             cutoff=float(m_cut), threshold=ZERO_THRESHOLD)
 
 
 def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None) -> float:
@@ -534,12 +537,9 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
             i, j = divmod(flat, sym.grid.size)
             i += rows.start
     if smallest <= ZERO_THRESHOLD:
-        raise SingularSymbolError(
-            f"symbol vanishes on the box at k={tuple(sym.box.points[i])}, "
-            f"x={tuple(sym.grid.nodes[j])}",
-            witness=(tuple(int(v) for v in sym.box.points[i]),
-                     tuple(float(v) for v in sym.grid.nodes[j])),
-        )
+        k, x = _witness(sym.box, sym.grid, i, j)
+        raise SingularSymbolError(f"symbol vanishes on the box at k={k}, x={x}",
+                                  witness=(k, x))
     return smallest
 
 

@@ -253,6 +253,17 @@ def test_config_box_half_width_zero_exits_2(workdir, capsys):
     ("diagnose", "diagnose", "n_t", ["y"], ["--decay"]),
     ("diagnose", "diagnose", "n_t", [True], ["--decay"]),
     ("diagnose", "diagnose", "sizes", ["z"], ["--mikhlin"]),
+    ("diagnose", "diagnose", "suites", 5, []),
+    ("diagnose", "diagnose", "suites", "hstrace", []),
+    ("diagnose", "diagnose", "suites", ["hs", "fourier"], []),
+    ("apply", "box", "n", True, []),
+    ("apply", None, "seed", True, []),
+    ("apply", None, "tol", True, []),
+    ("apply", None, "tol", float("nan"), []),
+    ("apply", None, "tol", float("inf"), []),
+    ("apply", None, "tol", 1e-10, ["--tol", "nan"]),
+    ("apply", None, "tol", 1e-10, ["--tol", "inf"]),
+    ("solve", "solve", "s_values", [0.0, float("-inf")], []),
 ])
 def test_non_numeric_config_value_exits_2(workdir, capsys, command, section, key, value,
                                           flags):
@@ -264,6 +275,28 @@ def test_non_numeric_config_value_exits_2(workdir, capsys, command, section, key
     assert main([command, "--config", str(path), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+
+
+@pytest.mark.parametrize("command", ["kernel", "diagnose"])
+@pytest.mark.parametrize("params, key", [
+    ({"expr": "2 + k_1**2", "mu": "two"}, "mu"),
+    ({"expr": "2 + k_1**2", "mu": float("nan")}, "mu"),
+    ({"builtin": "shift", "j": True}, "j"),
+    ({"builtin": "forward_diff", "j": 1.0}, "j"),
+    ({"builtin": "weight", "s": True}, "s"),
+    ({"builtin": "weight", "s": float("inf")}, "s"),
+    ({"builtin": "example3", "a": float("nan")}, "a"),
+    ({"builtin": "example3", "a": float("-inf")}, "a"),
+])
+def test_bad_symbol_parameter_exits_2(tmp_path, capsys, command, params, key):
+    kind = "builtin" if "builtin" in params else "expression"
+    job = {"box": {"n": 1, "N": 4}, "symbols": [{"name": "S", "kind": kind, "params": params}],
+           command: {"symbol": "S"}}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: symbol 'S': {key!r} must be a")
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +600,34 @@ def test_compose_command_output_matches_library(workdir):
         k, j, re, im = ln.split(",")
         values[box.index_of(np.array([int(k)])), int(j)] = complex(float(re), float(im))
     np.testing.assert_allclose(values, expected.samples, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builtins_equal_their_expression_templates(n):
+    from pdz.config import build_symbol
+    box = LatticeBox(n, {1: 6, 2: 3, 3: 2}[n])
+    grid = box.matched_grid()
+    example3 = " + ".join(f"2*i*sin(2*pi*x_{j})" for j in range(1, n + 1))
+    cases = [
+        ({"builtin": "shift", "j": n}, f"exp(2*pi*i*x_{n})", 0.0),
+        ({"builtin": "forward_diff", "j": 1}, "exp(2*pi*i*x_1) - 1", 0.0),
+        ({"builtin": "multiplier", "expr": "-sin(2*pi*x_1)"}, "-sin(2*pi*x_1)", 0.0),
+        ({"builtin": "weight", "s": 2}, "(1 + abs_k)**2", 2.0),
+        ({"builtin": "weight", "s": -1.5}, "(1 + abs_k)**-1.5", -1.5),
+        ({"builtin": "weight", "s": 0}, "(1 + abs_k)**0", 0.0),
+        ({"builtin": "example3", "a": 1.0}, example3 + " + 1.0", 0.0),
+        ({"builtin": "example3", "a": -2}, example3 + " + -2", 0.0),
+        ({"builtin": "example3", "a": 0}, example3 + " + 0", 0.0),
+    ]
+    for params, expr, mu in cases:
+        got = sample(build_symbol({"name": "b", "kind": "builtin", "params": params}, n),
+                     box, grid)
+        want = sample(build_symbol({"name": "e", "kind": "expression",
+                                    "params": {"expr": expr, "mu": mu}}, n), box, grid)
+        for part in ("real", "imag"):
+            a, b = getattr(got.samples, part), getattr(want.samples, part)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), params
+        assert got.params.mu == mu, params
 
 
 def test_builtin_shift_and_weight_definitions():

@@ -141,9 +141,10 @@ def test_matrix_respects_dense_cap(monkeypatch):
         matrix(constant_symbol(box, grid))
 
 
-def test_box_point_cap():
+def test_box_point_cap(monkeypatch):
+    monkeypatch.setattr("pdz.grids.POINT_CAP", 1000)
     with pytest.raises(ResourceLimitError):
-        LatticeBox(2, 40, point_cap=1000)
+        LatticeBox(2, 40)
 
 
 # ---------------------------------------------------------------------------

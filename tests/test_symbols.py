@@ -56,6 +56,30 @@ def test_sample_rejects_nonfinite_with_location():
     assert err.value.where[0] == (1,)
 
 
+def _plain(point):
+    k, x = point
+    return ([type(v) for v in k], [type(v) for v in x])
+
+
+def test_witnesses_are_plain_python_numbers():
+    from pdz.errors import SingularSymbolError
+    from pdz.symbols import require_invertible
+    box, grid = helpers.box_and_grid(1, 4)
+    vals = np.ones((box.size, grid.size), dtype=complex)
+    vals[box.index_of(np.array([-1])), 2] = np.nan
+    with pytest.raises(NonFiniteValueError) as err:
+        SampledSymbol(box, grid, vals)
+    assert "k=(-1,), x=(0.2222222222222222,)" in str(err.value)
+    assert err.value.where == ((-1,), (2 / 9,)) and _plain(err.value.where) == ([int], [float])
+    vals[box.index_of(np.array([-1])), 2] = 0.0
+    with pytest.raises(SingularSymbolError) as err:
+        require_invertible(SampledSymbol(box, grid, vals), 0.0)
+    assert "k=(-1,), x=(0.2222222222222222,)" in str(err.value)
+    assert _plain(err.value.witness) == ([int], [float])
+    rep = ellipticity_check(SampledSymbol(box, grid, vals), 0.0)
+    assert _plain((rep.witness_k, rep.witness_x)) == ([int], [float])
+
+
 def _k_and_x_dependent(k, x):
     kf = np.asarray(k, dtype=float)
     return ((1.0 + np.sqrt((kf**2).sum(axis=-1))) * np.exp(2j * np.pi * x[..., 0])
