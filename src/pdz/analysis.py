@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .grids import LatticeBox, LatticeSequence
-from .quantize import _difference_table, apply, kernel, matrix
+from .quantize import _require_dense, _summation_blocks, apply, matrix
 from .report import DiagnosticsReport
-from .symbols import SampledSymbol, SymbolDefinition, sample
+from .symbols import SampledSymbol, SymbolDefinition, _block_first, _first, sample
 
 
 @dataclass(frozen=True)
@@ -116,13 +116,17 @@ def kernel_decay_fit(sym: SampledSymbol, n_t: int) -> DiagnosticsReport:
         raise DomainMismatchError(f"kernel decay fit needs N >= 8, got {sym.box.N}")
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
-    kmat = np.abs(kernel(sym).summation_matrix())
-    dist = box.norms[_difference_table(box)]  # cyclic distance |k - m|
-    weights = ((1.0 + box.norms) ** (-mu))[:, None] * (1.0 + dist) ** (2 * n_t)
-    masked = np.where(dist <= box.N, kmat * weights, 0.0)
-    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    _require_dense(box, "kernel matrix")
+    row_weights = (1.0 + box.norms) ** (-mu)
+    best = []
+    for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
+        dist = box.norms[table]  # cyclic distance |k - m|
+        weights = row_weights[rows, None] * (1.0 + dist) ** (2 * n_t)
+        masked = np.where(dist <= box.N, np.abs(block) * weights, 0.0)
+        best.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
+    constant, i, j = _first(np.argmax, best)
     rep = DiagnosticsReport(f"kernel_decay_nt={n_t}")
-    rep.add_value("constant", float(masked[i, j]))
+    rep.add_value("constant", float(constant))
     rep.add_value("mu_declared", mu)
     rep.add_value("witness_k", [int(v) for v in box.points[i]])
     rep.add_value("witness_m", [int(v) for v in box.points[j]])
@@ -206,9 +210,9 @@ def compactness_tail(sym: SampledSymbol, cut: float) -> float:
 
 def operator_norm_power(mat: np.ndarray, tol: float = 1e-8, seed: int = 0) -> float:
     """Spectral norm by power iteration on A^H A, to relative tolerance tol
-    within 10000 iterations."""
+    within 10000 iterations; each step takes w = A^H (A v) by two
+    matrix-vector products, so A^H A is never formed."""
     size = mat.shape[0]
-    gram = np.conj(mat).T @ mat
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     nv = np.linalg.norm(v)
@@ -217,7 +221,7 @@ def operator_norm_power(mat: np.ndarray, tol: float = 1e-8, seed: int = 0) -> fl
     v /= nv
     lam_old = 0.0
     for _ in range(10000):
-        w = gram @ v
+        w = np.conj(np.conj(mat @ v) @ mat)  # A^H (A v), with no conjugate copy of A
         lam = float(np.real(np.vdot(v, w)))
         nw = np.linalg.norm(w)
         if nw == 0.0:

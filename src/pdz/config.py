@@ -41,9 +41,28 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _CONSTS = {"i": 1j, "pi": np.pi}
 
 
+def _fold(op, *args):
+    """``op(*args)`` on constants, taken in numpy float64/complex128 where
+    Python's scalar arithmetic raises (``1/0``, ``10.0**400``) or leaves the
+    float range (``10**400``): the result is then inf or nan, as for an array
+    operand, and the finite check of the symbol's samples reports it."""
+    huge = (op is operator.pow and all(type(v) is int for v in args) and args[1] > 0
+            and (abs(args[0]).bit_length() - 1) * args[1] > 1100)  # past 2**1100, may run for minutes
+    with np.errstate(all="ignore"):
+        try:
+            if not huge:
+                out = op(*args)
+                if type(out) is not int or abs(out) <= sys.float_info.max:
+                    return out
+        except (ZeroDivisionError, OverflowError):
+            pass
+        return op(*(np.complex128(v) if isinstance(v, complex) else np.float64(v) for v in args))
+
+
 def compile_expression(text: str, n: int, allow_k: bool = True):
     """Compile an expression into ``fn(env)`` with env mapping variable names
-    to arrays; raises :class:`ConfigError` on anything outside the language."""
+    to arrays; raises :class:`ConfigError` on anything outside the language.
+    Subexpressions that read no variable are folded once, by :func:`_fold`."""
     allowed = set(_CONSTS)
     allowed.update(f"x_{i + 1}" for i in range(n))
     if allow_k:
@@ -55,42 +74,48 @@ def compile_expression(text: str, n: int, allow_k: bool = True):
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
 
     def build(node):
+        """The node's value when it reads no variable, else ``fn(env)``."""
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, (int, float)):
-                value = node.value
-                return lambda env: value
+            # type(), not isinstance(): True and False are ints, not numbers here
+            if type(node.value) in (int, float):
+                return node.value if node.value <= sys.float_info.max else np.inf
             raise ConfigError(f"literal {node.value!r} not allowed in expressions")
         if isinstance(node, ast.Name):
             if node.id not in allowed:
                 raise ConfigError(f"unknown name {node.id!r} in expression {text!r}")
             name = node.id
-            return lambda env: env[name]
+            return _CONSTS[name] if name in _CONSTS else lambda env: env[name]
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            op = _BINOPS[type(node.op)]
-            left, right = build(node.left), build(node.right)
-            return lambda env: op(left(env), right(env))
-        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-            op = _UNARY[type(node.op)]
-            arg = build(node.operand)
-            return lambda env: op(arg(env))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            op, parts = _BINOPS[type(node.op)], [build(node.left), build(node.right)]
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            op, parts = _UNARY[type(node.op)], [build(node.operand)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             if node.func.id not in _FUNCS or node.keywords or len(node.args) != 1:
                 raise ConfigError(f"unsupported call in expression {text!r}")
-            fn = _FUNCS[node.func.id]
-            arg = build(node.args[0])
-            return lambda env: fn(arg(env))
-        raise ConfigError(f"unsupported syntax in expression {text!r}")
+            op, parts = _FUNCS[node.func.id], [build(node.args[0])]
+        else:
+            raise ConfigError(f"unsupported syntax in expression {text!r}")
+        if not any(callable(part) for part in parts):
+            return _fold(op, *parts)
+        # operands go straight to op, so numpy may reuse a temporary's buffer
+        fns = [part if callable(part) else (lambda env, v=part: v) for part in parts]
+        if len(fns) == 1:
+            arg = fns[0]
+            return lambda env: op(arg(env))
+        left, right = fns
+        return lambda env: op(left(env), right(env))
 
-    return build(tree)
+    fn = build(tree)
+    return fn if callable(fn) else lambda env: fn
 
 
 def _expression_evaluator(text: str, n: int, allow_k: bool = True):
     fn = compile_expression(text, n, allow_k=allow_k)
 
     def evaluator(k, x):
-        env = dict(_CONSTS)
+        env = {}
         for i in range(n):
             env[f"x_{i + 1}"] = x[..., i]
         if allow_k:
@@ -98,7 +123,8 @@ def _expression_evaluator(text: str, n: int, allow_k: bool = True):
             for i in range(n):
                 env[f"k_{i + 1}"] = kf[..., i]
             env["abs_k"] = np.sqrt((kf**2).sum(axis=-1))
-        out = fn(env)
+        with np.errstate(all="ignore"):  # inf and nan are reported by the finite check
+            out = fn(env)
         return np.asarray(out) + 0j * np.asarray(x[..., 0])  # broadcast to full shape
 
     return evaluator

@@ -490,28 +490,55 @@ class EllipticityReport:
     threshold: float
 
 
-def ellipticity_check(sym: SampledSymbol, mu: float,
-                      m_cut: float | None = None) -> EllipticityReport:
-    """Witness the lower bound |sigma(k, x)| >= C (1+|k|)^mu over |k| >= m_cut.
+def _first(pick, candidates):
+    """The ``(value, row, node)`` of ``candidates``, one per row block in row
+    order, whose value ``pick`` (``np.argmin`` or ``np.argmax``) selects: as
+    ``pick`` on the whole array would, the first NaN, else the first extremum."""
+    return candidates[int(pick([value for value, _, _ in candidates]))]
 
-    Returns the minimized constant and the minimizing (k, x); ``ok`` means the
-    constant clears :data:`ZERO_THRESHOLD`.
-    """
+
+def _block_first(pick, values: np.ndarray, rows) -> tuple:
+    """``(value, row, node)`` of ``pick`` on a block of rows ``rows``."""
+    i, j = divmod(int(pick(values)), values.shape[1])
+    return values[i, j], rows[i], j
+
+
+def _minima(sym: SampledSymbol, mu: float, m_cut: float | None):
+    """One pass over ``sym.blocks()``: the :class:`EllipticityReport` and the
+    ``(value, row, node)`` of the smallest |sigma| on the box, each minimum
+    the first in row order, as ``np.argmin`` on the whole samples gives it."""
     if m_cut is None:
         m_cut = max(1, sym.box.N // 2)
     if not m_cut < sym.box.N:
         raise DomainMismatchError(f"cutoff {m_cut} must be smaller than N={sym.box.N}")
-    weighted = np.abs(sym.samples) * ((1.0 + sym.box.norms) ** (-mu))[:, None]
+    row_weights = (1.0 + sym.box.norms) ** (-mu)
     mask = sym.box.norms >= m_cut
-    sub = weighted[mask]
-    flat = int(np.argmin(sub))
-    i, j = divmod(flat, sym.grid.size)
-    k_index = np.flatnonzero(mask)[i]
-    constant = float(sub.flat[flat])
-    witness_k, witness_x = _witness(sym.box, sym.grid, k_index, j)
-    return EllipticityReport(ok=constant > ZERO_THRESHOLD, constant=constant,
-                             witness_k=witness_k, witness_x=witness_x, mu=mu,
-                             cutoff=float(m_cut), threshold=ZERO_THRESHOLD)
+    weighted, vanishing = [], []
+    for rows, block in sym.blocks():
+        mags = np.abs(block)
+        vanishing.append(_block_first(np.argmin, mags, range(rows.start, rows.stop)))
+        keep = np.flatnonzero(mask[rows])
+        if keep.size:
+            weighted.append(_block_first(np.argmin, mags[keep] * row_weights[rows][keep, None],
+                                         rows.start + keep))
+    constant, k_index, node = _first(np.argmin, weighted)
+    constant = float(constant)
+    witness_k, witness_x = _witness(sym.box, sym.grid, k_index, node)
+    report = EllipticityReport(ok=constant > ZERO_THRESHOLD, constant=constant,
+                               witness_k=witness_k, witness_x=witness_x, mu=mu,
+                               cutoff=float(m_cut), threshold=ZERO_THRESHOLD)
+    return report, _first(np.argmin, vanishing)
+
+
+def ellipticity_check(sym: SampledSymbol, mu: float,
+                      m_cut: float | None = None) -> EllipticityReport:
+    """Witness the lower bound |sigma(k, x)| >= C (1+|k|)^mu over |k| >= m_cut,
+    in one pass over the row blocks.
+
+    Returns the minimized constant and the minimizing (k, x); ``ok`` means the
+    constant clears :data:`ZERO_THRESHOLD`.
+    """
+    return _minima(sym, mu, m_cut)[0]
 
 
 def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None) -> float:
@@ -519,8 +546,9 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
     :class:`NotEllipticError` when :func:`ellipticity_check` fails at order
     mu, and :class:`SingularSymbolError` when |sigma| <= :data:`ZERO_THRESHOLD`
     anywhere on the box (the lower bound covers only |k| >= m_cut).  Returns
-    the smallest |sigma| on the box."""
-    ell = ellipticity_check(sym, mu, m_cut=m_cut)
+    the smallest |sigma| on the box.  Both minima come from one pass over the
+    row blocks, so the (K x X) samples are never built."""
+    ell, (smallest, i, j) = _minima(sym, mu, m_cut)
     if not ell.ok:
         raise NotEllipticError(
             f"symbol is not elliptic at order {mu}: constant {ell.constant:.3e} "
@@ -528,19 +556,11 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
             witness=(ell.witness_k, ell.witness_x),
             constant=ell.constant,
         )
-    smallest, i, j = np.inf, 0, 0
-    for rows, block in sym.blocks():
-        block = np.abs(block)
-        flat = int(np.argmin(block))
-        if block.flat[flat] < smallest:  # strict: the first minimum in row order
-            smallest = float(block.flat[flat])
-            i, j = divmod(flat, sym.grid.size)
-            i += rows.start
     if smallest <= ZERO_THRESHOLD:
         k, x = _witness(sym.box, sym.grid, i, j)
         raise SingularSymbolError(f"symbol vanishes on the box at k={k}, x={x}",
                                   witness=(k, x))
-    return smallest
+    return float(smallest)
 
 
 # ---------------------------------------------------------------------------

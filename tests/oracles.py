@@ -126,3 +126,47 @@ def kernel_csv(ker, threshold):
              for i in range(box.size)
              for j in np.flatnonzero(np.abs(ker.kappa[i]) > cutoff)]
     return _csv_text(_columns("k", box.n) + _columns("l", box.n) + ["re", "im"], lines)
+
+
+# ---------------------------------------------------------------------------
+# dense ops through the full (K x K) difference table, all rows at once
+
+
+def difference_table(box):
+    """table[i, j] = box index of points[i] - points[j], wrapped cyclically."""
+    return box.index_of(box.points[:, None, :] - box.points[None, :, :])
+
+
+def summation_matrix(kappa, box):
+    """K(k, m) = kappa(k, k - m), gathered through the full table."""
+    return kappa[np.arange(box.size)[:, None], difference_table(box)]
+
+
+def kernel_apply(kappa, f_values, box):
+    """sum_l kappa(k, l) f(k - l) over the full table."""
+    return (kappa * f_values[difference_table(box)]).sum(axis=1)
+
+
+def kernel_decay(kappa, box, mu, n_t):
+    """(constant, row, column) of the first maximum of
+    |K(k, m)| (1+|k|)^-mu (1+|k-m|)^(2 n_t) over |k - m| <= N."""
+    dist = box.norms[difference_table(box)]
+    weights = ((1.0 + box.norms) ** (-mu))[:, None] * (1.0 + dist) ** (2 * n_t)
+    masked = np.where(dist <= box.N, np.abs(summation_matrix(kappa, box)) * weights, 0.0)
+    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+    return float(masked[i, j]), int(i), int(j)
+
+
+def ellipticity(samples, box, mu, m_cut):
+    """(constant, row, node) of the first minimum of |sigma| (1+|k|)^-mu
+    over the rows with |k| >= m_cut."""
+    weighted = np.abs(samples) * ((1.0 + box.norms) ** (-mu))[:, None]
+    rows = np.flatnonzero(box.norms >= m_cut)
+    i, j = np.unravel_index(int(np.argmin(weighted[rows])), (rows.size, samples.shape[1]))
+    return float(weighted[rows[i], j]), int(rows[i]), int(j)
+
+
+def smallest(samples):
+    """(|sigma|, row, node) of the first minimum of |sigma|."""
+    i, j = np.unravel_index(int(np.argmin(np.abs(samples))), samples.shape)
+    return float(np.abs(samples[i, j])), int(i), int(j)

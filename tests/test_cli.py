@@ -1,5 +1,6 @@
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,45 @@ def test_expression_rejects_unknown_names_and_calls():
         compile_expression("k_1", 1, allow_k=False)
     with pytest.raises(ConfigError):
         compile_expression("import os", 1)
+
+
+def _expression_job(tmp_path, expr) -> str:
+    job = {"box": {"n": 1, "N": 4}, "kernel": {"symbol": "S"},
+           "symbols": [{"name": "S", "kind": "expression", "params": {"expr": expr}}]}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return str(path)
+
+
+@pytest.mark.parametrize("expr", ["1/0", "10.0**400", "0/0 + x_1", "10**400 + x_1",
+                                  "(2*i)**5000", "exp(1000) + x_1"])
+def test_non_finite_constant_expression_exits_3(tmp_path, capsys, expr):
+    # Python scalar arithmetic raises where numpy gives inf or nan; either way
+    # the symbol is reported non-finite, with no numpy warning
+    assert main(["kernel", "--config", _expression_job(tmp_path, expr)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol samples non-finite") and "Warning" not in err
+
+
+@pytest.mark.parametrize("expr, literal", [("True + x_1", "True"), ("x_1 * False", "False")])
+def test_boolean_literal_in_expression_exits_2(tmp_path, capsys, expr, literal):
+    with pytest.raises(ConfigError):
+        compile_expression(expr, 1)
+    assert main(["kernel", "--config", _expression_job(tmp_path, expr)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: literal {literal} not allowed")
+
+
+def test_huge_integer_power_is_not_computed(tmp_path, capsys):
+    # 10**10**7 takes seconds as an exact int; past the float range it is inf at once
+    start = time.perf_counter()
+    assert main(["kernel", "--config", _expression_job(tmp_path, "10**10**7 + x_1")]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_integer_constants_stay_exact():
+    fn = compile_expression("2**60 + 1 - 2**60 + x_1**2", 1)
+    assert fn({"x_1": np.array([2j]), "i": 1j, "pi": np.pi})[0] == 1 + (2j) ** 2
 
 
 def test_builtin_axis_validation(tmp_path):

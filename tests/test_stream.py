@@ -1,16 +1,19 @@
 """Definition-backed (streamed) symbols against array-backed ones: every pass
-that evaluates row blocks on demand must give exactly the stored-array result."""
+that evaluates row blocks on demand must give exactly the stored-array result,
+and every row-blocked dense op exactly its full-array reference."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, SampledSymbol,
-                 SingularSymbolError, SymbolDefinition, apply, kernel, sample)
+from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, NotEllipticError,
+                 SampledSymbol, SingularSymbolError, SymbolClassParams, SymbolDefinition,
+                 apply, ellipticity_check, kernel, kernel_apply, kernel_decay_fit, matrix,
+                 sample)
 from pdz import io as pdzio
-from pdz.solver import lattice_deviation
-from pdz.symbols import ROW_BLOCK_BYTES, require_invertible
+from pdz.solver import lattice_deviation, solve_dense
+from pdz.symbols import ROW_BLOCK_BYTES, ZERO_THRESHOLD, require_invertible
 
 import helpers
 import oracles
@@ -49,9 +52,12 @@ def block_rows(request, monkeypatch):
     return lambda width: _force(monkeypatch, request.param, width)
 
 
-@pytest.mark.parametrize("rows,n,N", [
-    pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks") + f"-n{n}")
-    for r, boxes in BOXES.items() for n, N in boxes])
+def _cases(boxes):
+    return [pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks")
+                         + f"-n{n}") for r, sizes in boxes.items() for n, N in sizes]
+
+
+@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
 def test_streamed_passes_equal_the_stored_array(monkeypatch, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
     _force(monkeypatch, rows, grid.size)
@@ -144,3 +150,133 @@ def test_streamed_apply_holds_a_fraction_of_the_samples():
     finally:
         tracemalloc.stop()
     assert peak < box.size * grid.size * 16 / 4
+
+
+# ---------------------------------------------------------------------------
+# row-blocked dense ops against the full (K x K) difference table
+
+#: kernel_decay_fit needs N >= 8; the default-size boxes of BOXES have two
+#: blocks, the forced-block ones keep the (K x K) arrays small.
+DECAY_BOXES = {None: [(1, 150), (2, 9)], 1: [(1, 8), (2, 8)], 2: [(1, 8), (2, 8)]}
+
+
+def _three(n, N, mu=1.0):
+    """The streamed and stored symbols of :func:`_elliptic` declared of order
+    mu, and a second stored copy whose kappa is cached."""
+    streamed, stored = _pair(n, N)
+    streamed.params = stored.params = SymbolClassParams(mu)
+    cached = stored.with_samples(stored.samples)
+    cached.kappa()
+    return streamed, stored, cached
+
+
+@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
+def test_blocked_matrix_and_kernel_apply_equal_the_full_table(monkeypatch, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    _force(monkeypatch, rows, grid.size)
+    streamed, stored, cached = _three(n, N)
+    expected = oracles.summation_matrix(cached.kappa(), box)
+    for sym in (streamed, stored, cached):
+        assert np.array_equal(matrix(sym).values, expected)
+    assert streamed._samples is None and streamed._kappa is None and stored._kappa is None
+    ker = kernel(cached)
+    assert np.array_equal(ker.summation_matrix(), expected)
+    f = helpers.random_sequence(box, np.random.default_rng(n))
+    assert np.array_equal(kernel_apply(ker, f).values,
+                          oracles.kernel_apply(cached.kappa(), f.values, box))
+
+
+@pytest.mark.parametrize("rows,n,N", _cases(DECAY_BOXES))
+def test_blocked_kernel_decay_fit_equals_the_full_table(monkeypatch, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    _force(monkeypatch, rows, grid.size)
+    streamed, stored, cached = _three(n, N)
+    for n_t in (0, 1, 3):
+        constant, i, j = oracles.kernel_decay(cached.kappa(), box, 1.0, n_t)
+        for sym in (streamed, stored, cached):
+            values = kernel_decay_fit(sym, n_t).values
+            assert values["constant"] == constant
+            assert values["witness_k"] == [int(v) for v in box.points[i]]
+            assert values["witness_m"] == [int(v) for v in box.points[j]]
+    assert streamed._samples is None and streamed._kappa is None
+
+
+@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
+def test_blocked_ellipticity_check_equals_the_full_array(monkeypatch, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    _force(monkeypatch, rows, grid.size)
+    streamed, stored = _pair(n, N)
+    for mu, m_cut in ((1.0, None), (0.5, 1)):
+        constant, i, j = oracles.ellipticity(stored.samples, box, mu,
+                                             max(1, N // 2) if m_cut is None else m_cut)
+        for sym in (streamed, stored):
+            rep = ellipticity_check(sym, mu, m_cut=m_cut)
+            assert rep.constant == constant
+            assert rep.witness_k == tuple(int(v) for v in box.points[i])
+            assert rep.witness_x == tuple(float(v) for v in grid.nodes[j])
+    smallest = oracles.smallest(stored.samples)[0]
+    assert require_invertible(streamed, 1.0) == require_invertible(stored, 1.0) == smallest
+    assert streamed._samples is None
+
+
+def _ties(box, grid, value, rows, nodes):
+    """|sigma| = 2 everywhere but ``value`` at (rows[t], nodes[t])."""
+    samples = np.full((box.size, grid.size), 2.0 + 0j)
+    samples[list(rows), list(nodes)] = value
+    return SampledSymbol(box, grid, samples)
+
+
+@pytest.mark.parametrize("block_rows_forced", [None, 1, 2])
+def test_ellipticity_tie_across_blocks_keeps_the_first_row(monkeypatch, block_rows_forced):
+    box, grid = helpers.box_and_grid(1, 150)
+    _force(monkeypatch, block_rows_forced, grid.size)
+    far = [r for r in range(box.size) if box.norms[r] >= box.N // 2]
+    first, later = far[0], far[-1]  # in different blocks at every block size
+    sym = _ties(box, grid, 1.0, (first, later), (3, 0))
+    assert oracles.ellipticity(sym.samples, box, 0.0, box.N // 2)[1:] == (first, 3)
+    rep = ellipticity_check(sym, 0.0)
+    assert rep.ok is True and rep.constant == 1.0
+    assert rep.witness_k == tuple(int(v) for v in box.points[first])
+    assert rep.witness_x == (float(grid.nodes[3, 0]),)
+
+
+@pytest.mark.parametrize("block_rows_forced", [None, 1, 2])
+def test_require_invertible_raises_as_the_full_array_does(monkeypatch, block_rows_forced):
+    box, grid = helpers.box_and_grid(1, 150)
+    _force(monkeypatch, block_rows_forced, grid.size)
+    near = [r for r in range(box.size) if box.norms[r] < box.N // 2]
+    far = [r for r in range(box.size) if box.norms[r] >= box.N // 2]
+
+    def witness(i, j):
+        return tuple(int(v) for v in box.points[i]), tuple(float(v) for v in grid.nodes[j])
+
+    # zeros on both sides of the cutoff: ellipticity fails first, at the far zero
+    sym = _ties(box, grid, 0.0, (near[0], far[0], far[-1]), (5, 4, 1))
+    _, i, j = oracles.ellipticity(sym.samples, box, 0.0, box.N // 2)
+    with pytest.raises(NotEllipticError) as err:
+        require_invertible(sym, 0.0)
+    assert err.value.witness == witness(i, j) == witness(far[0], 4)
+    # zeros below the cutoff only: elliptic, then singular at the first zero
+    sym = _ties(box, grid, 0.0, (near[0], near[-1]), (5, 2))
+    assert ellipticity_check(sym, 0.0).ok
+    _, i, j = oracles.smallest(sym.samples)
+    with pytest.raises(SingularSymbolError) as err:
+        require_invertible(sym, 0.0)
+    assert err.value.witness == witness(i, j) == witness(near[0], 5)
+    assert oracles.smallest(sym.samples)[0] <= ZERO_THRESHOLD
+
+
+def test_dense_solve_holds_the_matrix_and_its_lu_copy():
+    box, grid = helpers.box_and_grid(1, 512)
+    sym = sample(SymbolDefinition(_elliptic), box, grid)
+    g = helpers.random_sequence(box, np.random.default_rng(0))
+    assert sym._samples is None
+    tracemalloc.start()
+    try:
+        report = solve_dense(sym, 1.0, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.method == "dense-lu"
+    assert peak < 2.5 * box.size**2 * 16
+    assert sym._samples is None and sym._kappa is None
