@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .grids import LatticeBox, LatticeSequence
-from .quantize import _require_dense, _summation_blocks, apply, matrix
+from .quantize import _summation_blocks, apply, matrix
 from .report import DiagnosticsReport
 from .symbols import SampledSymbol, SymbolDefinition, _block_first, _first, sample
 
@@ -116,7 +116,6 @@ def kernel_decay_fit(sym: SampledSymbol, n_t: int) -> DiagnosticsReport:
         raise DomainMismatchError(f"kernel decay fit needs N >= 8, got {sym.box.N}")
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
-    _require_dense(box, "kernel matrix")
     row_weights = (1.0 + box.norms) ** (-mu)
     best = []
     for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
@@ -169,7 +168,8 @@ def lp_bound_reports(sym: SampledSymbol, p_values, n_random: int = 20,
     for p in p_values:
         if p < 1:
             raise DomainMismatchError(f"p must be >= 1, got {p}")
-    sym.samples  # stored once here: every probe below passes over all the rows
+    if sym.separated() is None:
+        sym.samples  # stored once here: every probe below passes over all the rows
     omega = np.abs(sym.kappa()).max(axis=0)
     bound = float(omega.sum())
     best = [0.0] * len(p_values)

@@ -11,6 +11,18 @@ templates in that language for the bundled operator family:
 * ``weight(s)``         -- ``(1 + abs_k)**s``, declared of order s
 * ``example3(a)``       -- ``2*i*sin(2*pi*x_1) + ... + 2*i*sin(2*pi*x_n) + a``
 
+Beside its fused evaluator, an expression is compiled into a separated form
+sigma(k, x) = sum_t a_t(k) b_t(x) when it has one within
+:data:`SEPARATED_RANK_CAP` terms (:func:`_separate`): a subexpression that
+reads only k, or only x, is one factor; sums add terms, products multiply
+them out, division is by a factor that reads only k or only x, and an
+integer constant power raises one term or multiplies out several (a
+nonnegative one).  ``sin``, ``cos`` and ``exp`` of an argument that reads
+both, division by such an argument and other powers of one have no
+separated form.  The form is exact up to rounding, but its factors are
+evaluated apart: where the fused evaluator overflows only in an
+intermediate that the factors never form, the separated symbol is finite.
+
 Every numeric value, in the file or from a flag, is read by :func:`number`.
 """
 
@@ -59,10 +71,96 @@ def _fold(op, *args):
         return op(*(np.complex128(v) if isinstance(v, complex) else np.float64(v) for v in args))
 
 
-def compile_expression(text: str, n: int, allow_k: bool = True):
-    """Compile an expression into ``fn(env)`` with env mapping variable names
-    to arrays; raises :class:`ConfigError` on anything outside the language.
-    Subexpressions that read no variable are folded once, by :func:`_fold`."""
+#: Most terms a separated form may have; an expression that needs more has
+#: none, and its symbol takes the dense passes.
+SEPARATED_RANK_CAP = 16
+
+_BOTH = frozenset("kx")
+
+
+def _node(op, parts):
+    """``op`` on compiled parts (constants or ``fn(env)``): folded by
+    :func:`_fold` when no part reads a variable."""
+    if not any(callable(part) for part in parts):
+        return _fold(op, *parts)
+    # operands go straight to op, so numpy may reuse a temporary's buffer
+    fns = [part if callable(part) else (lambda env, v=part: v) for part in parts]
+    if len(fns) == 1:
+        arg = fns[0]
+        return lambda env: op(arg(env))
+    left, right = fns
+    return lambda env: op(left(env), right(env))
+
+
+def _times(f, g):
+    """The product of two factors, leaving out a literal factor 1."""
+    if not callable(f) and f == 1:
+        return g
+    if not callable(g) and g == 1:
+        return f
+    return _node(operator.mul, [f, g])
+
+
+def _separate(op, parts):
+    """Terms ``[(a, b)]`` with ``op(*parts) = sum_t a_t b_t``, each ``a_t``
+    reading only k and each ``b_t`` only x (or nothing); None when there are
+    none, or more than :data:`SEPARATED_RANK_CAP`.  A part is
+    ``(value, reads, terms)`` as :func:`_compile` builds it."""
+    def terms(part):
+        value, reads, split = part
+        return split if reads == _BOTH else [(value, 1)] if reads == {"k"} else [(1, value)]
+
+    def product(left, right):
+        if right is None or len(left) * len(right) > SEPARATED_RANK_CAP:
+            return None
+        return [(_times(a, c), _times(b, d)) for a, b in left for c, d in right]
+
+    def negated(split):
+        return [(_node(operator.neg, [a]), b) for a, b in split]
+
+    base = terms(parts[0])
+    if base is None:
+        return None
+    if op in (operator.add, operator.sub):
+        right = terms(parts[1])
+        if right is None:
+            return None
+        out = base + (negated(right) if op is operator.sub else right)
+    elif op is operator.mul:
+        out = product(base, terms(parts[1]))
+    elif op is operator.neg:
+        out = negated(base)
+    elif op is operator.pos:
+        out = base
+    elif op is operator.truediv:  # only by a factor that reads k alone, or x alone
+        value, reads, _ = parts[1]
+        if reads == _BOTH:
+            return None
+        out = [(a, _node(op, [b, value])) if reads == {"x"} else (_node(op, [a, value]), b)
+               for a, b in base]
+    elif op is operator.pow:  # integer constant powers only: (ab)^p = a^p b^p
+        value, reads, _ = parts[1]
+        if reads or isinstance(value, complex) or not float(value).is_integer():
+            return None
+        if len(base) == 1:
+            out = [(_node(op, [base[0][0], value]), _node(op, [base[0][1], value]))]
+        elif value < 0:
+            return None
+        else:  # multiplied out; the terms at least double each time
+            out = [(1, 1)]
+            for _ in range(int(value)):
+                out = product(out, base)
+                if out is None:
+                    return None
+    else:  # exp, sin, cos of an argument that reads both k and x
+        return None
+    return out if out is not None and len(out) <= SEPARATED_RANK_CAP else None
+
+
+def _compile(text: str, n: int, allow_k: bool = True):
+    """``(fn, terms)``: the fused evaluator of :func:`compile_expression`
+    and the separated terms ``[(a, b)]`` of the expression (a reading only
+    k, b only x, each a constant or an ``fn(env)``), or None when it has none."""
     allowed = set(_CONSTS)
     allowed.update(f"x_{i + 1}" for i in range(n))
     if allow_k:
@@ -74,19 +172,24 @@ def compile_expression(text: str, n: int, allow_k: bool = True):
         raise ConfigError(f"cannot parse expression {text!r}: {exc}") from exc
 
     def build(node):
-        """The node's value when it reads no variable, else ``fn(env)``."""
+        """``(value, reads, terms)``: the node's value when it reads no
+        variable, else ``fn(env)``; the kinds of variable ('k', 'x') it
+        reads; and, when it reads both, its terms from :func:`_separate`."""
         if isinstance(node, ast.Expression):
             return build(node.body)
         if isinstance(node, ast.Constant):
             # type(), not isinstance(): True and False are ints, not numbers here
             if type(node.value) in (int, float):
-                return node.value if node.value <= sys.float_info.max else np.inf
+                value = node.value if node.value <= sys.float_info.max else np.inf
+                return value, frozenset(), None
             raise ConfigError(f"literal {node.value!r} not allowed in expressions")
         if isinstance(node, ast.Name):
             if node.id not in allowed:
                 raise ConfigError(f"unknown name {node.id!r} in expression {text!r}")
             name = node.id
-            return _CONSTS[name] if name in _CONSTS else lambda env: env[name]
+            if name in _CONSTS:
+                return _CONSTS[name], frozenset(), None
+            return (lambda env: env[name]), frozenset("x" if name[0] == "x" else "k"), None
         if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             op, parts = _BINOPS[type(node.op)], [build(node.left), build(node.right)]
         elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
@@ -97,37 +200,62 @@ def compile_expression(text: str, n: int, allow_k: bool = True):
             op, parts = _FUNCS[node.func.id], [build(node.args[0])]
         else:
             raise ConfigError(f"unsupported syntax in expression {text!r}")
-        if not any(callable(part) for part in parts):
-            return _fold(op, *parts)
-        # operands go straight to op, so numpy may reuse a temporary's buffer
-        fns = [part if callable(part) else (lambda env, v=part: v) for part in parts]
-        if len(fns) == 1:
-            arg = fns[0]
-            return lambda env: op(arg(env))
-        left, right = fns
-        return lambda env: op(left(env), right(env))
+        reads = frozenset().union(*(part[1] for part in parts))
+        return (_node(op, [part[0] for part in parts]), reads,
+                _separate(op, parts) if reads == _BOTH else None)
 
-    fn = build(tree)
-    return fn if callable(fn) else lambda env: fn
+    fn, reads, terms = build(tree)
+    if reads != _BOTH:
+        terms = [(fn, 1)] if reads == {"k"} else [(1, fn)]
+    return (fn if callable(fn) else lambda env: fn), terms
+
+
+def compile_expression(text: str, n: int, allow_k: bool = True):
+    """Compile an expression into ``fn(env)`` with env mapping variable names
+    to arrays; raises :class:`ConfigError` on anything outside the language.
+    Subexpressions that read no variable are folded once, by :func:`_fold`."""
+    return _compile(text, n, allow_k)[0]
+
+
+def _env(n: int, k=None, x=None) -> dict:
+    """The variables of an expression at lattice points ``k`` and torus
+    points ``x`` (each (..., n), or None when not read)."""
+    env = {}
+    if x is not None:
+        for i in range(n):
+            env[f"x_{i + 1}"] = x[..., i]
+    if k is not None:
+        kf = np.asarray(k, dtype=float)
+        for i in range(n):
+            env[f"k_{i + 1}"] = kf[..., i]
+        env["abs_k"] = np.sqrt((kf**2).sum(axis=-1))
+    return env
+
+
+def _evaluate(fn, env: dict, like: np.ndarray) -> np.ndarray:
+    """``fn(env)`` (or the constant ``fn``) as a complex array broadcast to
+    the shape of ``like``."""
+    with np.errstate(all="ignore"):  # inf and nan are reported by the finite check
+        out = fn(env) if callable(fn) else fn
+    return np.asarray(out) + 0j * np.asarray(like)
 
 
 def _expression_evaluator(text: str, n: int, allow_k: bool = True):
-    fn = compile_expression(text, n, allow_k=allow_k)
+    """The evaluator ``(k, x) -> sigma`` of an expression, and its separated
+    form as a list of ``(k_fn, x_fn)`` pairs (None when it has none)."""
+    fn, terms = _compile(text, n, allow_k=allow_k)
 
     def evaluator(k, x):
-        env = {}
-        for i in range(n):
-            env[f"x_{i + 1}"] = x[..., i]
-        if allow_k:
-            kf = np.asarray(k, dtype=float)
-            for i in range(n):
-                env[f"k_{i + 1}"] = kf[..., i]
-            env["abs_k"] = np.sqrt((kf**2).sum(axis=-1))
-        with np.errstate(all="ignore"):  # inf and nan are reported by the finite check
-            out = fn(env)
-        return np.asarray(out) + 0j * np.asarray(x[..., 0])  # broadcast to full shape
+        return _evaluate(fn, _env(n, k if allow_k else None, x), x[..., 0])
 
-    return evaluator
+    def k_side(a):
+        return lambda k: _evaluate(a, _env(n, k=k), np.asarray(k[..., 0], dtype=float))
+
+    def x_side(b):
+        return lambda x: _evaluate(b, _env(n, x=x), x[..., 0])
+
+    separated = None if terms is None else [(k_side(a), x_side(b)) for a, b in terms]
+    return evaluator, separated
 
 
 def number(where: str, section: dict, key: str, default=float):
@@ -194,8 +322,9 @@ def build_symbol(entry: dict, n: int) -> SymbolDefinition:
         raise ConfigError(f"{where}: kind must be 'builtin' or 'expression'")
     if not isinstance(text, str):
         raise ConfigError(f"{where}: needs a string 'expr'" + ("" if allow_k else " in x"))
-    return SymbolDefinition(_expression_evaluator(text, n, allow_k),
-                            params=SymbolClassParams(mu), name=name)
+    evaluator, separated = _expression_evaluator(text, n, allow_k)
+    return SymbolDefinition(evaluator, params=SymbolClassParams(mu), name=name,
+                            separated=separated)
 
 
 @dataclass

@@ -31,21 +31,31 @@ def _int_columns(prefix: str, n: int) -> list[str]:
     return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
+#: The re and im fields of one CSV row, the only fields formatted per value.
+_VALUES = "%.17g,%.17g\n"
+
+
+def _texts(ints: np.ndarray) -> list[str]:
+    """Each row of an integer array as CSV text, every field followed by a comma."""
+    return ["".join(f"{v}," for v in row) for row in ints.tolist()]
+
+
 def _csv(columns: list[str], blocks) -> str:
-    """Header, then one row per entry of each ``(ints, values)`` block: its
-    integer columns, then re and im of its value; one ``%`` per block.  The
-    integers pass through float64, exact for lattice coordinates (< 2**53)."""
-    row = ",".join(["%d"] * (len(columns) - 2) + ["%.17g", "%.17g"]) + "\n"
+    """Header, then the rows of each ``(template, values)`` block: the
+    template is the block's text with the integer columns written out and
+    :data:`_VALUES` in place of re and im of each value in turn; one ``%``
+    per block."""
     parts = [",".join(columns) + "\n"]
-    for ints, values in blocks:
-        table = np.column_stack([ints, values.real, values.imag])
-        parts.append(row * len(values) % tuple(table.ravel().tolist()))
+    for template, values in blocks:
+        parts.append(template % tuple(np.ascontiguousarray(values).view(float).tolist()))
     return "".join(parts)
 
 
 def sequence_to_csv(f: LatticeSequence) -> str:
     box = f.box
-    blocks = ((box.points[rows], f.values[rows]) for rows in row_blocks(box.size, 1))
+    points = _texts(box.points)
+    blocks = (("".join(text + _VALUES for text in points[rows]), f.values[rows])
+              for rows in row_blocks(box.size, 1))
     return _csv(_int_columns("k", box.n) + ["re", "im"], blocks)
 
 
@@ -112,12 +122,15 @@ def _first_row_at_fault(path, rows: list[str], box: LatticeBox) -> ConfigError:
     raise AssertionError("no row at fault")
 
 
-def _symbol_blocks(sym: SampledSymbol):
-    box, grid = sym.box, sym.grid
+def _symbol_blocks(sym: SampledSymbol, lead: str = ""):
+    """Blocks for :func:`_csv`, one per row block of the samples: per k row,
+    ``lead`` and the point's text ahead of each node's text and values."""
+    nodes = [text + _VALUES for text in _texts(sym.grid.node_indices)]
+    points = _texts(sym.box.points)
     for rows, block in sym.blocks():
-        k = np.repeat(box.points[rows], grid.size, axis=0)
-        j = np.tile(grid.node_indices, (rows.stop - rows.start, 1))
-        yield np.hstack([k, j]), block.ravel()
+        prefixes = [lead + text for text in points[rows]]
+        # each node's row ends in a newline, so joining on the prefix starts every line
+        yield "".join(prefix + prefix.join(nodes) for prefix in prefixes), block.ravel()
 
 
 def _symbol_columns(sym: SampledSymbol) -> list[str]:
@@ -131,11 +144,9 @@ def symbol_to_csv(sym: SampledSymbol) -> str:
 def expansion_to_csv(expansion: SymbolExpansion) -> str:
     """The terms' symbol CSVs in one table, behind a leading ``term`` column
     (the term's index in the expansion)."""
-    def blocks():
-        for idx, term in enumerate(expansion.terms):
-            for ints, values in _symbol_blocks(term):
-                yield np.hstack([np.full((len(values), 1), idx), ints]), values
-    return _csv(["term"] + _symbol_columns(expansion.terms[0]), blocks())
+    blocks = (block for idx, term in enumerate(expansion.terms)
+              for block in _symbol_blocks(term, f"{idx},"))
+    return _csv(["term"] + _symbol_columns(expansion.terms[0]), blocks)
 
 
 def kernel_to_csv(source: Kernel | SampledSymbol) -> str:
@@ -154,12 +165,14 @@ def kernel_to_csv(source: Kernel | SampledSymbol) -> str:
         flat = np.flatnonzero(mags > KERNEL_CSV_RELATIVE_THRESHOLD * peak)
         kept.append((rows.start * K + flat, block.ravel()[flat], mags[flat]))
     cutoff = KERNEL_CSV_RELATIVE_THRESHOLD * peak
+    points = _texts(box.points)
 
     def blocks():
         for flat, values, mags in kept:
             keep = mags > cutoff
             i, j = np.divmod(flat[keep], K)
-            yield np.hstack([box.points[i], box.points[j]]), values[keep]
+            yield "".join(points[a] + points[b] + _VALUES
+                          for a, b in zip(i.tolist(), j.tolist())), values[keep]
     return _csv(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"], blocks())
 
 

@@ -4,11 +4,15 @@ The central map sends sigma(k, x) to the operator
 
     (Op sigma) f(k) = (1/M^n) sum_j e^{2 pi i k.x_j} sigma(k, x_j) F(x_j),
 
-with F the forward transform of f.  Three independent realizations are
+with F the forward transform of f.  On the dense path, which reads the
+(K x X) samples row block by row block, three independent realizations are
 provided (FFT application, kernel summation, dense matrix) so each can serve
-as an oracle for the others, plus amplitude operators, operators with a
-general phase, the dual quantization on the torus, and the conjugation
-identity tying the two quantizations together.
+as an oracle for the others.  A symbol given as a finite sum
+sum_t a_t(k) b_t(x) (:meth:`SampledSymbol.separated`) is applied and
+transformed through its T factors instead; array-backed symbols keep the
+dense path, the oracle for that one.  Also here: amplitude operators,
+operators with a general phase, the dual quantization on the torus, and the
+conjugation identity tying the two quantizations together.
 """
 
 from __future__ import annotations
@@ -77,15 +81,30 @@ def apply(sym: SampledSymbol, f: LatticeSequence) -> LatticeSequence:
     """Apply Op(sigma) to f: FFT of f first, then each output entry is the
     weighted inverse transform of its own symbol row, evaluated at k mod M.
 
-    Per row block, the grid axes are inverse-transformed last axis first (the
-    order of ``np.fft.ifftn``), and after each axis only the row's own
-    frequency along it is kept, so the result equals the full ``ifftn``
-    bit for bit at about 1/n of its FFT work.
+    A symbol with a :meth:`~SampledSymbol.separated` form
+    sigma = sum_t A_t(k) B_t(x) takes sum_t A_t(k) ifftn(B_t F)[k mod M]:
+    T transforms of X points instead of one per row.  A factor A_t that is
+    1 at every k is not multiplied, so a lattice-free symbol (T = 1, A = 1)
+    gives the dense path's result bit for bit.
+
+    On the dense path, per row block, the grid axes are inverse-transformed
+    last axis first (the order of ``np.fft.ifftn``), and after each axis
+    only the row's own frequency along it is kept, so the result equals the
+    full ``ifftn`` bit for bit at about 1/n of its FFT work.
     """
     if f.box != sym.box:
         raise DomainMismatchError("sequence and symbol live on different boxes")
     box, grid = sym.box, sym.grid
     fhat = np.fft.fftn(box.to_fft_layout(f.values)).ravel()
+    parts = sym.separated()
+    if parts is not None:
+        out = None
+        for a, b in zip(*parts):
+            term = np.fft.ifftn((b * fhat).reshape(grid.shape)).ravel()[box.fft_indices]
+            if not (a == 1).all():
+                term *= a
+            out = term if out is None else out + term
+        return LatticeSequence(box, out)
     own = box.points % box.M  # row k's frequency k mod M along each axis
     out = np.empty(box.size, dtype=complex)
     for rows, block in sym.blocks():

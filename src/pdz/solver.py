@@ -87,8 +87,12 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
 
 def _row_scan(sym: SampledSymbol) -> tuple[np.ndarray, float, bool]:
     """Row 0 of sigma, the largest deviation of a row from it, and whether
-    that is within 1e-12 of max(1, max |sigma|); one pass over the rows."""
-    first, scale, deviation = None, 1.0, 0.0
+    that is within 1e-12 of max(1, max |sigma|); one pass over the rows,
+    none when :meth:`SampledSymbol.constant_row` shows sigma k-independent."""
+    first = sym.constant_row()
+    if first is not None:
+        return first, 0.0, True
+    scale, deviation = 1.0, 0.0
     for _, block in sym.blocks():
         if first is None:
             first = block[0].copy()

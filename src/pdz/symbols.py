@@ -120,11 +120,18 @@ class SymbolDefinition:
     array (..., n) of torus points; the evaluator must be total and finite
     on box x grid, and pure: a symbol sampled from it may evaluate each row
     block once per pass over the rows.
+
+    ``separated``, when given, is the same symbol as a finite sum
+    sigma(k, x) = sum_t a_t(k) b_t(x): a list of ``(k_fn, x_fn)`` pairs,
+    ``k_fn(k)`` and ``x_fn(x)`` broadcasting like the evaluator.  A sampled
+    symbol then applies and transforms through it (see
+    :meth:`SampledSymbol.separated`).
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     params: SymbolClassParams = field(default_factory=lambda: SymbolClassParams(0.0))
     name: str = ""
+    separated: list | None = None
 
 
 @dataclass
@@ -158,12 +165,14 @@ class SampledSymbol:
     (C order).  A symbol is backed either by the stored (K x X) array or by
     a :class:`SymbolDefinition`, whose row blocks :meth:`blocks` evaluates
     each time it is asked; the array of a definition-backed symbol is built
-    by the first read of ``samples`` and kept.  That array and the row
-    Fourier coefficients kappa(k, l) are each computed once on demand under
-    a lock; everything else treats instances as immutable.
+    by the first read of ``samples`` and kept.  That array, the row
+    Fourier coefficients kappa(k, l) and the factor arrays of
+    :meth:`separated` are each computed once on demand under a lock;
+    everything else treats instances as immutable.
     """
 
-    __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa", "_lock")
+    __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa",
+                 "_separated", "_lock")
 
     def __init__(self, box: LatticeBox, grid: TorusGrid,
                  samples: np.ndarray | SymbolDefinition,
@@ -172,8 +181,8 @@ class SampledSymbol:
         self.box = box
         self.grid = grid
         self.params = params
-        self._kappa = None
-        self._lock = threading.Lock()
+        self._kappa = self._separated = None
+        self._lock = threading.RLock()  # kappa() fills through separated()
         if isinstance(samples, SymbolDefinition):
             self._samples, self._definition = None, samples
             return
@@ -196,20 +205,57 @@ class SampledSymbol:
         """Yield ``(rows, samples[rows])`` over the row blocks of
         :func:`row_blocks`: slices of the stored array when there is one,
         otherwise the definition evaluated on the block's rows, checked finite."""
-        K, X = self.box.size, self.grid.size
-        x = self.grid.nodes[None, :, :]
-        for rows in row_blocks(K, X):
+        for rows in row_blocks(self.box.size, self.grid.size):
             stored = self._samples
-            if stored is not None:
-                yield rows, stored[rows]
-                continue
-            block = np.asarray(self._definition.evaluator(self.box.points[rows, None, :], x),
-                               dtype=complex)
-            if block.shape != (rows.stop - rows.start, X):  # broadcast like an assignment
-                value, block = block, np.empty((rows.stop - rows.start, X), dtype=complex)
-                block[...] = value
-            self._require_finite(rows, block)
-            yield rows, block
+            yield rows, stored[rows] if stored is not None else self._evaluate(rows)
+
+    def _evaluate(self, rows: slice) -> np.ndarray:
+        """The definition on the box points ``rows`` x the grid, checked finite."""
+        X = self.grid.size
+        block = np.asarray(self._definition.evaluator(self.box.points[rows, None, :],
+                                                      self.grid.nodes[None, :, :]),
+                           dtype=complex)
+        if block.shape != (rows.stop - rows.start, X):  # broadcast like an assignment
+            value, block = block, np.empty((rows.stop - rows.start, X), dtype=complex)
+            block[...] = value
+        self._require_finite(rows, block)
+        return block
+
+    def separated(self):
+        """``(A, B)`` with sigma(k_i, x_j) = sum_t A[t, i] B[t, j], the
+        definition's separated form evaluated once, on the first call: A is
+        (T x K) and B (T x X).  None for an array-backed symbol, a definition
+        without that form, and when A, B or the bound
+        sum_t max|A_t| max|B_t| is non-finite: the dense passes then find
+        and report the non-finite samples."""
+        if self._separated is None:
+            with self._lock:
+                if self._separated is None:
+                    self._separated = self._factor_arrays() or ()
+        return self._separated or None
+
+    def _factor_arrays(self):
+        pairs = None if self._definition is None else self._definition.separated
+        if not pairs:
+            return None
+        K, X = self.box.size, self.grid.size
+        A = np.empty((len(pairs), K), dtype=complex)
+        B = np.empty((len(pairs), X), dtype=complex)
+        for t, (k_fn, x_fn) in enumerate(pairs):  # shaped as the row blocks read them
+            A[t] = np.broadcast_to(k_fn(self.box.points[:, None, :]), (K, 1))[:, 0]
+            B[t] = np.broadcast_to(x_fn(self.grid.nodes[None, :, :]), (1, X))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.sum(np.abs(A).max(axis=1) * np.abs(B).max(axis=1))
+        return (A, B) if np.isfinite(bound) else None
+
+    def constant_row(self) -> np.ndarray | None:
+        """Row 0 of sigma, from one evaluation of the definition, when every
+        A_t of :meth:`separated` is the same at all k; else None.  No pass
+        over the rows."""
+        parts = self.separated()
+        if parts is None or not (parts[0] == parts[0][:, :1]).all():
+            return None
+        return self._evaluate(slice(0, 1))[0]
 
     @property
     def samples(self) -> np.ndarray:
@@ -230,13 +276,22 @@ class SampledSymbol:
     def kappa_blocks(self):
         """Yield ``(rows, kappa[rows])`` over the same row blocks as
         :meth:`blocks`: slices of the cached row transform when it is filled,
-        otherwise transforms of the sample blocks, none of them kept."""
+        else from the :meth:`separated` form, T transforms of X points in
+        all, else transforms of the sample blocks; none of them kept."""
         K, shape = self.box.size, self.grid.shape
         if self._kappa is not None:
             for rows in row_blocks(K, K):
                 yield rows, self._kappa[rows]
             return
         axes = tuple(range(1, self.grid.n + 1))
+        parts = self.separated()
+        if parts is not None:  # kappa[rows] = A[:, rows]^T beta, beta_t the row transform of B_t
+            A, B = parts
+            beta = np.fft.ifftn(B.reshape((-1,) + shape), axes=axes)
+            beta = np.fft.fftshift(beta, axes=axes).reshape(-1, K)
+            for rows in row_blocks(K, K):
+                yield rows, A[:, rows].T @ beta
+            return
         for rows, block in self.blocks():
             block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
             yield rows, np.fft.fftshift(block, axes=axes).reshape(-1, K)

@@ -1,6 +1,7 @@
 """Shared fixture builders for the test suite."""
 
 import numpy as np
+import pytest
 
 from pdz import LatticeBox, LatticeSequence, SampledSymbol, SymbolClassParams
 from pdz import symbols
@@ -68,5 +69,14 @@ def box_and_grid(n, N):
 
 
 def force_block_rows(monkeypatch, rows, width):
-    """Make the blocked passes over (K x width) arrays take ``rows`` rows at a time."""
-    monkeypatch.setattr(symbols, "ROW_BLOCK_BYTES", 16 * width * rows)
+    """Make the blocked passes over (K x width) arrays take ``rows`` rows at a
+    time; ``rows=None`` keeps the default blocks."""
+    if rows is not None:
+        monkeypatch.setattr(symbols, "ROW_BLOCK_BYTES", 16 * width * rows)
+
+
+def block_cases(boxes):
+    """``(rows, n, N)`` parameters for each ``{rows: [(n, N), ...]}`` entry,
+    with ids naming the block setting and n."""
+    return [pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks")
+                         + f"-n{n}") for r, sizes in boxes.items() for n, N in sizes]

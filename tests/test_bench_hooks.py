@@ -1,24 +1,39 @@
 """The benchmark traces pdz from outside the package, by name: every function
 ``perfbench/tracer.py`` wraps, and the kappa cache slot it reads, must stay
-where it looks, or the traced run and ``perfbench/run.py --selftest`` break."""
+where it looks, or the traced run and ``perfbench/run.py --selftest`` break.
+And the symbols its jobs write must keep the separated form they are timed on."""
 
+import functools
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from pdz import constant_symbol, solve_elliptic
+from pdz.config import build_symbol
 
 import helpers
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def _load(name: str):
+    """``perfbench/<name>.py`` as a module, registered so its dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer")
 
 
 def test_every_traced_function_resolves_in_its_layer():
@@ -42,3 +57,17 @@ def test_traced_solver_arguments_stay_in_place():
     params = list(inspect.signature(solve_elliptic).parameters)
     assert params[:4] == ["sym", "mu", "g", "order"]
     assert {"max_iter", "tol", "s_values"} <= set(params)
+
+
+@pytest.mark.parametrize("kind", sorted(_load("jobs").BUILDERS))
+def test_bench_job_symbols_compile_with_a_separated_form(tmp_path, kind):
+    # a compiler change that loses the form would send the bench back to the
+    # dense passes unnoticed; calculus jobs hand pdz arrays and write no job.json
+    _load("jobs").BUILDERS[kind](np.random.default_rng(0), tmp_path, "toy")
+    path = tmp_path / "job.json"
+    if not path.exists():
+        return
+    job = json.loads(path.read_text())
+    for entry in job["symbols"]:
+        assert entry["kind"] in ("expression", "builtin")
+        assert build_symbol(entry, job["box"]["n"]).separated is not None, entry

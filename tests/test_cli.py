@@ -489,10 +489,9 @@ def test_solve_auto_route(tmp_path, capsys, monkeypatch, expr, cap, method):
     assert float(_report_field(report, "residual_l2")) <= 1e-10
 
 
-@pytest.mark.parametrize("method", ["auto", "multiplier"])
-def test_solve_multiplier_route_scans_the_rows_once(tmp_path, capsys, monkeypatch, method):
-    # one pass over the symbol's rows checks k-constancy, one recomputes the
-    # residual; one-row blocks keep the sampled symbol streamed (K = 17)
+def _multiplier_solve_passes(tmp_path, capsys, monkeypatch, expr, method) -> int:
+    """Passes over the symbol's rows in ``pdz solve`` of ``expr``; one-row
+    blocks keep the sampled symbol streamed (K = 17)."""
     helpers.force_block_rows(monkeypatch, 1, 17)
     passes = []
     blocks = SampledSymbol.blocks
@@ -502,10 +501,27 @@ def test_solve_multiplier_route_scans_the_rows_once(tmp_path, capsys, monkeypatc
         return blocks(sym)
 
     monkeypatch.setattr(SampledSymbol, "blocks", counted)
-    path = _solve_job(tmp_path, "3 + exp(2*pi*i*x_1)", 8, method=method)
+    path = _solve_job(tmp_path, expr, 8, method=method)
     assert main(["solve", "--config", path, "--out", str(tmp_path / "f.csv")]) == 0
     assert _report_field(capsys.readouterr().out, "method") == "exact-multiplier"
-    assert len(passes) == 2
+    return len(passes)
+
+
+@pytest.mark.parametrize("method", ["auto", "multiplier"])
+def test_solve_multiplier_route_scans_the_rows_once(tmp_path, capsys, monkeypatch, method):
+    # exp of an argument that reads k has no separated form: one pass over
+    # the rows checks k-constancy, one recomputes the residual
+    expr = "3 + exp(2*pi*i*x_1*(1 + 0*k_1))"
+    assert _multiplier_solve_passes(tmp_path, capsys, monkeypatch, expr, method) == 2
+
+
+@pytest.mark.parametrize("method", ["auto", "multiplier"])
+def test_solve_multiplier_route_of_a_separated_symbol_makes_no_pass(tmp_path, capsys,
+                                                                    monkeypatch, method):
+    # a lattice-free expression is one separated term with A = 1: k-constancy
+    # is read off A and the residual is applied through the term
+    expr = "3 + exp(2*pi*i*x_1)"
+    assert _multiplier_solve_passes(tmp_path, capsys, monkeypatch, expr, method) == 0
 
 
 def test_solve_dense_method_above_the_cap_exits_3(tmp_path, capsys, monkeypatch):
@@ -578,6 +594,24 @@ def test_diagnose_full_suites_render(tmp_path, capsys):
                    "mikhlin_uniformity", "norm_N=4", "norm_N=8"):
         assert marker in text, marker
     assert "FAIL" not in text
+
+
+def test_diagnose_decay_runs_above_the_dense_cap(tmp_path, capsys, monkeypatch):
+    # the decay fit holds one row block of the kernel at a time, so the cap
+    # on dense (K x K) objects does not apply to it
+    monkeypatch.setattr("pdz.quantize.DENSE_CAP", 16)  # below K = 17
+    job = {
+        "box": {"n": 1, "N": 8},
+        "symbols": [{"name": "E", "kind": "expression",
+                     "params": {"expr": "1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2)"}}],
+        "diagnose": {"symbol": "E", "n_t": [1, 2]},
+    }
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    out = tmp_path / "report.txt"
+    assert main(["diagnose", "--config", str(tmp_path / "job.json"), "--decay",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "kernel_decay_nt=1:" in text and "kernel_decay_nt=2:" in text
 
 
 def test_diagnose_seed_override_is_deterministic(tmp_path, capsys):

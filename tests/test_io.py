@@ -15,7 +15,8 @@ import oracles
 #: subnormal, and magnitudes near the ends of the double range.
 SPECIAL = np.array([-0.0, 5e-324, 1e300, -1e300, -1e-300])
 
-BOXES = [(1, 7), (2, 2), (3, 1)]  # at least 15 points, for the specials
+#: At least 15 points, for the specials; (2, 5) has two-digit node indices.
+BOXES = [(1, 7), (2, 2), (3, 1), (2, 5), (3, 2)]
 
 
 def _with_specials(values):

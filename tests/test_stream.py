@@ -42,25 +42,15 @@ def _pair(n, N, evaluator=_elliptic):
     return streamed, stored
 
 
-def _force(monkeypatch, rows, width):
-    if rows is not None:
-        helpers.force_block_rows(monkeypatch, rows, width)
-
-
 @pytest.fixture(params=[None, 1, 2], ids=["default-blocks", "one-row-blocks", "two-row-blocks"])
 def block_rows(request, monkeypatch):
-    return lambda width: _force(monkeypatch, request.param, width)
+    return lambda width: helpers.force_block_rows(monkeypatch, request.param, width)
 
 
-def _cases(boxes):
-    return [pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks")
-                         + f"-n{n}") for r, sizes in boxes.items() for n, N in sizes]
-
-
-@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
 def test_streamed_passes_equal_the_stored_array(monkeypatch, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
-    _force(monkeypatch, rows, grid.size)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
     streamed, stored = _pair(n, N)
     assert streamed._samples is None  # several blocks: nothing evaluated yet
     f = helpers.random_sequence(box, np.random.default_rng(n))
@@ -170,10 +160,10 @@ def _three(n, N, mu=1.0):
     return streamed, stored, cached
 
 
-@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
 def test_blocked_matrix_and_kernel_apply_equal_the_full_table(monkeypatch, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
-    _force(monkeypatch, rows, grid.size)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
     streamed, stored, cached = _three(n, N)
     expected = oracles.summation_matrix(cached.kappa(), box)
     for sym in (streamed, stored, cached):
@@ -186,10 +176,10 @@ def test_blocked_matrix_and_kernel_apply_equal_the_full_table(monkeypatch, rows,
                           oracles.kernel_apply(cached.kappa(), f.values, box))
 
 
-@pytest.mark.parametrize("rows,n,N", _cases(DECAY_BOXES))
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(DECAY_BOXES))
 def test_blocked_kernel_decay_fit_equals_the_full_table(monkeypatch, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
-    _force(monkeypatch, rows, grid.size)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
     streamed, stored, cached = _three(n, N)
     for n_t in (0, 1, 3):
         constant, i, j = oracles.kernel_decay(cached.kappa(), box, 1.0, n_t)
@@ -201,10 +191,10 @@ def test_blocked_kernel_decay_fit_equals_the_full_table(monkeypatch, rows, n, N)
     assert streamed._samples is None and streamed._kappa is None
 
 
-@pytest.mark.parametrize("rows,n,N", _cases(BOXES))
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
 def test_blocked_ellipticity_check_equals_the_full_array(monkeypatch, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
-    _force(monkeypatch, rows, grid.size)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
     streamed, stored = _pair(n, N)
     for mu, m_cut in ((1.0, None), (0.5, 1)):
         constant, i, j = oracles.ellipticity(stored.samples, box, mu,
@@ -229,7 +219,7 @@ def _ties(box, grid, value, rows, nodes):
 @pytest.mark.parametrize("block_rows_forced", [None, 1, 2])
 def test_ellipticity_tie_across_blocks_keeps_the_first_row(monkeypatch, block_rows_forced):
     box, grid = helpers.box_and_grid(1, 150)
-    _force(monkeypatch, block_rows_forced, grid.size)
+    helpers.force_block_rows(monkeypatch, block_rows_forced, grid.size)
     far = [r for r in range(box.size) if box.norms[r] >= box.N // 2]
     first, later = far[0], far[-1]  # in different blocks at every block size
     sym = _ties(box, grid, 1.0, (first, later), (3, 0))
@@ -243,7 +233,7 @@ def test_ellipticity_tie_across_blocks_keeps_the_first_row(monkeypatch, block_ro
 @pytest.mark.parametrize("block_rows_forced", [None, 1, 2])
 def test_require_invertible_raises_as_the_full_array_does(monkeypatch, block_rows_forced):
     box, grid = helpers.box_and_grid(1, 150)
-    _force(monkeypatch, block_rows_forced, grid.size)
+    helpers.force_block_rows(monkeypatch, block_rows_forced, grid.size)
     near = [r for r in range(box.size) if box.norms[r] < box.N // 2]
     far = [r for r in range(box.size) if box.norms[r] >= box.N // 2]
 
