@@ -28,9 +28,11 @@ from .calculus import (SymbolExpansion, adjoint, compose, parametrix, partial_su
                        transpose)
 from .report import DiagnosticsReport
 from .analysis import (WeightedNormParams, compactness_tail, hs_norm,
-                       kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm,
-                       mikhlin_uniformity, operator_norm_power, schatten_report,
-                       schatten_reports, trace, weighted_norm)
-from .solver import SolveReport, invert_multiplier, solve, solve_dense, solve_elliptic
+                       kernel_decay_fit, kernel_decay_fits, lp_bound_report,
+                       lp_bound_reports, lp_norm, mikhlin_uniformity,
+                       operator_norm_power, schatten_report, schatten_reports, trace,
+                       weighted_norm)
+from .solver import (SolveReport, invert_multiplier, solve, solve_dense, solve_elliptic,
+                     solve_krylov)
 
 __version__ = "0.1.0"

@@ -101,35 +101,50 @@ def schatten_reports(sym: SampledSymbol, p_values) -> list[DiagnosticsReport]:
 
 
 def kernel_decay_fit(sym: SampledSymbol, n_t: int) -> DiagnosticsReport:
+    """Kernel decay fit for one exponent; see :func:`kernel_decay_fits`."""
+    return kernel_decay_fits(sym, [n_t])[0]
+
+
+def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
     """Witnessed constant in the kernel decay bound
 
         |K(k, m)| <= C (1+|k|)^{mu} (1+|k-m|)^{-2 n_t},
 
-    over pairs with cyclic distance |k-m| <= N.  The declared order mu is
-    taken from the symbol's metadata (0 when absent); stability of the
-    constant under box refinement is the associated property, checked by
-    callers across sizes.
+    over pairs with cyclic distance |k-m| <= N, one report per n_t from one
+    pass over the kernel's row blocks.  The declared order mu is taken from
+    the symbol's metadata (0 when absent); stability of the constant under
+    box refinement is the associated property, checked by callers across
+    sizes.
     """
-    if n_t > 3 or n_t < 0:
-        raise DomainMismatchError(f"decay exponent index must be in [0, 3], got {n_t}")
+    n_ts = list(n_ts)
+    if not n_ts:
+        return []
+    for n_t in n_ts:
+        if n_t > 3 or n_t < 0:
+            raise DomainMismatchError(f"decay exponent index must be in [0, 3], got {n_t}")
     if sym.box.N < 8:
         raise DomainMismatchError(f"kernel decay fit needs N >= 8, got {sym.box.N}")
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
     row_weights = (1.0 + box.norms) ** (-mu)
-    best = []
+    best = [[] for _ in n_ts]
     for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
         dist = box.norms[table]  # cyclic distance |k - m|
-        weights = row_weights[rows, None] * (1.0 + dist) ** (2 * n_t)
-        masked = np.where(dist <= box.N, np.abs(block) * weights, 0.0)
-        best.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
-    constant, i, j = _first(np.argmax, best)
-    rep = DiagnosticsReport(f"kernel_decay_nt={n_t}")
-    rep.add_value("constant", float(constant))
-    rep.add_value("mu_declared", mu)
-    rep.add_value("witness_k", [int(v) for v in box.points[i]])
-    rep.add_value("witness_m", [int(v) for v in box.points[j]])
-    return rep
+        near, magnitude, spread = dist <= box.N, np.abs(block), 1.0 + dist
+        for n_t, found in zip(n_ts, best):
+            weights = row_weights[rows, None] * spread ** (2 * n_t)
+            masked = np.where(near, magnitude * weights, 0.0)
+            found.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
+    reports = []
+    for n_t, found in zip(n_ts, best):
+        constant, i, j = _first(np.argmax, found)
+        rep = DiagnosticsReport(f"kernel_decay_nt={n_t}")
+        rep.add_value("constant", float(constant))
+        rep.add_value("mu_declared", mu)
+        rep.add_value("witness_k", [int(v) for v in box.points[i]])
+        rep.add_value("witness_m", [int(v) for v in box.points[j]])
+        reports.append(rep)
+    return reports
 
 
 def _probe_sequences(box: LatticeBox, n_random: int, seed: int) -> list[LatticeSequence]:

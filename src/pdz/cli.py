@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import io as pdzio
-from .analysis import (hs_norm, kernel_decay_fit, lp_bound_reports,
+from .analysis import (hs_norm, kernel_decay_fits, lp_bound_reports,
                        mikhlin_uniformity, schatten_reports, trace)
 from .calculus import SymbolExpansion, adjoint, compose, parametrix, transpose
 from .config import JobConfig, load_config, number
@@ -154,8 +154,9 @@ def _cmd_diagnose(cfg: JobConfig, args) -> int:
         for section_report in schatten_reports(sym, p_values):
             report.add_section(section_report)
     if "decay" in suites:
-        for n_t in number("diagnose", section, "n_t", [1, 2, 3]):
-            report.add_section(kernel_decay_fit(sym, n_t))
+        for section_report in kernel_decay_fits(sym, number("diagnose", section, "n_t",
+                                                             [1, 2, 3])):
+            report.add_section(section_report)
     if "lp" in suites:
         for section_report in lp_bound_reports(sym, p_values, seed=cfg.seed):
             report.add_section(section_report)

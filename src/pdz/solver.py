@@ -1,10 +1,11 @@
 """Difference-equation solving by symbol inversion.
 
-Three routes, chosen by :func:`solve`: exact division in frequency for
+Four routes, chosen by :func:`solve`: exact division in frequency for
 symbols with no lattice dependence, and for elliptic symbols with lattice
-dependence either LU on the dense operator matrix (inside the dense cap) or
-approximate-inverse preconditioned refinement.  Every report recomputes its
-residual by a fresh forward application, never from solver internals.
+dependence GMRES on the matrix-free operator (separated symbols), LU on the
+dense operator matrix (inside the dense cap) or approximate-inverse
+preconditioned refinement.  Every report recomputes its residual by a fresh
+forward application, never from solver internals.
 """
 
 from __future__ import annotations
@@ -139,6 +140,22 @@ def _divide(sym: SampledSymbol, scan, g: LatticeSequence, s_values) -> SolveRepo
     return _finish(sym, f, g, s_values, 0, "exact-multiplier", warnings, [])
 
 
+def _verified(report: SolveReport, g: LatticeSequence, tol: float, history,
+              route: str) -> SolveReport:
+    """``report`` when its recomputed residual is at most ``tol * |g|``; a
+    non-finite one raises :class:`NonFiniteValueError` and a larger one
+    :class:`DivergenceError` carrying ``history``."""
+    residual, limit = report.residual_l2, tol * g.norm2()
+    if not np.isfinite(residual):
+        raise NonFiniteValueError(f"residual of the {route} solution is non-finite")
+    if residual > limit:
+        raise DivergenceError(
+            f"{route} residual {residual:.3e} is above tol * |g| = {limit:.3e}",
+            history=history,
+        )
+    return report
+
+
 def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 1e-10,
                 s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g by LU on the dense matrix of Op(sigma), which
@@ -150,9 +167,8 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
     :func:`solve_elliptic`; neither the checks nor :func:`matrix` keep the
     (K x X) samples or ``kappa`` on the symbol.  A singular
     matrix raises :class:`SingularSymbolError`, a box above the dense cap
-    :class:`ResourceLimitError`, a non-finite residual
-    :class:`NonFiniteValueError`, and a residual above ``tol * |g|``
-    :class:`DivergenceError` with the history ``[residual]``.
+    :class:`ResourceLimitError`, and the residual is judged by
+    :func:`_verified` with the history ``[residual]``.
     """
     if g.box != sym.box:
         raise DomainMismatchError("data and symbol live on different boxes")
@@ -163,15 +179,104 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
         raise SingularSymbolError(f"operator matrix is singular: {exc}") from exc
     report = _finish(sym, LatticeSequence(g.box, values), g, s_values, 0, "dense-lu",
                      warnings, [])
-    residual, limit = report.residual_l2, tol * g.norm2()
-    if not np.isfinite(residual):
-        raise NonFiniteValueError("residual of the dense solution is non-finite")
-    if residual > limit:
-        raise DivergenceError(
-            f"dense residual {residual:.3e} is above tol * |g| = {limit:.3e}",
-            history=[residual],
-        )
-    return report
+    return _verified(report, g, tol, [report.residual_l2], "dense")
+
+
+def gmres(matvec, precond, g: np.ndarray, tol: float, max_iter: int):
+    """Right-preconditioned GMRES (Saad & Schultz, SISSC 1986) for A x = g
+    from x = 0: Arnoldi with modified Gram-Schmidt on A P, the Hessenberg
+    matrix reduced by Givens rotations as it grows.
+
+    ``matvec`` applies A and ``precond`` applies P to a vector.  Stops once
+    the residual estimate is at most ``tol * |g|``, after ``max_iter``
+    steps, or when the estimate is non-finite.  Returns ``(x, history)``:
+    x = P V y, and the estimates, |g| first and one per step, each the last
+    times the sine of a rotation, so the history never increases.  Holds
+    one vector of g's size per step; a singular A P raises
+    ``np.linalg.LinAlgError``.
+    """
+    beta = float(np.linalg.norm(g))
+    history = [beta]
+    if beta == 0.0:
+        return np.zeros_like(g), history
+    max_iter = max(max_iter, 0)
+    basis = [g / beta]
+    H = np.zeros((max_iter + 1, max_iter), dtype=complex)
+    cosines, sines = np.zeros(max_iter), np.zeros(max_iter, dtype=complex)
+    rhs = np.zeros(max_iter + 1, dtype=complex)
+    rhs[0] = beta
+    j = 0
+    while j < max_iter and np.isfinite(history[-1]) and history[-1] > tol * beta:
+        w = matvec(precond(basis[j]))
+        for i, v in enumerate(basis):
+            H[i, j] = np.vdot(v, w)
+            w = w - H[i, j] * v
+        h = float(np.linalg.norm(w))
+        for i in range(j):  # the earlier rotations, on the new column
+            a, b = H[i, j], H[i + 1, j]
+            H[i, j] = cosines[i] * a + sines[i] * b
+            H[i + 1, j] = cosines[i] * b - np.conj(sines[i]) * a
+        a = H[j, j]
+        r = float(np.hypot(abs(a), h))
+        phase = a / abs(a) if abs(a) else 1.0
+        cosines[j], sines[j] = (abs(a) / r, phase * h / r) if r else (1.0, 0.0)
+        H[j, j] = phase * r
+        rhs[j + 1] = -np.conj(sines[j]) * rhs[j]
+        rhs[j] = cosines[j] * rhs[j]
+        history.append(float(abs(rhs[j + 1])))
+        if h:
+            basis.append(w / h)
+        j += 1
+    x = np.zeros_like(g)
+    for c, v in zip(np.linalg.solve(H[:j, :j], rhs[:j]), basis):  # H[:j, :j] is triangular
+        x += c * v
+    return precond(x), history
+
+
+def _mean_symbol(sym: SampledSymbol) -> np.ndarray:
+    """sigma-bar(k) = mean over the grid of sigma(k, .), the l = 0 band of
+    kappa: sum_t A_t(k) mean(B_t) for a separated symbol, else one pass over
+    the row blocks."""
+    parts = sym.separated()
+    if parts is not None:
+        A, B = parts
+        return B.mean(axis=1) @ A
+    return np.concatenate([block.mean(axis=1) for _, block in sym.blocks()])
+
+
+def solve_krylov(sym: SampledSymbol, mu: float, g: LatticeSequence, max_iter: int = 50,
+                 tol: float = 1e-10, s_values=(0.0, 2.0)) -> SolveReport:
+    """Solve Op(sigma) f = g by :func:`gmres` with :func:`apply` as the
+    operator and P = diag(1 / sigma-bar) as the right preconditioner, where
+    sigma-bar(k) is the mean of sigma(k, .) over the grid.
+
+    Each step is one :func:`apply`, T transforms of K points for a separated
+    symbol, so the route holds no (K x K) and no (K x X) array: the basis,
+    one length-K vector per step, is its largest object.  Runs the checks of
+    :func:`solve_dense` first, so a symbol fails here exactly as there; a
+    vanishing sigma-bar raises :class:`DomainMismatchError`.  The residual
+    recomputed by :func:`_finish`, not the GMRES estimate, is judged by
+    :func:`_verified` with the estimates as the history.
+    """
+    if g.box != sym.box:
+        raise DomainMismatchError("data and symbol live on different boxes")
+    warnings = _conditioning(require_invertible(sym, mu), "solution")
+    mean = _mean_symbol(sym)
+    zero = np.abs(mean) <= ZERO_THRESHOLD
+    if zero.any():
+        k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
+        raise DomainMismatchError(
+            f"the mean of the symbol over the grid vanishes at k={k}; "
+            "the krylov preconditioner divides by it")
+    box = sym.box
+    try:
+        values, history = gmres(lambda v: apply(sym, LatticeSequence(box, v)).values,
+                                lambda v: v / mean, g.values, tol, max_iter)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSymbolError(f"operator is singular on the Krylov space: {exc}") from exc
+    report = _finish(sym, LatticeSequence(box, values), g, s_values, len(history) - 1,
+                     "krylov-gmres", warnings, history)
+    return _verified(report, g, tol, history, "krylov")
 
 
 def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int,
@@ -233,18 +338,39 @@ def solve(sym: SampledSymbol, g: LatticeSequence, method: str = "auto", mu: floa
           order: int = 2, max_iter: int = 50, tol: float = 1e-10,
           s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g by :func:`invert_multiplier` (``multiplier``),
-    :func:`solve_dense` (``dense``) or :func:`solve_elliptic` (``iterative``).
-    ``auto`` takes multiplier when one pass over the rows, which the division
-    reuses, finds sigma k-independent, else dense inside ``quantize.DENSE_CAP``,
-    else iterative.  Any other ``method`` raises :class:`ConfigError`."""
-    if method not in ("auto", "multiplier", "dense", "iterative"):
+    :func:`solve_krylov` (``krylov``), :func:`solve_dense` (``dense``) or
+    :func:`solve_elliptic` (``iterative``).  ``auto`` takes multiplier when
+    one pass over the rows, which the division reuses, finds sigma
+    k-independent; else krylov for a separated symbol whose mean over the
+    grid stays above :data:`ZERO_THRESHOLD` at every k, at any box size;
+    else dense inside ``quantize.DENSE_CAP``; else iterative.  Inside the
+    cap, a :class:`DivergenceError` of that krylov solve falls back to
+    dense, and the report warns of it.  Any other ``method`` raises
+    :class:`ConfigError`."""
+    if method not in ("auto", "multiplier", "krylov", "dense", "iterative"):
         raise ConfigError(f"solve: unknown method {method!r}")
     scan = _row_scan(sym) if method in ("auto", "multiplier") else None
+    fallback = False
     if method == "auto":
-        method = ("multiplier" if scan[2] else
-                  "dense" if sym.box.size <= quantize.DENSE_CAP else "iterative")
+        inside_cap = sym.box.size <= quantize.DENSE_CAP
+        if scan[2]:
+            method = "multiplier"
+        elif sym.separated() is not None and (np.abs(_mean_symbol(sym)) > ZERO_THRESHOLD).all():
+            method, fallback = "krylov", inside_cap
+        else:
+            method = "dense" if inside_cap else "iterative"
     if method == "multiplier":
         return _divide(sym, scan, g, s_values)
+    if method == "krylov":
+        try:
+            return solve_krylov(sym, mu, g, max_iter=max_iter, tol=tol, s_values=s_values)
+        except DivergenceError as exc:
+            if not fallback:
+                raise
+            report = solve_dense(sym, mu, g, tol=tol, s_values=s_values)
+            report.warnings.append(f"krylov-gmres did not converge ({exc}); "
+                                   "solved by dense LU instead")
+            return report
     if method == "dense":
         return solve_dense(sym, mu, g, tol=tol, s_values=s_values)
     return solve_elliptic(sym, mu, g, order, max_iter=max_iter, tol=tol, s_values=s_values)

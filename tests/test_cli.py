@@ -472,11 +472,15 @@ def _report_field(report: str, key: str) -> str:
 
 
 _NEAR_SINGULAR = "1 + abs_k**2 + exp(2*pi*i*x_1)"
+#: The same symbol with no separated form: exp of an argument that reads k.
+_NEAR_SINGULAR_FUSED = "1 + abs_k**2 + exp(2*pi*i*x_1*(1 + 0*k_1))"
 
 
 @pytest.mark.parametrize("expr, cap, method", [
-    (_NEAR_SINGULAR, None, "dense-lu"),
-    (_NEAR_SINGULAR, 16, "parametrix-iteration"),
+    (_NEAR_SINGULAR, None, "krylov-gmres"),
+    (_NEAR_SINGULAR, 16, "krylov-gmres"),
+    (_NEAR_SINGULAR_FUSED, None, "dense-lu"),
+    (_NEAR_SINGULAR_FUSED, 16, "parametrix-iteration"),
     ("3 + exp(2*pi*i*x_1)", None, "exact-multiplier"),
 ])
 def test_solve_auto_route(tmp_path, capsys, monkeypatch, expr, cap, method):
@@ -540,7 +544,7 @@ def test_solve_non_elliptic_lattice_dependent_symbol_exits_4(tmp_path, capsys, m
 
 def test_solve_auto_meets_tolerance_on_the_divergence_fixture(tmp_path, capsys):
     # order 3 at N = 256 makes the preconditioned refinement diverge; auto
-    # solves it by LU and the recomputed residual meets tol * |g|
+    # solves it by GMRES and the recomputed residual meets tol * |g|
     box = LatticeBox(1, 256)
     rng = np.random.default_rng(8)
     g = LatticeSequence(box, rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size))
@@ -548,7 +552,7 @@ def test_solve_auto_meets_tolerance_on_the_divergence_fixture(tmp_path, capsys):
                       max_iter=60)
     out = tmp_path / "f.csv"
     assert main(["solve", "--config", path, "--out", str(out)]) == 0
-    assert _report_field(capsys.readouterr().out, "method") == "dense-lu"
+    assert _report_field(capsys.readouterr().out, "method") == "krylov-gmres"
     cfg = load_config(path)
     sym = sample(cfg.symbol("E"), cfg.box, cfg.box.matched_grid())
     from pdz import apply
@@ -612,6 +616,29 @@ def test_diagnose_decay_runs_above_the_dense_cap(tmp_path, capsys, monkeypatch):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert "kernel_decay_nt=1:" in text and "kernel_decay_nt=2:" in text
+
+
+def test_diagnose_decay_makes_one_kernel_pass_for_every_exponent(tmp_path, capsys,
+                                                                  monkeypatch):
+    passes = []
+    kappa_blocks = SampledSymbol.kappa_blocks
+
+    def counted(sym):
+        passes.append(sym)
+        return kappa_blocks(sym)
+
+    monkeypatch.setattr(SampledSymbol, "kappa_blocks", counted)
+    job = {
+        "box": {"n": 1, "N": 8},
+        "symbols": [{"name": "E", "kind": "expression",
+                     "params": {"expr": "1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2)"}}],
+        "diagnose": {"symbol": "E", "n_t": [1, 2, 3]},
+    }
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert main(["diagnose", "--config", str(tmp_path / "job.json"), "--decay"]) == 0
+    text = capsys.readouterr().out
+    assert all(f"kernel_decay_nt={n_t}:" in text for n_t in (1, 2, 3))
+    assert len(passes) == 1
 
 
 def test_diagnose_seed_override_is_deterministic(tmp_path, capsys):

@@ -9,8 +9,8 @@ import pytest
 
 from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, NotEllipticError,
                  SampledSymbol, SingularSymbolError, SymbolClassParams, SymbolDefinition,
-                 apply, ellipticity_check, kernel, kernel_apply, kernel_decay_fit, matrix,
-                 sample)
+                 apply, ellipticity_check, kernel, kernel_apply, kernel_decay_fit,
+                 kernel_decay_fits, matrix, sample)
 from pdz import io as pdzio
 from pdz.solver import lattice_deviation, solve_dense
 from pdz.symbols import ROW_BLOCK_BYTES, ZERO_THRESHOLD, require_invertible
@@ -189,6 +189,33 @@ def test_blocked_kernel_decay_fit_equals_the_full_table(monkeypatch, rows, n, N)
             assert values["witness_k"] == [int(v) for v in box.points[i]]
             assert values["witness_m"] == [int(v) for v in box.points[j]]
     assert streamed._samples is None and streamed._kappa is None
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(DECAY_BOXES))
+def test_one_kernel_pass_scores_every_decay_exponent(monkeypatch, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    passes = []
+    kappa_blocks = SampledSymbol.kappa_blocks
+
+    def counted(sym):
+        passes.append(sym)
+        return kappa_blocks(sym)
+
+    monkeypatch.setattr(SampledSymbol, "kappa_blocks", counted)
+    streamed, stored, cached = _three(n, N)
+    passes.clear()
+    for sym in (streamed, stored, cached):
+        reports = kernel_decay_fits(sym, [0, 1, 3])
+        assert [r.render() for r in reports] == [
+            kernel_decay_fit(sym, n_t).render() for n_t in (0, 1, 3)]
+        for rep, n_t in zip(reports, (0, 1, 3)):
+            constant, i, j = oracles.kernel_decay(cached.kappa(), box, 1.0, n_t)
+            assert rep.values["constant"] == constant
+            assert rep.values["witness_k"] == [int(v) for v in box.points[i]]
+            assert rep.values["witness_m"] == [int(v) for v in box.points[j]]
+    # one pass per fits call, one per single fit
+    assert [passes.count(sym) for sym in (streamed, stored, cached)] == [4, 4, 4]
 
 
 @pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
