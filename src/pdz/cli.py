@@ -125,12 +125,15 @@ def _cmd_parametrix(cfg: JobConfig, args) -> int:
 
 def _cmd_solve(cfg: JobConfig, args) -> int:
     section = cfg.section("solve")
+    max_iter = number("solve", section, "max_iter", 50)
+    if max_iter < 1:
+        raise ConfigError(f"solve: 'max_iter' must be at least 1, got {max_iter}")
     sym = _section_symbol(cfg, section)
     g = _read_input(cfg, section)
     report = solve(sym, g, section.get("method", "auto"),
                    mu=number("solve", section, "mu", 0.0),
                    order=number("solve", section, "order", 2),
-                   max_iter=number("solve", section, "max_iter", 50), tol=cfg.tol,
+                   max_iter=max_iter, tol=cfg.tol,
                    s_values=number("solve", section, "s_values", [0.0, 2.0]))
     _emit(pdzio.sequence_to_csv(report.solution), args.out)
     (sys.stdout if args.out else sys.stderr).write(report.render() + "\n")

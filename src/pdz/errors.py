@@ -43,7 +43,7 @@ class NotEllipticError(PdzError):
 
 
 class DivergenceError(PdzError):
-    """Iterative refinement diverged; carries the residual history."""
+    """A solve missed its tolerance; carries the residual history."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

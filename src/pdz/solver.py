@@ -2,10 +2,11 @@
 
 Four routes, chosen by :func:`solve`: exact division in frequency for
 symbols with no lattice dependence, and for elliptic symbols with lattice
-dependence GMRES on the matrix-free operator (separated symbols), LU on the
-dense operator matrix (inside the dense cap) or approximate-inverse
-preconditioned refinement.  Every report recomputes its residual by a fresh
-forward application, never from solver internals.
+dependence LU on the dense operator matrix (inside the dense cap) or GMRES
+on the matrix-free operator, right-preconditioned by the inverse of the
+grid mean of sigma (``krylov``) or by the parametrix (``iterative``).
+Every report recomputes its residual by a fresh forward application, never
+from solver internals.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ class SolveReport:
         return "\n".join(lines)
 
 
-def _residual(sym: SampledSymbol, f: LatticeSequence, g: LatticeSequence) -> LatticeSequence:
-    return LatticeSequence(g.box, g.values - apply(sym, f).values)
-
-
 def _conditioning(smallest: float, what: str) -> list[str]:
     if smallest >= CONDITION_WARNING:
         return []
@@ -64,13 +61,8 @@ def _conditioning(smallest: float, what: str) -> list[str]:
             f"{what} may be ill-conditioned"]
 
 
-def _norm(r: LatticeSequence) -> float:
-    with np.errstate(over="ignore"):  # an overflow is raised as NonFiniteValueError
-        return r.norm2()
-
-
 def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> SolveReport:
-    r = _residual(sym, f, g)
+    r = LatticeSequence(g.box, g.values - apply(sym, f).values)
     with np.errstate(over="ignore"):  # an overflow is raised as NonFiniteValueError
         weighted = {float(s): weighted_norm(r, WeightedNormParams(float(s)))
                     for s in s_values}
@@ -184,53 +176,73 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
 
 def gmres(matvec, precond, g: np.ndarray, tol: float, max_iter: int):
     """Right-preconditioned GMRES (Saad & Schultz, SISSC 1986) for A x = g
-    from x = 0: Arnoldi with modified Gram-Schmidt on A P, the Hessenberg
-    matrix reduced by Givens rotations as it grows.
+    from x = 0: Arnoldi with modified Gram-Schmidt on A P, each new
+    Hessenberg column reduced by the Givens rotations so far.
 
     ``matvec`` applies A and ``precond`` applies P to a vector.  Stops once
     the residual estimate is at most ``tol * |g|``, after ``max_iter``
     steps, or when the estimate is non-finite.  Returns ``(x, history)``:
     x = P V y, and the estimates, |g| first and one per step, each the last
     times the sine of a rotation, so the history never increases.  Holds
-    one vector of g's size per step; a singular A P raises
-    ``np.linalg.LinAlgError``.
+    one vector of g's size and one Hessenberg column per step taken; a
+    singular A P raises ``np.linalg.LinAlgError``.
     """
     beta = float(np.linalg.norm(g))
     history = [beta]
     if beta == 0.0:
         return np.zeros_like(g), history
-    max_iter = max(max_iter, 0)
-    basis = [g / beta]
-    H = np.zeros((max_iter + 1, max_iter), dtype=complex)
-    cosines, sines = np.zeros(max_iter), np.zeros(max_iter, dtype=complex)
-    rhs = np.zeros(max_iter + 1, dtype=complex)
-    rhs[0] = beta
-    j = 0
-    while j < max_iter and np.isfinite(history[-1]) and history[-1] > tol * beta:
-        w = matvec(precond(basis[j]))
+    basis, columns, rotations, rhs = [g / beta], [], [], [beta]
+    while len(columns) < max_iter and np.isfinite(history[-1]) and history[-1] > tol * beta:
+        w = matvec(precond(basis[-1]))
+        column = np.empty(len(basis), dtype=complex)
         for i, v in enumerate(basis):
-            H[i, j] = np.vdot(v, w)
-            w = w - H[i, j] * v
+            column[i] = np.vdot(v, w)
+            w = w - column[i] * v
         h = float(np.linalg.norm(w))
-        for i in range(j):  # the earlier rotations, on the new column
-            a, b = H[i, j], H[i + 1, j]
-            H[i, j] = cosines[i] * a + sines[i] * b
-            H[i + 1, j] = cosines[i] * b - np.conj(sines[i]) * a
-        a = H[j, j]
+        for i, (c, s) in enumerate(rotations):  # the earlier rotations, on the new column
+            a, b = column[i], column[i + 1]
+            column[i], column[i + 1] = c * a + s * b, c * b - np.conj(s) * a
+        a = column[-1]
         r = float(np.hypot(abs(a), h))
         phase = a / abs(a) if abs(a) else 1.0
-        cosines[j], sines[j] = (abs(a) / r, phase * h / r) if r else (1.0, 0.0)
-        H[j, j] = phase * r
-        rhs[j + 1] = -np.conj(sines[j]) * rhs[j]
-        rhs[j] = cosines[j] * rhs[j]
-        history.append(float(abs(rhs[j + 1])))
+        c, s = (abs(a) / r, phase * h / r) if r else (1.0, 0.0)
+        rotations.append((c, s))
+        column[-1] = phase * r
+        columns.append(column)
+        rhs.append(-np.conj(s) * rhs[-1])
+        rhs[-2] *= c
+        history.append(float(abs(rhs[-1])))
         if h:
             basis.append(w / h)
-        j += 1
+    R = np.zeros((len(columns), len(columns)), dtype=complex)
+    for j, column in enumerate(columns):  # the rotated Hessenberg: upper triangular
+        R[:j + 1, j] = column
     x = np.zeros_like(g)
-    for c, v in zip(np.linalg.solve(H[:j, :j], rhs[:j]), basis):  # H[:j, :j] is triangular
+    for c, v in zip(np.linalg.solve(R, rhs[:-1]), basis):
         x += c * v
     return precond(x), history
+
+
+def _solve_by_gmres(sym: SampledSymbol, g: LatticeSequence, preconditioner, method: str,
+                    route: str, max_iter: int, tol: float, s_values) -> SolveReport:
+    """Solve Op(sigma) f = g by :func:`gmres` with :func:`apply` as the
+    operator.  ``preconditioner()``, called once the boxes match, runs the
+    route's checks and returns ``(P, warnings)``.  A singular operator on
+    the Krylov space raises :class:`SingularSymbolError`; the residual
+    recomputed by :func:`_finish`, not the GMRES estimate, is judged by
+    :func:`_verified` with the estimates as the history."""
+    if g.box != sym.box:
+        raise DomainMismatchError("data and symbol live on different boxes")
+    precond, warnings = preconditioner()
+    box = sym.box
+    try:
+        values, history = gmres(lambda v: apply(sym, LatticeSequence(box, v)).values,
+                                precond, g.values, tol, max_iter)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSymbolError(f"operator is singular on the Krylov space: {exc}") from exc
+    report = _finish(sym, LatticeSequence(box, values), g, s_values, len(history) - 1,
+                     method, warnings, history)
+    return _verified(report, g, tol, history, route)
 
 
 def _mean_symbol(sym: SampledSymbol) -> np.ndarray:
@@ -246,92 +258,49 @@ def _mean_symbol(sym: SampledSymbol) -> np.ndarray:
 
 def solve_krylov(sym: SampledSymbol, mu: float, g: LatticeSequence, max_iter: int = 50,
                  tol: float = 1e-10, s_values=(0.0, 2.0)) -> SolveReport:
-    """Solve Op(sigma) f = g by :func:`gmres` with :func:`apply` as the
-    operator and P = diag(1 / sigma-bar) as the right preconditioner, where
-    sigma-bar(k) is the mean of sigma(k, .) over the grid.
+    """Solve Op(sigma) f = g by :func:`_solve_by_gmres` with
+    P = diag(1 / sigma-bar) as the right preconditioner, where sigma-bar(k)
+    is the mean of sigma(k, .) over the grid.
 
     Each step is one :func:`apply`, T transforms of K points for a separated
     symbol, so the route holds no (K x K) and no (K x X) array: the basis,
     one length-K vector per step, is its largest object.  Runs the checks of
     :func:`solve_dense` first, so a symbol fails here exactly as there; a
-    vanishing sigma-bar raises :class:`DomainMismatchError`.  The residual
-    recomputed by :func:`_finish`, not the GMRES estimate, is judged by
-    :func:`_verified` with the estimates as the history.
+    vanishing sigma-bar raises :class:`DomainMismatchError`.
     """
-    if g.box != sym.box:
-        raise DomainMismatchError("data and symbol live on different boxes")
-    warnings = _conditioning(require_invertible(sym, mu), "solution")
-    mean = _mean_symbol(sym)
-    zero = np.abs(mean) <= ZERO_THRESHOLD
-    if zero.any():
-        k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
-        raise DomainMismatchError(
-            f"the mean of the symbol over the grid vanishes at k={k}; "
-            "the krylov preconditioner divides by it")
-    box = sym.box
-    try:
-        values, history = gmres(lambda v: apply(sym, LatticeSequence(box, v)).values,
-                                lambda v: v / mean, g.values, tol, max_iter)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSymbolError(f"operator is singular on the Krylov space: {exc}") from exc
-    report = _finish(sym, LatticeSequence(box, values), g, s_values, len(history) - 1,
-                     "krylov-gmres", warnings, history)
-    return _verified(report, g, tol, history, "krylov")
+    def mean_preconditioner():
+        warnings = _conditioning(require_invertible(sym, mu), "solution")
+        mean = _mean_symbol(sym)
+        zero = np.abs(mean) <= ZERO_THRESHOLD
+        if zero.any():
+            k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
+            raise DomainMismatchError(
+                f"the mean of the symbol over the grid vanishes at k={k}; "
+                "the krylov preconditioner divides by it")
+        return (lambda v: v / mean), warnings
+
+    return _solve_by_gmres(sym, g, mean_preconditioner, "krylov-gmres", "krylov",
+                           max_iter, tol, s_values)
 
 
 def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int,
                    max_iter: int = 50, tol: float = 1e-10,
                    s_values=(0.0, 2.0)) -> SolveReport:
-    """Richardson refinement f <- f + Op(B)(g - Op(sigma) f) preconditioned by
-    the approximate-inverse expansion B of sigma (summed to ``order`` terms),
-    starting from f = Op(B) g.
+    """Solve Op(sigma) f = g by :func:`_solve_by_gmres` with Op(B) as the
+    right preconditioner, B the parametrix of sigma summed to ``order``
+    terms, so that Op(sigma) Op(B) is the identity plus a smoothing operator.
 
-    The expansion makes the error operator smoothing but carries no norm
-    guarantee below one, so growth of the residual over three consecutive
-    refinements, or ``max_iter`` refinements without reaching ``tol * |g|``,
-    raises :class:`DivergenceError` with the history attached; a non-finite
-    residual raises :class:`NonFiniteValueError`.
+    :func:`parametrix` runs the ellipticity and vanishing checks; the
+    expansion carries the (K x X) samples of each term.
     """
-    if g.box != sym.box:
-        raise DomainMismatchError("data and symbol live on different boxes")
-    expansion = parametrix(SymbolExpansion([sym], [mu]), mu, order)
-    precond = partial_sum(expansion, order)
-    smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
-    warnings = _conditioning(smallest, "iteration")
+    def parametrix_preconditioner():
+        B = partial_sum(parametrix(SymbolExpansion([sym], [mu]), mu, order), order)
+        smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
+        return (lambda v: apply(B, LatticeSequence(sym.box, v)).values,
+                _conditioning(smallest, "iteration"))
 
-    g_norm = g.norm2()
-    if g_norm == 0.0:
-        return _finish(sym, LatticeSequence.zeros(g.box), g, s_values, 0,
-                       "parametrix-iteration", warnings, [])
-
-    f = apply(precond, g)
-    r = _residual(sym, f, g)
-    history = [_norm(r)]
-    growth = 0
-    while True:
-        if not np.isfinite(history[-1]):
-            raise NonFiniteValueError(
-                f"residual became non-finite after {len(history)} refinements")
-        if growth >= 3:
-            raise DivergenceError(
-                f"residual grew for three consecutive refinements "
-                f"(last {history[-1]:.3e})",
-                history=history,
-            )
-        if history[-1] <= tol * g_norm:
-            break
-        if len(history) >= max_iter:
-            raise DivergenceError(
-                f"residual {history[-1]:.3e} still above tol * |g| = {tol * g_norm:.3e} "
-                f"after {len(history)} refinements",
-                history=history,
-            )
-        f = LatticeSequence(g.box, f.values + apply(precond, r).values)
-        r = _residual(sym, f, g)
-        history.append(_norm(r))
-        growth = growth + 1 if history[-1] > history[-2] else 0
-    return _finish(sym, f, g, s_values, len(history), "parametrix-iteration",
-                   warnings, history)
+    return _solve_by_gmres(sym, g, parametrix_preconditioner, "parametrix-iteration",
+                           "parametrix", max_iter, tol, s_values)
 
 
 def solve(sym: SampledSymbol, g: LatticeSequence, method: str = "auto", mu: float = 0.0,
@@ -339,28 +308,29 @@ def solve(sym: SampledSymbol, g: LatticeSequence, method: str = "auto", mu: floa
           s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g by :func:`invert_multiplier` (``multiplier``),
     :func:`solve_krylov` (``krylov``), :func:`solve_dense` (``dense``) or
-    :func:`solve_elliptic` (``iterative``).  ``auto`` takes multiplier when
-    one pass over the rows, which the division reuses, finds sigma
-    k-independent; else krylov for a separated symbol whose mean over the
-    grid stays above :data:`ZERO_THRESHOLD` at every k, at any box size;
-    else dense inside ``quantize.DENSE_CAP``; else iterative.  Inside the
-    cap, a :class:`DivergenceError` of that krylov solve falls back to
-    dense, and the report warns of it.  Any other ``method`` raises
+    :func:`solve_elliptic` (``iterative``).  ``auto`` takes krylov, at any
+    box size, for a separated symbol whose A_t vary with k and whose mean
+    over the grid stays above :data:`ZERO_THRESHOLD` at every k; k-constancy
+    is read off the factors there, with no pass over the rows.  Otherwise
+    it takes multiplier when one pass over the rows, which the division
+    reuses, finds sigma k-independent; else dense inside
+    ``quantize.DENSE_CAP``; else iterative.  Inside the cap, a
+    :class:`DivergenceError` of that krylov solve falls back to dense, and
+    the report warns of it.  Any other ``method`` raises
     :class:`ConfigError`."""
     if method not in ("auto", "multiplier", "krylov", "dense", "iterative"):
         raise ConfigError(f"solve: unknown method {method!r}")
-    scan = _row_scan(sym) if method in ("auto", "multiplier") else None
-    fallback = False
+    fallback, scan = False, None
     if method == "auto":
         inside_cap = sym.box.size <= quantize.DENSE_CAP
-        if scan[2]:
-            method = "multiplier"
-        elif sym.separated() is not None and (np.abs(_mean_symbol(sym)) > ZERO_THRESHOLD).all():
+        if (sym.separated() is not None and sym.constant_row() is None
+                and (np.abs(_mean_symbol(sym)) > ZERO_THRESHOLD).all()):
             method, fallback = "krylov", inside_cap
         else:
-            method = "dense" if inside_cap else "iterative"
+            scan = _row_scan(sym)
+            method = "multiplier" if scan[2] else "dense" if inside_cap else "iterative"
     if method == "multiplier":
-        return _divide(sym, scan, g, s_values)
+        return _divide(sym, scan or _row_scan(sym), g, s_values)
     if method == "krylov":
         try:
             return solve_krylov(sym, mu, g, max_iter=max_iter, tol=tol, s_values=s_values)

@@ -543,8 +543,9 @@ def test_solve_non_elliptic_lattice_dependent_symbol_exits_4(tmp_path, capsys, m
 
 
 def test_solve_auto_meets_tolerance_on_the_divergence_fixture(tmp_path, capsys):
-    # order 3 at N = 256 makes the preconditioned refinement diverge; auto
-    # solves it by GMRES and the recomputed residual meets tol * |g|
+    # order 3 at N = 256: the parametrix-preconditioned GMRES misses tol * |g|
+    # in its recomputed residual; auto solves it by the mean-preconditioned
+    # GMRES and the recomputed residual meets tol * |g|
     box = LatticeBox(1, 256)
     rng = np.random.default_rng(8)
     g = LatticeSequence(box, rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size))
@@ -562,7 +563,22 @@ def test_solve_auto_meets_tolerance_on_the_divergence_fixture(tmp_path, capsys):
     iterative = _solve_job(tmp_path, _NEAR_SINGULAR, 256, g=g, name="iter.json",
                            method="iterative", order=3, max_iter=60)
     assert main(["solve", "--config", iterative]) == 3
-    assert "grew" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "parametrix residual" in err and "above tol" in err
+
+
+def test_solve_with_a_large_iteration_budget_exits_0(tmp_path, capsys):
+    # the GMRES work arrays grow with the steps taken, not with max_iter
+    path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="krylov", max_iter=200000)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "f.csv")]) == 0
+    assert _report_field(capsys.readouterr().out, "method") == "krylov-gmres"
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_solve_rejects_an_iteration_budget_below_one(tmp_path, capsys, max_iter):
+    path = _solve_job(tmp_path, _NEAR_SINGULAR, 8, method="krylov", max_iter=max_iter)
+    assert main(["solve", "--config", path]) == 2
+    assert "'max_iter' must be at least 1" in capsys.readouterr().err
 
 
 def test_solve_dense_method_matches_the_iterative_solution(tmp_path, capsys):

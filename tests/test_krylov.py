@@ -220,3 +220,34 @@ def test_krylov_solves_a_symbol_without_a_separated_form():
     dense = solve_dense(sym, 2.0, g).solution.values
     assert np.max(np.abs(report.solution.values - dense)) <= 1e-9 * np.max(np.abs(dense))
     assert solve(sym, g, mu=2.0).method == "dense-lu"
+
+
+def test_auto_reads_k_constancy_off_the_factors_before_krylov(monkeypatch):
+    # the ellipticity check is the one pass over the rows; the route choice,
+    # GMRES and the residual go through the separated form (K = 17)
+    helpers.force_block_rows(monkeypatch, 1, 17)
+    sym = _symbol("2 + k_1**2 + exp(2*pi*i*x_1)", 1, 8)
+    passes = []
+    blocks = type(sym).blocks
+
+    def counted(self):
+        passes.append(self)
+        return blocks(self)
+
+    monkeypatch.setattr(type(sym), "blocks", counted)
+    g = helpers.random_sequence(sym.box, np.random.default_rng(6))
+    assert solve(sym, g, mu=2.0).method == "krylov-gmres"
+    assert len(passes) == 1
+
+
+def test_auto_sends_a_k_constant_sum_of_varying_factors_to_krylov():
+    # A_t = k_1^2 and -k_1^2 vary with k, the sum of their terms does not:
+    # auto does not scan the rows to find that, and GMRES solves the
+    # multiplier as well
+    sym = _symbol("3 + k_1**2*x_1 - k_1**2*x_1 + exp(2*pi*i*x_1)", 1, 8, mu=0.0)
+    assert sym.separated() is not None and sym.constant_row() is None
+    g = helpers.random_sequence(sym.box, np.random.default_rng(7))
+    report = solve(sym, g)
+    assert report.method == "krylov-gmres"
+    exact = solve(sym, g, "multiplier").solution.values
+    assert np.max(np.abs(report.solution.values - exact)) <= 1e-9 * np.max(np.abs(exact))

@@ -104,7 +104,7 @@ def test_weighted_transfer_constant_stable_across_sizes():
 
 
 # ---------------------------------------------------------------------------
-# preconditioned refinement
+# parametrix-preconditioned GMRES
 
 
 def _near_singular_fixture(N):
@@ -140,19 +140,22 @@ def test_solve_elliptic_matches_dense_lu():
 
 
 def test_solve_elliptic_reports_divergence_with_history():
-    # adding the third expansion term makes the error operator expansive for
-    # this near-singular symbol; the solver must detect and report it
-    box, sym = _near_singular_fixture(16)
-    with pytest.raises(DivergenceError) as err:
-        solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 3, max_iter=30)
-    assert len(err.value.history) >= 4
-    assert err.value.history[-1] > err.value.history[-4]
+    # order 3 at N = 256: the GMRES estimate meets tol, the recomputed
+    # residual does not, and the solver must report it
+    box, sym = _near_singular_fixture(256)
+    g = LatticeSequence.delta(box)
+    with pytest.raises(DivergenceError, match="parametrix residual") as err:
+        solve_elliptic(sym, 2.0, g, 3, max_iter=60)
+    history = err.value.history
+    assert history[0] == g.norm2() and len(history) >= 2
+    assert all(b <= a for a, b in zip(history, history[1:]))
 
 
 def test_solve_elliptic_raises_when_the_residual_overflows():
-    # order 5 at N = 64: the residual norm overflows before max_iter
+    # order 5 at N = 64: the residual once overflowed here; it now stays
+    # finite and above tol * |g|
     box, sym = _near_singular_fixture(64)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError, match="non-finite"):
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="above tol"):
         solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 5, max_iter=60)
 
 
@@ -160,17 +163,63 @@ def test_solve_elliptic_overflow_raises_without_a_numpy_warning():
     box, sym = _near_singular_fixture(64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteValueError, match="non-finite"):
+        with pytest.raises(DivergenceError, match="above tol"):
             solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 5, max_iter=60)
 
 
 def test_solve_elliptic_raises_at_max_iter_above_tolerance():
-    # the convergent dense-LU fixture needs more than two refinements
+    # the convergent dense-LU fixture needs more than two GMRES steps
     box, sym = _near_singular_fixture(16)
-    with pytest.raises(DivergenceError, match="after 2 refinements") as err:
+    with pytest.raises(DivergenceError, match="above tol") as err:
         solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 2, max_iter=2, tol=1e-10)
-    assert len(err.value.history) == 2
+    assert len(err.value.history) == 3
     assert err.value.history[-1] > 1e-10
+
+
+def test_solve_elliptic_converges_at_order_3_on_the_near_singular_fixture():
+    # a Richardson iteration with this parametrix grows here; GMRES with it
+    # as the preconditioner converges
+    box, sym = _near_singular_fixture(16)
+    g = LatticeSequence.delta(box)
+    report = solve_elliptic(sym, 2.0, g, 3, max_iter=30, tol=1e-10)
+    assert report.residual_l2 <= 1e-10 * g.norm2()
+    lu = np.linalg.solve(matrix(sym).values, g.values)
+    assert np.max(np.abs(report.solution.values - lu)) <= 1e-9
+
+
+def test_parametrix_preconditioner_beats_the_mean_on_an_x_dependent_principal_part():
+    # 2 + k^2 (1 + 0.9 cos 2 pi x): the grid mean of sigma misses the x
+    # dependence of the principal part, the parametrix does not
+    box, grid = helpers.box_and_grid(1, 256)
+    k1 = box.points[:, 0].astype(float)
+    sym = SampledSymbol(box, grid, 2.0 + np.outer(k1**2, 1.0 + 0.9 * np.cos(
+        2 * np.pi * grid.nodes[:, 0])), params=SymbolClassParams(2.0))
+    g = helpers.random_sequence(box, np.random.default_rng(7))
+    iterative = solve(sym, g, "iterative", mu=2.0, order=2, max_iter=100)
+    krylov = solve(sym, g, "krylov", mu=2.0, max_iter=100)
+    assert iterative.iterations < krylov.iterations
+    lu = np.linalg.solve(matrix(sym).values, g.values)
+    assert np.max(np.abs(iterative.solution.values - lu)) <= 1e-9
+
+
+def test_solve_elliptic_maps_a_singular_hessenberg_to_singular_symbol_error(monkeypatch):
+    box, sym = _near_singular_fixture(8)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularSymbolError, match="singular"):
+        solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 2)
+
+
+def test_solve_elliptic_raises_on_a_non_finite_residual(monkeypatch):
+    box, sym = _near_singular_fixture(16)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), 1e200 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError, match="residual"):
+            solve_elliptic(sym, 2.0, LatticeSequence.delta(box), 2)
 
 
 def test_solve_elliptic_rejects_non_elliptic_symbol():
