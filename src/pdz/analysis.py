@@ -74,6 +74,8 @@ def schatten_reports(sym: SampledSymbol, p_values) -> list[DiagnosticsReport]:
     At p = 2 the two sides agree to roundoff.
     """
     p_values = list(p_values)
+    if not p_values:
+        return []
     for p in p_values:
         if p <= 0:
             raise DomainMismatchError(f"Schatten exponent must be positive, got {p}")
@@ -174,18 +176,22 @@ def lp_bound_reports(sym: SampledSymbol, p_values, n_random: int = 20,
     """Convolution-majorant bound for the lp operator norm, one report per p.
 
     omega(m) = sup_k |kappa(k, m)| majorizes the summation kernel along its
-    difference variable, so ||Op(sigma)||_{lp->lp} <= ||omega||_{l1}.  The
-    empirical side is a lower estimate from coordinate and random probes,
-    each applied once and scored for every p; the flag asserts only the
-    one-sided comparison.
+    difference variable, so ||Op(sigma)||_{lp->lp} <= ||omega||_{l1}, omega a
+    running max over :meth:`SampledSymbol.kappa_blocks`.  The empirical side
+    is a lower estimate from coordinate and random probes, each applied once
+    and scored for every p; the flag asserts only the one-sided comparison.
     """
     p_values = list(p_values)
+    if not p_values:
+        return []
     for p in p_values:
         if p < 1:
             raise DomainMismatchError(f"p must be >= 1, got {p}")
     if sym.separated() is None:
         sym.samples  # stored once here: every probe below passes over all the rows
-    omega = np.abs(sym.kappa()).max(axis=0)
+    omega = np.zeros(sym.box.size)
+    for _, block in sym.kappa_blocks():
+        np.maximum(omega, np.abs(block).max(axis=0), out=omega)
     bound = float(omega.sum())
     best = [0.0] * len(p_values)
     best_tag = ["none"] * len(p_values)
@@ -212,15 +218,16 @@ def lp_bound_reports(sym: SampledSymbol, p_values, n_random: int = 20,
 def compactness_tail(sym: SampledSymbol, cut: float) -> float:
     """Row-sum tail estimate sup_{|k| > cut} sum_l |kappa(k, l)| bounding the
     norm of the operator restricted to high lattice frequencies, in every
-    l^p at once (Young's inequality).
+    l^p at once (Young's inequality), from the masked rows of each block of
+    :meth:`SampledSymbol.kappa_blocks`; no (K x K) kappa is held.
     """
     if not cut < sym.box.N:
         raise DomainMismatchError(f"cut {cut} must be smaller than N={sym.box.N}")
     mask = sym.box.norms > cut
     if not mask.any():
         return 0.0
-    row_l1 = np.abs(sym.kappa()).sum(axis=1)
-    return float(row_l1[mask].max())
+    return float(np.max([np.abs(block[mask[rows]]).sum(axis=1).max(initial=0.0)
+                         for rows, block in sym.kappa_blocks()]))
 
 
 def operator_norm_power(mat: np.ndarray, tol: float = 1e-8, seed: int = 0) -> float:

@@ -14,22 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError
-from .symbols import (SampledSymbol, SymbolClassParams, falling_multiplier,
-                      from_x_spectrum, lattice_difference, multi_factorial,
-                      multi_indices_below, multi_indices_of_degree, require_invertible,
-                      x_reflect, x_spectrum, ORDER_CAP)
-
-#: Expansion orders are capped by the multi-index machinery.
-MAX_EXPANSION_ORDER = ORDER_CAP
-
-
-def check_expansion_order(order: int) -> int:
-    order = int(order)
-    if not 1 <= order <= MAX_EXPANSION_ORDER:
-        raise DomainMismatchError(
-            f"expansion order must lie in [1, {MAX_EXPANSION_ORDER}], got {order}"
-        )
-    return order
+from .symbols import (SampledSymbol, SymbolClassParams, check_expansion_order,
+                      falling_multiplier, from_x_spectrum, lattice_difference,
+                      multi_factorial, multi_indices_below, multi_indices_of_degree,
+                      require_invertible, x_reflect, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:

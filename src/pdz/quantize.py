@@ -25,9 +25,10 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
                     character_matrix, require_matched)
 from .report import DiagnosticsReport
-from .symbols import (AmplitudeDefinition, SampledSymbol, falling_multiplier,
-                      from_x_spectrum, lattice_difference, multi_factorial,
-                      multi_indices_below, partial_multiplier, row_blocks, x_spectrum)
+from .symbols import (AmplitudeDefinition, SampledSymbol, check_expansion_order,
+                      falling_multiplier, from_x_spectrum, lattice_difference,
+                      multi_factorial, multi_indices_below, partial_multiplier, row_blocks,
+                      x_spectrum)
 
 
 #: Cap on M^n for dense (M^n)^2 objects, read at each call (and by ``solve``).
@@ -239,8 +240,7 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
     For amplitudes independent of l the alpha = 0 term alone is exact.
     """
     require_matched(box, grid)
-    if order < 1:
-        raise DomainMismatchError(f"expansion order must be >= 1, got {order}")
+    order = check_expansion_order(order)
     if box.size**2 * grid.size > AMPLITUDE_TENSOR_CAP:
         raise ResourceLimitError(
             f"amplitude tensor {box.size}^2 x {grid.size} exceeds the cap"

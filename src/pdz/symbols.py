@@ -82,6 +82,14 @@ def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def check_expansion_order(order: int) -> int:
+    """``order`` as an int; the one rule for every finite expansion."""
+    order = int(order)
+    if not 1 <= order <= ORDER_CAP:
+        raise DomainMismatchError(f"expansion order must lie in [1, {ORDER_CAP}], got {order}")
+    return order
+
+
 def multi_indices_below(n: int, order: int) -> list[tuple[int, ...]]:
     """All alpha with |alpha| < order, by degree then lexicographic."""
     if order > ORDER_CAP + 1:
@@ -275,14 +283,10 @@ class SampledSymbol:
 
     def kappa_blocks(self):
         """Yield ``(rows, kappa[rows])`` over the same row blocks as
-        :meth:`blocks`: slices of the cached row transform when it is filled,
-        else from the :meth:`separated` form, T transforms of X points in
-        all, else transforms of the sample blocks; none of them kept."""
+        :meth:`blocks`: from the :meth:`separated` form, T transforms of X
+        points in all, else transforms of the sample blocks; none of them
+        kept, and :meth:`kappa`'s array is never read."""
         K, shape = self.box.size, self.grid.shape
-        if self._kappa is not None:
-            for rows in row_blocks(K, K):
-                yield rows, self._kappa[rows]
-            return
         axes = tuple(range(1, self.grid.n + 1))
         parts = self.separated()
         if parts is not None:  # kappa[rows] = A[:, rows]^T beta, beta_t the row transform of B_t
@@ -300,8 +304,9 @@ class SampledSymbol:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
 
         Returned as a read-only (box.size, box.size) array with l in box
-        order; the rows reconstruct the samples via
-        sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
+        order, gathered from :meth:`kappa_blocks` on the first call and kept
+        (for :func:`pdz.quantize.kernel` alone); the rows reconstruct the
+        samples via sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
         """
         if self._kappa is None:
             with self._lock:
@@ -313,19 +318,6 @@ class SampledSymbol:
                     kap.flags.writeable = False
                     self._kappa = kap
         return self._kappa
-
-    def x_coefficients(self) -> np.ndarray:
-        """Fourier coefficients c(k, l) with sigma(k, x) = sum_l c(k, l) e^{2 pi i l.x};
-        related to the row transform by c(k, l) = kappa(k, -l)."""
-        kap = self.kappa().reshape((self.box.size,) + self.box.shape)
-        axes = tuple(range(1, self.box.n + 1))
-        return np.flip(kap, axis=axes).reshape(self.box.size, self.box.size)
-
-    def kappa_defect(self) -> float:
-        """Max-abs mismatch between the cached row transform and a fresh one."""
-        cached = self.kappa()
-        fresh = self.with_samples(self.samples.copy()).kappa()
-        return float(np.max(np.abs(cached - fresh)))
 
     def row_max(self) -> np.ndarray:
         return np.abs(self.samples).max(axis=1)
@@ -672,10 +664,7 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
     spectral derivative of g at the node y = 0 where the quotient is 0/0.
     The reconstruction identity holds on the grid to roundoff.
     """
-    if n_order < 1:
-        raise DomainMismatchError(f"expansion order must be >= 1, got {n_order}")
-    if n_order > ORDER_CAP:
-        raise DomainMismatchError(f"expansion order {n_order} exceeds the cap {ORDER_CAP}")
+    n_order = check_expansion_order(n_order)
     grid = h.grid
     n, M = grid.n, grid.M
     coefficients: dict[tuple[int, ...], complex] = {}

@@ -262,6 +262,19 @@ def test_lp_bound_reports_apply_each_probe_once(monkeypatch):
     assert len(calls) == 168
 
 
+def test_empty_p_values_do_no_work(monkeypatch):
+    from pdz import analysis
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("no work for an empty p_values")
+
+    monkeypatch.setattr(np.linalg, "svd", unreachable)
+    monkeypatch.setattr(analysis, "apply", unreachable)
+    sym = _decaying_symbol(8)
+    assert schatten_reports(sym, []) == []
+    assert lp_bound_reports(sym, []) == []
+
+
 def test_lp_bound_reports_reject_p_below_one():
     with pytest.raises(DomainMismatchError):
         lp_bound_reports(_decaying_symbol(4), [2.0, 0.5])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pdz import (DomainMismatchError, NotEllipticError,
+from pdz import (AmplitudeDefinition, DomainMismatchError, NotEllipticError,
                  OperatorMatrix, SampledSymbol, SingularSymbolError,
-                 SymbolClassParams, SymbolExpansion, adjoint, compose,
-                 constant_symbol, matrix, order_fit, parametrix, partial_sum,
-                 symbol_from_operator, transpose)
+                 SymbolClassParams, SymbolExpansion, TorusFunction, adjoint,
+                 amplitude_to_symbol, compose, constant_symbol, matrix, order_fit,
+                 parametrix, partial_sum, periodic_taylor, symbol_from_operator,
+                 transpose)
 
 import helpers
 
@@ -382,3 +383,24 @@ def test_parametrix_of_lattice_only_elliptic_symbol_is_exact():
         assert np.max(np.abs(term.samples)) <= 1e-13
     B = matrix(partial_sum(exp, 3)).values
     assert np.max(np.abs(B @ matrix(s).values - np.eye(box.size))) <= 1e-11
+
+
+@pytest.mark.parametrize("order", [0, 13])
+def test_every_expansion_takes_orders_one_through_the_cap(order):
+    box, grid = helpers.box_and_grid(1, 2)
+    s = constant_symbol(box, grid, 2.0)
+    amp = AmplitudeDefinition(lambda k, l, x: 1.0 + 0.0 * x[..., 0])
+    expansions = [
+        lambda: compose(s, s, order),
+        lambda: adjoint(s, order),
+        lambda: transpose(s, order),
+        lambda: parametrix(SymbolExpansion([s], [0.0]), 0.0, order),
+        lambda: amplitude_to_symbol(amp, box, grid, order),
+        lambda: periodic_taylor(TorusFunction.ones(grid), order),
+    ]
+    messages = set()
+    for expansion in expansions:
+        with pytest.raises(DomainMismatchError) as err:
+            expansion()
+        messages.add(str(err.value))
+    assert messages == {f"expansion order must lie in [1, 12], got {order}"}

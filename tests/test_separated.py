@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from pdz import (LatticeBox, NonFiniteValueError, SampledSymbol, SymbolDefinition, apply,
-                 kernel_decay_fit, matrix, sample, solve)
-from pdz import config
+                 compactness_tail, kernel_decay_fit, lp_bound_report, matrix, sample,
+                 solve)
+from pdz import analysis, config, symbols
 from pdz import io as pdzio
 from pdz.config import build_symbol
 from pdz.solver import lattice_deviation
@@ -97,6 +98,33 @@ def test_separated_paths_equal_the_dense_oracle(monkeypatch, expr, rows, n, N):
     assert np.array_equal(got_points, want_points)
     _close(got, want)
     _close(matrix(separated).values, matrix(stored).values)
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
+@pytest.mark.parametrize("kind", ["separated", "array", "non-separable"])
+def test_lp_omega_and_compactness_tail_read_kappa_in_row_blocks(monkeypatch, kind, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    monkeypatch.setattr(analysis, "apply", lambda sym, f: f)  # the probes are not under test
+    expr = ("1/(3 + k_1**2 + sin(2*pi*x_1))" if kind == "non-separable" else
+            "1.1*(1 + abs_k) + 0.8*exp(2*pi*i*x_1) + 0.3*k_{n}*exp(-2*pi*i*x_{n})")
+
+    def copy():
+        sampled, stored = _pair(expr, n, N)
+        return stored if kind == "array" else sampled
+
+    sym, ref = copy(), copy()
+    assert (sym.separated() is not None) == (kind == "separated")
+    magnitudes = np.abs(ref.kappa())
+    rep = lp_bound_report(sym, 2.0, n_random=1)
+    assert rep.values["omega_l1"] == float(magnitudes.max(axis=0).sum())
+    for cut in (0, N / 2, N - 0.5):
+        want = float(magnitudes.sum(axis=1)[box.norms > cut].max())
+        assert compactness_tail(sym, cut) == want
+    assert sym._kappa is None
+    if rows is not None:  # the last cut leaves whole row blocks with no masked rows
+        assert any(not (box.norms[r] > N - 0.5).any()
+                   for r in symbols.row_blocks(box.size, box.size))
 
 
 @pytest.mark.parametrize("rows,n,N", helpers.block_cases({1: [(1, 8), (2, 8)], 2: [(1, 8), (2, 8)]}))

@@ -435,12 +435,6 @@ def test_multi_index_enumeration_and_factorials():
     assert multi_factorial((0, 0)) == 1
 
 
-def test_kappa_cache_consistency():
-    box, grid = helpers.box_and_grid(1, 5)
-    sym = helpers.random_symbol(box, grid, np.random.default_rng(12))
-    assert sym.kappa_defect() <= 1e-12
-
-
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("n,N", [(1, 6), (2, 3), (3, 2)])
 def test_blocked_kappa_matches_full_transform(monkeypatch, n, N, rows):
@@ -451,20 +445,6 @@ def test_blocked_kappa_matches_full_transform(monkeypatch, n, N, rows):
     full = np.fft.ifftn(sym.samples.reshape((box.size,) + grid.shape), axes=axes)
     full = np.fft.fftshift(full, axes=axes).reshape(box.size, box.size)
     assert np.array_equal(sym.kappa(), full)
-
-
-def test_x_coefficients_are_reflected_kappa_rows():
-    box, grid = helpers.box_and_grid(1, 4)
-    sym = helpers.random_symbol(box, grid, np.random.default_rng(13))
-    c = sym.x_coefficients()
-    kap = sym.kappa()
-    for l in range(-box.N, box.N + 1):
-        np.testing.assert_allclose(c[:, box.index_of(np.array([l]))],
-                                   kap[:, box.index_of(np.array([-l]))],
-                                   atol=1e-14)
-    # rows reconstruct through the coefficient convention
-    E = np.exp(2j * np.pi * np.outer(box.points[:, 0], grid.nodes[:, 0]))
-    np.testing.assert_allclose(c @ E, sym.samples, atol=1e-12)
 
 
 def test_symbol_class_params_validation():
