@@ -27,20 +27,24 @@ class WeightedNormParams:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:
             raise DomainMismatchError(f"integrability exponent must be >= 1, got {self.p}")
 
 
+def _p_sum(mags: np.ndarray, p: float) -> float:
+    """( sum |mags|^p )^{1/p}, and max |mags| at p = inf."""
+    return float(mags.max() if p == np.inf else np.sum(mags ** p) ** (1.0 / p))
+
+
 def weighted_norm(f: LatticeSequence, params: WeightedNormParams) -> float:
-    """( sum_k (1+|k|)^{s p} |f(k)|^p )^{1/p}."""
-    w = (1.0 + f.box.norms) ** params.s
-    return float(np.sum((w * np.abs(f.values)) ** params.p) ** (1.0 / params.p))
+    """( sum_k (1+|k|)^{s p} |f(k)|^p )^{1/p}; max_k (1+|k|)^s |f(k)| at p = inf."""
+    return _p_sum((1.0 + f.box.norms) ** params.s * np.abs(f.values), params.p)
 
 
 def lp_norm(f: LatticeSequence, p: float) -> float:
-    if p < 1:
+    if not p >= 1:
         raise DomainMismatchError(f"p must be >= 1, got {p}")
-    return float(np.sum(np.abs(f.values) ** p) ** (1.0 / p))
+    return _p_sum(np.abs(f.values), p)
 
 
 def hs_norm(sym: SampledSymbol) -> float:
@@ -185,7 +189,7 @@ def lp_bound_reports(sym: SampledSymbol, p_values, n_random: int = 20,
     if not p_values:
         return []
     for p in p_values:
-        if p < 1:
+        if not p >= 1:
             raise DomainMismatchError(f"p must be >= 1, got {p}")
     if sym.separated() is None:
         sym.samples  # stored once here: every probe below passes over all the rows

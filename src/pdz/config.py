@@ -19,9 +19,7 @@ them out, division is by a factor that reads only k or only x, and an
 integer constant power raises one term or multiplies out several (a
 nonnegative one).  ``sin``, ``cos`` and ``exp`` of an argument that reads
 both, division by such an argument and other powers of one have no
-separated form.  The form is exact up to rounding, but its factors are
-evaluated apart: where the fused evaluator overflows only in an
-intermediate that the factors never form, the separated symbol is finite.
+separated form.  The form is exact up to rounding.
 
 Every numeric value, in the file or from a flag, is read by :func:`number`.
 """

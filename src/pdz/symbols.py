@@ -20,6 +20,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -132,8 +133,8 @@ class SymbolDefinition:
     ``separated``, when given, is the same symbol as a finite sum
     sigma(k, x) = sum_t a_t(k) b_t(x): a list of ``(k_fn, x_fn)`` pairs,
     ``k_fn(k)`` and ``x_fn(x)`` broadcasting like the evaluator.  A sampled
-    symbol then applies and transforms through it (see
-    :meth:`SampledSymbol.separated`).
+    symbol then reads sigma only through it, never through the evaluator
+    (see :meth:`SampledSymbol.separated`).
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -170,13 +171,13 @@ class SampledSymbol:
     """Grid samples of a symbol: ``samples[i, j] = sigma(k_i, x_j)``.
 
     Rows run over box points (lexicographic), columns over grid nodes
-    (C order).  A symbol is backed either by the stored (K x X) array or by
-    a :class:`SymbolDefinition`, whose row blocks :meth:`blocks` evaluates
-    each time it is asked; the array of a definition-backed symbol is built
-    by the first read of ``samples`` and kept.  That array, the row
-    Fourier coefficients kappa(k, l) and the factor arrays of
-    :meth:`separated` are each computed once on demand under a lock;
-    everything else treats instances as immutable.
+    (C order).  A symbol is backed by the stored (K x X) array or by a
+    :class:`SymbolDefinition`; :meth:`blocks` builds the row blocks of the
+    latter from the factors of :meth:`separated`, or from the evaluator
+    when there are none, and the first read of ``samples`` keeps them.
+    That array, the row Fourier coefficients kappa(k, l) and the factor
+    arrays of :meth:`separated` are each computed once on demand under a
+    lock; everything else treats instances as immutable.
     """
 
     __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa",
@@ -212,10 +213,31 @@ class SampledSymbol:
     def blocks(self):
         """Yield ``(rows, samples[rows])`` over the row blocks of
         :func:`row_blocks`: slices of the stored array when there is one,
-        otherwise the definition evaluated on the block's rows, checked finite."""
-        for rows in row_blocks(self.box.size, self.grid.size):
-            stored = self._samples
+        else built from the factors of :meth:`separated`, else the
+        definition's evaluator on the rows; built blocks are checked finite."""
+        slices, stored = row_blocks(self.box.size, self.grid.size), self._samples
+        if stored is None and self.separated() is not None:
+            yield from self._factor_blocks(slices)
+            return
+        for rows in slices:
             yield rows, stored[rows] if stored is not None else self._evaluate(rows)
+
+    def _factor_blocks(self, slices):
+        """``(rows, sum_t A[t, rows] B[t])`` over ``slices``, checked finite:
+        the terms whose A_t is 1 at every k summed unmultiplied, as
+        :func:`pdz.quantize.apply` sums them, the others by one product."""
+        A, B = self.separated()
+        ones = (A == 1).all(axis=1)
+        # reduce, not sum(axis=0): one term comes back as it is, -0.0 included
+        plain = reduce(np.add, B[ones]) if ones.any() else None
+        A, B = A[~ones], B[~ones]
+        for rows in slices:
+            block = (A[:, rows].T @ B if len(A) else
+                     np.repeat(plain[None], rows.stop - rows.start, axis=0))
+            if len(A) and plain is not None:
+                block += plain
+            self._require_finite(rows, block)
+            yield rows, block
 
     def _evaluate(self, rows: slice) -> np.ndarray:
         """The definition on the box points ``rows`` x the grid, checked finite."""
@@ -232,10 +254,10 @@ class SampledSymbol:
     def separated(self):
         """``(A, B)`` with sigma(k_i, x_j) = sum_t A[t, i] B[t, j], the
         definition's separated form evaluated once, on the first call: A is
-        (T x K) and B (T x X).  None for an array-backed symbol, a definition
-        without that form, and when A, B or the bound
-        sum_t max|A_t| max|B_t| is non-finite: the dense passes then find
-        and report the non-finite samples."""
+        (T x K) and B (T x X); every pass reads sigma from them.  None for an
+        array-backed symbol, a definition without that form, and when A, B or
+        the bound sum_t max|A_t| max|B_t| is non-finite: the definition's
+        evaluator then serves the passes and reports the non-finite samples."""
         if self._separated is None:
             with self._lock:
                 if self._separated is None:
@@ -257,13 +279,13 @@ class SampledSymbol:
         return (A, B) if np.isfinite(bound) else None
 
     def constant_row(self) -> np.ndarray | None:
-        """Row 0 of sigma, from one evaluation of the definition, when every
-        A_t of :meth:`separated` is the same at all k; else None.  No pass
-        over the rows."""
+        """Row 0 of sigma, built from the factors as :meth:`blocks` builds
+        it, when every A_t of :meth:`separated` is the same at all k; else
+        None.  No pass over the rows."""
         parts = self.separated()
         if parts is None or not (parts[0] == parts[0][:, :1]).all():
             return None
-        return self._evaluate(slice(0, 1))[0]
+        return next(self._factor_blocks([slice(0, 1)]))[1][0]
 
     @property
     def samples(self) -> np.ndarray:
@@ -326,9 +348,9 @@ class SampledSymbol:
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:
     """Sample a closed-form symbol on box x grid.
 
-    Samples that fit in one row block are evaluated and stored at once;
-    larger ones stay with the definition, which each pass then evaluates one
-    row block at a time (so the evaluator must be pure).  Raises
+    Samples that fit in one row block are built and stored at once; larger
+    ones stay with the definition, whose factors (or evaluator) each pass
+    reads one row block at a time, so both must be pure.  Raises
     :class:`ResourceLimitError` when the dense (K x X) samples would not fit
     in the machine's physical memory.
     """
@@ -376,7 +398,7 @@ def forward_difference(sym: SampledSymbol, alpha) -> SampledSymbol:
     alpha = check_multi_index(alpha, sym.box.n)
     shaped = sym.samples.reshape(sym.box.shape + (sym.grid.size,))
     out = lattice_difference(shaped, alpha)
-    return sym.with_samples(out.reshape(sym.box.size, sym.grid.size), params=None)
+    return SampledSymbol(sym.box, sym.grid, out.reshape(sym.box.size, sym.grid.size))
 
 
 def generalized_difference(sym: SampledSymbol, q: TorusFunction) -> SampledSymbol:
@@ -394,7 +416,7 @@ def generalized_difference(sym: SampledSymbol, q: TorusFunction) -> SampledSymbo
     spec = np.fft.fftn(np.fft.ifftshift(shaped, axes=k_axes), axes=k_axes)
     spec *= q.values.reshape(q.grid.shape + (1,))
     out = np.fft.fftshift(np.fft.ifftn(spec, axes=k_axes), axes=k_axes)
-    return sym.with_samples(out.reshape(box.size, grid.size), params=None)
+    return SampledSymbol(box, grid, out.reshape(box.size, grid.size))
 
 
 def _fft_frequencies(M: int) -> np.ndarray:
@@ -438,7 +460,7 @@ def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=1.0) -> np.nda
 
 def _apply_x_multiplier(sym: SampledSymbol, multiplier: np.ndarray) -> SampledSymbol:
     out = from_x_spectrum(x_spectrum(sym.samples, sym.grid), sym.grid, multiplier)
-    return sym.with_samples(out, params=None)
+    return SampledSymbol(sym.box, sym.grid, out)
 
 
 def x_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
@@ -469,7 +491,7 @@ def x_reflect(sym: SampledSymbol) -> SampledSymbol:
     idx = (-np.arange(grid.M)) % grid.M
     for i in range(grid.n):
         shaped = np.take(shaped, idx, axis=i + 1)
-    return sym.with_samples(shaped.reshape(sym.box.size, grid.size), params=None)
+    return sym.with_samples(shaped.reshape(sym.box.size, grid.size))
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,35 @@ def test_report_rendering_carries_flag_witnesses():
     text = rep.render()
     assert "omega_l1" in text and "pass" in text
     assert all(flag.witness for flag in rep.flags)
+
+
+# ---------------------------------------------------------------------------
+# the l^inf end of the lp scale
+
+
+@pytest.mark.parametrize("values", [(3, 0, 0, 0, 0, 0, 0.5), (0.5, 0, 0, 0, 0, 0, 0.25)])
+def test_lp_and_weighted_norms_at_infinity_are_the_max(values):
+    box, _ = helpers.box_and_grid(1, 3)
+    f = LatticeSequence(box, np.array(values, dtype=complex))
+    assert lp_norm(f, np.inf) == max(values)
+    assert weighted_norm(f, WeightedNormParams(0.0, np.inf)) == max(values)
+    weighted = float(((1.0 + box.norms) * np.abs(f.values)).max())
+    assert weighted_norm(f, WeightedNormParams(1.0, np.inf)) == weighted
+
+
+def test_lp_bound_report_at_infinity_sees_the_operator_norm():
+    box, grid = helpers.box_and_grid(1, 3)
+    rep = lp_bound_report(constant_symbol(box, grid, 2.0), np.inf)
+    assert rep.values["empirical_norm"] == pytest.approx(2.0, rel=1e-12)
+    assert rep.values["omega_l1"] == pytest.approx(2.0, rel=1e-12)
+    assert rep.all_ok
+
+
+def test_norms_and_lp_bounds_refuse_a_nan_exponent():
+    box, grid = helpers.box_and_grid(1, 3)
+    with pytest.raises(DomainMismatchError):
+        lp_norm(LatticeSequence.delta(box), np.nan)
+    with pytest.raises(DomainMismatchError):
+        WeightedNormParams(0.0, np.nan)
+    with pytest.raises(DomainMismatchError):
+        lp_bound_reports(constant_symbol(box, grid), [2.0, np.nan])

@@ -3,6 +3,7 @@
 where it looks, or the traced run and ``perfbench/run.py --selftest`` break.
 And the symbols its jobs write must keep the separated form they are timed on."""
 
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdz import constant_symbol, solve_elliptic
+from pdz import LatticeBox, constant_symbol, sample, solve_elliptic
 from pdz.config import build_symbol
 
 import helpers
@@ -71,3 +72,28 @@ def test_bench_job_symbols_compile_with_a_separated_form(tmp_path, kind):
     for entry in job["symbols"]:
         assert entry["kind"] in ("expression", "builtin")
         assert build_symbol(entry, job["box"]["n"]).separated is not None, entry
+
+
+@pytest.mark.parametrize("kind", sorted(_load("jobs").BUILDERS))
+def test_bench_job_symbols_yield_their_blocks_from_the_factors(tmp_path, kind):
+    # with one evaluation per separated symbol, no pass the jobs time
+    # (ellipticity, hs, trace, calculus, csv) reaches the fused evaluator
+    _load("jobs").BUILDERS[kind](np.random.default_rng(0), tmp_path, "toy")
+    path = tmp_path / "job.json"
+    if not path.exists():
+        return
+    job = json.loads(path.read_text())
+    box = LatticeBox(job["box"]["n"], job["box"]["N"])
+    grid = box.matched_grid()
+    for entry in job["symbols"]:
+        definition = build_symbol(entry, box.n)
+
+        def unreachable(k, x):
+            raise AssertionError(f"fused evaluator of {entry} called")
+
+        sym = sample(dataclasses.replace(definition, evaluator=unreachable), box, grid)
+        want = np.broadcast_to(
+            definition.evaluator(box.points[:, None, :], grid.nodes[None, :, :]),
+            (box.size, grid.size))
+        for rows, block in sym.blocks():
+            np.testing.assert_allclose(block, want[rows], rtol=1e-12, atol=1e-12)

@@ -4,16 +4,19 @@ expression's samples: an array-backed symbol of one evaluator call on the
 whole box x grid (the dense oracle), or the evaluator alone with no
 separated form (the blocked dense path)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pdz import (LatticeBox, NonFiniteValueError, SampledSymbol, SymbolDefinition, apply,
-                 compactness_tail, kernel_decay_fit, lp_bound_report, matrix, sample,
-                 solve)
+                 compactness_tail, compose, ellipticity_check, hs_norm, kernel_decay_fit,
+                 lp_bound_report, matrix, sample, solve, trace)
 from pdz import analysis, config, symbols
 from pdz import io as pdzio
 from pdz.config import build_symbol
 from pdz.solver import lattice_deviation
+from pdz.symbols import require_invertible
 
 import helpers
 
@@ -236,3 +239,82 @@ def test_non_finite_factors_raise_the_dense_witness(monkeypatch, expr):
             use(sym)
         assert (str(err.value), err.value.where) == expected
         assert sym.separated() is None
+
+
+def _factors_only(definition: SymbolDefinition) -> SymbolDefinition:
+    """``definition`` with an evaluator that raises: its samples can come
+    only from the separated form."""
+    def evaluator(k, x):
+        raise AssertionError("the fused evaluator was called")
+    return dataclasses.replace(definition, evaluator=evaluator)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the oracle's outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
+@pytest.mark.parametrize("expr", SEPARABLE)
+def test_separated_symbols_never_call_their_fused_evaluator(monkeypatch, expr, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    definition = _factors_only(_definition(expr, n))
+    _, stored = _pair(expr, n, N)
+    want = stored.samples
+    scale = max(1.0, float(np.abs(want).max()))
+
+    def fresh():  # nothing built or stored yet
+        return SampledSymbol(box, grid, definition, params=definition.params)
+
+    got = np.concatenate([block for _, block in fresh().blocks()])
+    _close(got, want)
+    A, _ = fresh().separated()
+    if len(A) == 1 and (A == 1).all():  # one lattice-free term: bit for bit
+        assert np.array_equal(got, want)
+    assert np.array_equal(fresh().samples, got)
+    for fn in (hs_norm, trace):
+        assert abs(fn(fresh()) - fn(stored)) <= 1e-12 * max(1.0, abs(fn(stored)))
+    ell, want_ell = ellipticity_check(fresh(), 0.0), ellipticity_check(stored, 0.0)
+    assert ell.ok == want_ell.ok and abs(ell.constant - want_ell.constant) <= 1e-12 * scale
+    smallest, want_smallest = (_outcome(require_invertible, s, 0.0) for s in (fresh(), stored))
+    if isinstance(want_smallest, type):
+        assert smallest is want_smallest
+    else:
+        assert abs(smallest - want_smallest) <= 1e-12 * scale
+    points, values = _kernel_rows(pdzio.symbol_to_csv(fresh()), n)
+    want_points, want_values = _kernel_rows(pdzio.symbol_to_csv(stored), n)
+    assert np.array_equal(points, want_points)
+    _close(values, want_values)
+    composed, want_composed = compose(fresh(), fresh(), 2), compose(stored, stored, 2)
+    _close(composed.samples, want_composed.samples)
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases({1: [(1, 6), (2, 3)],
+                                                          2: [(1, 6), (2, 3)]}))
+@pytest.mark.parametrize("expr,route", [("3 + exp(2*pi*i*x_1)", "exact-multiplier"),
+                                        ("2 + k_1**2 + exp(2*pi*i*x_1)", "krylov-gmres")])
+def test_separated_solve_never_calls_the_fused_evaluator(monkeypatch, expr, route, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    definition = _factors_only(_definition(expr, n, mu=2.0))
+    _, stored = _pair(expr, n, N, mu=2.0)
+    g = helpers.random_sequence(box, np.random.default_rng(9))
+    got = solve(SampledSymbol(box, grid, definition, params=definition.params), g, mu=2.0)
+    assert got.method == route
+    want = solve(stored, g, mu=2.0).solution.values
+    assert float(np.abs(got.solution.values - want).max()) <= 1e-9 * float(np.abs(want).max())
+    assert got.residual_l2 <= 1e-10 * g.norm2()
+
+
+def test_separated_symbol_is_finite_where_its_fused_evaluator_overflows():
+    # the fused product forms 1e400 * 1e-400; the factors are k_1^2 and (1 + x_1)^2
+    definition = _definition("((1e200*k_1)*(1e200*(1+x_1)))*((1e-200*k_1)*(1e-200*(1+x_1)))", 1)
+    box, grid = helpers.box_and_grid(1, 3)
+    values = sample(definition, box, grid).samples
+    want = box.points[:, :1] ** 2 * (1 + grid.nodes[None, :, 0]) ** 2
+    assert np.isfinite(values).all()
+    _close(values, want)

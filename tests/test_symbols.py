@@ -8,7 +8,8 @@ from pdz import (DomainMismatchError, LatticeBox, NonFiniteValueError, ResourceL
                  constant_symbol,
                  ellipticity_check, forward_difference, generalized_difference,
                  order_fit, periodic_taylor, sample, seminorm_estimate, x_derivative)
-from pdz.symbols import falling_derivative, multi_factorial, multi_indices_below
+from pdz.symbols import (falling_derivative, multi_factorial, multi_indices_below,
+                         partial_x_derivative, x_reflect)
 
 import helpers
 import oracles
@@ -484,3 +485,17 @@ def test_generalized_difference_with_squared_weight_is_second_difference():
     lhs = generalized_difference(sym, q).samples
     rhs = forward_difference(sym, (2,)).samples
     assert np.max(np.abs(lhs - rhs)) <= 1e-11
+
+
+def test_transforms_declare_no_class_they_were_not_given():
+    # D^(beta) raises the order by delta|beta| and Delta^alpha lowers it by
+    # rho|alpha|, so the input's declared class does not carry over
+    box, grid = helpers.box_and_grid(1, 3)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(6))
+    sym = sym.with_samples(sym.samples, params=SymbolClassParams(2.0, rho=1.0, delta=0.5))
+    q = TorusFunction(grid, np.exp(2j * np.pi * grid.nodes[:, 0]) - 1.0)
+    for out in (forward_difference(sym, (1,)), generalized_difference(sym, q),
+                x_derivative(sym, (1,)), falling_derivative(sym, (1,)),
+                partial_x_derivative(sym, (1,))):
+        assert out.params is None
+    assert x_reflect(sym).params == sym.params  # sigma(k, -x) stays in the class
