@@ -75,24 +75,24 @@ def schatten_reports(sym: SampledSymbol, p_values) -> list[DiagnosticsReport]:
     * p <= 2:  B_p = ( sum_k ||sigma(k,.)||_{L^2}^p )^{1/p},
     * p >= 2:  B_p = ( sum_k ||sigma(k,.)||_{L^{p'}}^{p'} )^{1/p'}, 1/p + 1/p' = 1.
 
-    At p = 2 the two sides agree to roundoff.
+    At p = 2 the two sides agree to roundoff; at p = inf, S_inf is the
+    largest singular value and p' = 1.
     """
     p_values = list(p_values)
     if not p_values:
         return []
     for p in p_values:
-        if p <= 0:
+        if not p > 0:
             raise DomainMismatchError(f"Schatten exponent must be positive, got {p}")
     singular = np.linalg.svd(matrix(sym).values, compute_uv=False)
     row_norms = {}  # q -> the rows' L^q norms, each computed once
     reports = []
     for p in p_values:
-        s_p = float(np.sum(singular**p) ** (1.0 / p))
-        q = 2.0 if p <= 2 else p / (p - 1.0)
+        s_p = _p_sum(singular, p)
+        q = 2.0 if p <= 2 else 1.0 if p == np.inf else p / (p - 1.0)
         if q not in row_norms:
             row_norms[q] = _row_lq_norms(sym, q)
-        r = p if p <= 2 else q
-        bound = float(np.sum(row_norms[q] ** r) ** (1.0 / r))
+        bound = _p_sum(row_norms[q], p if p <= 2 else q)
         rep = DiagnosticsReport(f"schatten_p={p:g}")
         rep.add_value("schatten_quasi_norm", s_p)
         rep.add_value("symbol_side_bound", bound)

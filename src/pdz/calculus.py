@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .symbols import (SampledSymbol, SymbolClassParams, check_expansion_order,
-                      falling_multiplier, from_x_spectrum, lattice_difference,
+                      each_row_block, falling_multiplier, from_x_spectrum, lattice_difference,
                       multi_factorial, multi_indices_below, multi_indices_of_degree,
                       require_invertible, x_reflect, x_spectrum)
 
@@ -58,18 +58,27 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     head = expansion.terms[0]
     acc = head.samples.copy()
     for t in expansion.terms[1:j]:
-        acc = acc + t.samples
+        acc += t.samples
     return head.with_samples(acc, params=head.params)
 
 
-def _product_terms(spec: np.ndarray, right: np.ndarray, grid, alphas):
-    """Yield (1/alpha!) D^(alpha)_x left . Delta^alpha_k right for each alpha,
-    the left factor given by its x-spectrum ``spec``."""
+def _add_product_terms(acc: np.ndarray, spec: np.ndarray, right: np.ndarray, grid, alphas,
+                       op=np.add) -> None:
+    """``acc = op(acc, (1/alpha!) D^(alpha)_x left . Delta^alpha_k right)`` for
+    each alpha, the left factor given by its x-spectrum ``spec``: Delta^alpha
+    is taken whole, the transform and the products per row block."""
+    flat = acc.reshape(-1, grid.size)
+    spec = spec.reshape((len(flat),) + grid.shape)
     for alpha in alphas:
-        term = from_x_spectrum(spec, grid, falling_multiplier(grid, alpha))
-        term *= lattice_difference(right, alpha)
-        term /= multi_factorial(alpha)
-        yield term
+        multiplier, factorial = falling_multiplier(grid, alpha), multi_factorial(alpha)
+        diff = lattice_difference(right, alpha).reshape(flat.shape)
+
+        def add(rows):
+            term = from_x_spectrum(spec[rows], grid, multiplier)
+            term *= diff[rows]
+            term /= factorial
+            op(flat[rows], term, out=flat[rows])
+        each_row_block(add, len(flat), grid.size)
 
 
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
@@ -85,10 +94,9 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     order = check_expansion_order(order)
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
-    spec = x_spectrum(left, grid)
     acc = left * right
-    for term in _product_terms(spec, right, grid, multi_indices_below(box.n, order)[1:]):
-        acc += term
+    _add_product_terms(acc, x_spectrum(left, grid), right, grid,
+                       multi_indices_below(box.n, order)[1:])
     params = None
     if sigma.params is not None and tau.params is not None:
         params = SymbolClassParams(
@@ -162,9 +170,8 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
                 g = m - jdx - ldx
                 if g < 0:
                     continue
-                for term in _product_terms(specs[jdx], lower[ldx], grid,
-                                           multi_indices_of_degree(n, g)):
-                    acc -= term
+                _add_product_terms(acc, specs[jdx], lower[ldx], grid,
+                                   multi_indices_of_degree(n, g), np.subtract)
         acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         b_terms.append(leading.with_samples(
             acc, params=SymbolClassParams(-mu - step * m, params.rho, params.delta)))

@@ -50,6 +50,36 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
+def each_row_block(fn, rows: int, width: int) -> None:
+    """Call ``fn`` on each slice of :func:`row_blocks` on one thread per CPU
+    the process may use, the caller's included (inline for one block or one
+    CPU); return when all are done, raising the first exception raised.
+    ``fn`` writes only its own rows, so results do not depend on the threads."""
+    blocks = list(row_blocks(rows, width))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pending, lock, errors = iter(blocks), threading.Lock(), []
+
+    def work():
+        while not errors:
+            with lock:
+                block = next(pending, None)
+            if block is None:
+                return
+            try:
+                fn(block)
+            except BaseException as exc:  # noqa: BLE001 -- re-raised below
+                errors.append(exc)
+
+    pool = [threading.Thread(target=work) for _ in range(min(len(blocks), cpus or 1) - 1)]
+    for t in pool:
+        t.start()
+    work()
+    for t in pool:
+        t.join()
+    if errors:
+        raise errors[0]
+
+
 # ---------------------------------------------------------------------------
 # multi-indices
 
@@ -444,17 +474,27 @@ def partial_multiplier(grid: TorusGrid, alpha) -> np.ndarray:
     return x_multiplier(grid, lambda l, i: (2j * np.pi * l) ** alpha[i])
 
 
+def _transform_rows(transform, rows: np.ndarray, grid: TorusGrid, multiplier=None):
+    """numpy's ``transform`` over the grid axes of ``rows`` (times ``multiplier``), by blocks."""
+    out, axes = np.empty(rows.shape, dtype=complex), tuple(range(1, grid.n + 1))
+
+    def fill(b):
+        out[b] = transform(rows[b] if multiplier is None else rows[b] * multiplier, axes=axes)
+    each_row_block(fill, len(rows), grid.size)
+    return out
+
+
 def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """FFT over the grid variable of ``values`` shaped (..., grid.size);
     returns shape (...,) + grid.shape."""
-    shaped = values.reshape(values.shape[:-1] + grid.shape)
-    return np.fft.fftn(shaped, axes=tuple(range(-grid.n, 0)))
+    out = _transform_rows(np.fft.fftn, values.reshape((-1,) + grid.shape), grid)
+    return out.reshape(values.shape[:-1] + grid.shape)
 
 
 def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=1.0) -> np.ndarray:
-    """Multiply an :func:`x_spectrum` by ``multiplier`` and invert it; returns
-    shape (...,) + (grid.size,)."""
-    out = np.fft.ifftn(spec * multiplier, axes=tuple(range(-grid.n, 0)))
+    """Multiply an :func:`x_spectrum` by ``multiplier`` (a scalar or of shape
+    ``grid.shape``) and invert it; returns shape (...,) + (grid.size,)."""
+    out = _transform_rows(np.fft.ifftn, spec.reshape((-1,) + grid.shape), grid, multiplier)
     return out.reshape(spec.shape[:-grid.n] + (grid.size,))
 
 

@@ -1,10 +1,15 @@
 """Independent reference implementations the library is checked against.
 
 Everything here is direct summation with explicitly built phase matrices (or
-stencil arithmetic), deliberately avoiding the FFT code paths under test.
+stencil arithmetic), deliberately avoiding the FFT code paths under test; the
+serial calculus at the end calls numpy's FFT on whole arrays, never the
+library's row-blocked transforms.
 """
 
 import numpy as np
+
+from pdz.symbols import (falling_multiplier, lattice_difference, multi_factorial,
+                         multi_indices_below, multi_indices_of_degree, x_reflect)
 
 
 def phase_matrix(box, grid):
@@ -170,3 +175,79 @@ def smallest(samples):
     """(|sigma|, row, node) of the first minimum of |sigma|."""
     i, j = np.unravel_index(int(np.argmin(np.abs(samples))), samples.shape)
     return float(np.abs(samples[i, j])), int(i), int(j)
+
+
+# ---------------------------------------------------------------------------
+# serial calculus: every expansion term on the whole (K x X) array, one numpy
+# FFT call per x-transform; the library's blocked passes must agree bit for bit
+
+
+def _serial_spectrum(values, grid):
+    return np.fft.fftn(values.reshape(values.shape[:-1] + grid.shape),
+                       axes=tuple(range(-grid.n, 0)))
+
+
+def _serial_inverse(spec, grid, multiplier=1.0):
+    out = np.fft.ifftn(spec * multiplier, axes=tuple(range(-grid.n, 0)))
+    return out.reshape(spec.shape[:-grid.n] + (grid.size,))
+
+
+def _serial_product_terms(spec, right, grid, alphas):
+    for alpha in alphas:
+        term = _serial_inverse(spec, grid, falling_multiplier(grid, alpha))
+        term *= lattice_difference(right, alpha)
+        term /= multi_factorial(alpha)
+        yield term
+
+
+def serial_compose(sigma, tau, order):
+    """Samples of sum_{|alpha| < order} (1/alpha!) D^(alpha)_x sigma . Delta^alpha_k tau."""
+    box, grid = sigma.box, sigma.grid
+    left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
+    spec = _serial_spectrum(left, grid)
+    acc = left * right
+    for term in _serial_product_terms(spec, right, grid, multi_indices_below(box.n, order)[1:]):
+        acc += term
+    return acc.reshape(box.size, grid.size)
+
+
+def _serial_dual(samples, box, grid, order):
+    spec = _serial_spectrum(samples, grid).reshape(box.shape + grid.shape)
+    acc = spec.copy()
+    for alpha in multi_indices_below(box.n, order)[1:]:
+        term = lattice_difference(spec, alpha)
+        term *= falling_multiplier(grid, alpha) / multi_factorial(alpha)
+        acc += term
+    return _serial_inverse(acc, grid).reshape(box.size, grid.size)
+
+
+def serial_adjoint(sigma, order):
+    return _serial_dual(np.conj(sigma.samples), sigma.box, sigma.grid, order)
+
+
+def serial_transpose(sigma, order):
+    return _serial_dual(x_reflect(sigma).samples, sigma.box, sigma.grid, order)
+
+
+def serial_parametrix(terms, order):
+    """Samples of B_0 .. B_{order-1} of the parametrix recursion for the
+    expansion ``terms`` (A_0, A_1, ...)."""
+    box, grid = terms[0].box, terms[0].grid
+    shape = box.shape + (grid.size,)
+    lower = [t.samples.reshape(shape) for t in terms]
+    inv_leading = 1.0 / lower[0]
+    b_terms, specs = [inv_leading], []
+    for m in range(1, order):
+        specs.append(_serial_spectrum(b_terms[-1], grid))
+        acc = np.zeros_like(inv_leading)
+        for jdx in range(m):
+            for ldx in range(min(m, len(lower))):
+                g = m - jdx - ldx
+                if g < 0:
+                    continue
+                for term in _serial_product_terms(specs[jdx], lower[ldx], grid,
+                                                  multi_indices_of_degree(box.n, g)):
+                    acc -= term
+        acc *= inv_leading
+        b_terms.append(acc)
+    return [b.reshape(box.size, grid.size) for b in b_terms]

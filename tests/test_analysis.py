@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdz import (DomainMismatchError, LatticeSequence, SampledSymbol,
+from pdz import (DomainMismatchError, LatticeBox, LatticeSequence, SampledSymbol,
                  SymbolDefinition, WeightedNormParams, apply,
                  compactness_tail, constant_symbol, hs_norm, kernel,
                  kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm, matrix,
@@ -123,6 +123,33 @@ def test_schatten_rejects_nonpositive_exponent():
     box, grid = helpers.box_and_grid(1, 3)
     with pytest.raises(DomainMismatchError):
         schatten_report(constant_symbol(box, grid), 0.0)
+
+
+def test_schatten_at_infinity_is_the_largest_singular_value():
+    """Op(2) = 2 I: every singular value is 2, so S_inf = 2, and p' = 1 makes
+    B_inf the sum of the rows' L^1 norms, 2 per row."""
+    box = LatticeBox(1, 3)
+    rep = schatten_report(constant_symbol(box, box.matched_grid(), 2.0), np.inf)
+    assert rep.values["schatten_quasi_norm"] == pytest.approx(2.0, rel=1e-12)
+    assert rep.values["symbol_side_bound"] == pytest.approx(2.0 * box.size, rel=1e-12)
+    assert rep.all_ok, rep.render()
+
+
+def test_schatten_at_infinity_is_one_sided_on_random_symbols():
+    box, grid = helpers.box_and_grid(1, 5)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        sym = helpers.random_symbol(box, grid, rng)
+        rep = schatten_report(sym, np.inf)
+        singular = np.linalg.svd(matrix(sym).values, compute_uv=False)
+        assert rep.values["schatten_quasi_norm"] == float(singular.max())
+        assert rep.all_ok, rep.render()
+
+
+def test_schatten_rejects_nan_exponent():
+    box = LatticeBox(1, 3)
+    with pytest.raises(DomainMismatchError):
+        schatten_report(constant_symbol(box, box.matched_grid(), 2.0), float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from pdz import (AmplitudeDefinition, DomainMismatchError, NotEllipticError,
                  OperatorMatrix, SampledSymbol, SingularSymbolError,
                  SymbolClassParams, SymbolExpansion, TorusFunction, adjoint,
-                 amplitude_to_symbol, compose, constant_symbol, matrix, order_fit,
-                 parametrix, partial_sum, periodic_taylor, symbol_from_operator,
-                 transpose)
+                 amplitude_to_symbol, calculus, compose, constant_symbol, matrix,
+                 order_fit, parametrix, partial_sum, periodic_taylor,
+                 symbol_from_operator, symbols, transpose)
 
 import helpers
+import oracles
 
 
 def _mult(box, grid, profile):
@@ -404,3 +408,124 @@ def test_every_expansion_takes_orders_one_through_the_cap(order):
             expansion()
         messages.add(str(err.value))
     assert messages == {f"expansion order must lie in [1, 12], got {order}"}
+
+
+# ---------------------------------------------------------------------------
+# row-blocked passes: bit-identical to the serial expansions, on any thread
+# count, with every thread joined
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _calculus_inputs(box, grid, rng):
+    K, X = box.size, grid.size
+    dense = lambda: rng.standard_normal((K, X)) + 1j * rng.standard_normal((K, X))
+    sigma, tau = SampledSymbol(box, grid, dense()), SampledSymbol(box, grid, dense())
+    wave = 1.0 + 0.3 * np.exp(2j * np.pi * grid.nodes[:, 0])
+    leading = SampledSymbol(box, grid, np.outer(2.0 + box.norms**2, wave),
+                            params=SymbolClassParams(2.0))
+    lower = SampledSymbol(box, grid, 0.1 * dense() * (1.0 + box.norms)[:, None])
+    return sigma, tau, [leading, lower]
+
+
+@pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
+def cpus(request, monkeypatch):
+    """Pretend the process may run on this many CPUs."""
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+@pytest.mark.parametrize("rows, n, N", helpers.block_cases(
+    {1: [(1, 30), (2, 4), (3, 2)], 7: [(1, 30), (2, 4), (3, 2)],
+     None: [(1, 160), (2, 8), (3, 3)]}))
+def test_calculus_is_bit_identical_to_the_serial_expansions(monkeypatch, cpus, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    assert len(list(symbols.row_blocks(box.size, grid.size))) > 1
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(10 * n + N))
+    threads = threading.active_count()
+    order = 4  # 1/alpha! up to 1/6: a division that is not a power of two
+    cases = [
+        (compose(sigma, tau, order).samples, oracles.serial_compose(sigma, tau, order)),
+        (adjoint(sigma, order).samples, oracles.serial_adjoint(sigma, order)),
+        (transpose(sigma, order).samples, oracles.serial_transpose(sigma, order)),
+        ([b.samples for b in parametrix(SymbolExpansion(a_terms), 2.0, order).terms],
+         oracles.serial_parametrix(a_terms, order)),
+    ]
+    assert threading.active_count() == threads
+    for got, want in cases:
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def _fail_third(fn):
+    """``fn``, raising instead on its third call from any thread."""
+    calls, lock = [], threading.Lock()
+
+    def wrapped(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise ArithmeticError("third block")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("op", ["compose", "adjoint", "transpose", "parametrix"])
+def test_an_exception_in_one_row_block_reaches_the_caller(monkeypatch, cpus, op):
+    box, grid = helpers.box_and_grid(2, 4)
+    helpers.force_block_rows(monkeypatch, 7, grid.size)
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(5))
+    if op in ("compose", "parametrix"):  # one from_x_spectrum call per block and term
+        monkeypatch.setattr(calculus, "from_x_spectrum", _fail_third(calculus.from_x_spectrum))
+    else:  # one whole from_x_spectrum, one ifftn per block inside it
+        monkeypatch.setattr(np.fft, "ifftn", _fail_third(np.fft.ifftn))
+    run = {"compose": lambda: compose(sigma, tau, 3), "adjoint": lambda: adjoint(sigma, 3),
+           "transpose": lambda: transpose(sigma, 3),
+           "parametrix": lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3)}[op]
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="third block"):
+        run()
+    assert threading.active_count() == threads
+
+
+def test_a_one_block_input_starts_no_thread(monkeypatch, cpus):
+    box, grid = helpers.box_and_grid(2, 4)
+    assert len(list(symbols.row_blocks(box.size, grid.size))) == 1
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-block pass started a thread")
+
+    monkeypatch.setattr(symbols.threading, "Thread", no_thread)
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(6))
+    assert np.array_equal(_bits(compose(sigma, tau, 3).samples),
+                          _bits(oracles.serial_compose(sigma, tau, 3)))
+    assert np.array_equal(_bits(adjoint(sigma, 3).samples),
+                          _bits(oracles.serial_adjoint(sigma, 3)))
+    assert np.array_equal(_bits(transpose(sigma, 3).samples),
+                          _bits(oracles.serial_transpose(sigma, 3)))
+    parametrix(SymbolExpansion(a_terms), 2.0, 3)
+
+
+def test_each_row_block_visits_every_block_once_on_more_threads_than_cores(monkeypatch):
+    """A stress run: eight threads, frequent switches, 300 one-row blocks; a
+    block handed out twice or never (a lost update of the shared queue)
+    shows in the counts."""
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: set(range(8)))
+    helpers.force_block_rows(monkeypatch, 1, 4)
+    counts, idents = np.zeros(300, dtype=int), set()
+
+    def visit(rows):
+        idents.add(threading.get_ident())
+        counts[rows] += 1
+
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        symbols.each_row_block(visit, len(counts), 4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (counts == 1).all()
+    assert len(idents) <= 8
+    assert threading.active_count() == threads

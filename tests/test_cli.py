@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -787,3 +790,15 @@ def test_kernel_csv_two_dimensional_layout(tmp_path):
     for ln in lines[1:]:
         cols = ln.split(",")
         assert (int(cols[2]), int(cols[3])) in ((0, 0), (0, -1))
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    """The row-block passes use bare threads: ``concurrent.futures`` would add
+    several milliseconds to every command's start-up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, pdz.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
