@@ -402,8 +402,11 @@ class ToroidalSymbol:
 
     def __post_init__(self):
         require_matched(self.box, self.grid)
-        self.samples = np.asarray(self.samples, dtype=complex).reshape(
-            self.grid.size, self.box.size)
+        samples = np.asarray(self.samples, dtype=complex)
+        if samples.size != self.grid.size * self.box.size:
+            raise DomainMismatchError(f"toroidal samples have {samples.size} entries, "
+                                      f"grid x box has {self.grid.size} x {self.box.size}")
+        self.samples = samples.reshape(self.grid.size, self.box.size)
 
 
 def sample_toroidal(evaluator, grid: TorusGrid, box: LatticeBox) -> ToroidalSymbol:

@@ -78,6 +78,11 @@ def _finish(sym, f, g, s_values, iterations, method, warnings, history) -> Solve
     )
 
 
+def _require_same_box(sym: SampledSymbol, g: LatticeSequence) -> None:
+    if g.box != sym.box:
+        raise DomainMismatchError("data and symbol live on different boxes")
+
+
 def _row_scan(sym: SampledSymbol) -> tuple[np.ndarray, float, bool]:
     """Row 0 of sigma, the largest deviation of a row from it, and whether
     that is within 1e-12 of max(1, max |sigma|); one pass over the rows,
@@ -112,8 +117,7 @@ def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
 
 def _divide(sym: SampledSymbol, scan, g: LatticeSequence, s_values) -> SolveReport:
     """:func:`invert_multiplier` on the result of :func:`_row_scan`."""
-    if g.box != sym.box:
-        raise DomainMismatchError("data and symbol live on different boxes")
+    _require_same_box(sym, g)
     row, deviation, k_constant = scan
     if not k_constant:
         raise DomainMismatchError(
@@ -162,8 +166,7 @@ def solve_dense(sym: SampledSymbol, mu: float, g: LatticeSequence, tol: float = 
     :class:`ResourceLimitError`, and the residual is judged by
     :func:`_verified` with the history ``[residual]``.
     """
-    if g.box != sym.box:
-        raise DomainMismatchError("data and symbol live on different boxes")
+    _require_same_box(sym, g)
     warnings = _conditioning(require_invertible(sym, mu), "solution")
     try:
         values = np.linalg.solve(matrix(sym).values, g.values)
@@ -223,17 +226,15 @@ def gmres(matvec, precond, g: np.ndarray, tol: float, max_iter: int):
     return precond(x), history
 
 
-def _solve_by_gmres(sym: SampledSymbol, g: LatticeSequence, preconditioner, method: str,
-                    route: str, max_iter: int, tol: float, s_values) -> SolveReport:
-    """Solve Op(sigma) f = g by :func:`gmres` with :func:`apply` as the
-    operator.  ``preconditioner()``, called once the boxes match, runs the
-    route's checks and returns ``(P, warnings)``.  A singular operator on
-    the Krylov space raises :class:`SingularSymbolError`; the residual
-    recomputed by :func:`_finish`, not the GMRES estimate, is judged by
-    :func:`_verified` with the estimates as the history."""
-    if g.box != sym.box:
-        raise DomainMismatchError("data and symbol live on different boxes")
-    precond, warnings = preconditioner()
+def _solve_by_gmres(sym: SampledSymbol, g: LatticeSequence, precond, warnings: list,
+                    method: str, route: str, max_iter: int, tol: float,
+                    s_values) -> SolveReport:
+    """Solve Op(sigma) f = g, on matching boxes, by :func:`gmres` with
+    :func:`apply` as the operator and ``precond`` as P; the report carries
+    ``warnings``.  A singular operator on the Krylov space raises
+    :class:`SingularSymbolError`; the residual recomputed by
+    :func:`_finish`, not the GMRES estimate, is judged by :func:`_verified`
+    with the estimates as the history."""
     box = sym.box
     try:
         values, history = gmres(lambda v: apply(sym, LatticeSequence(box, v)).values,
@@ -268,18 +269,16 @@ def solve_krylov(sym: SampledSymbol, mu: float, g: LatticeSequence, max_iter: in
     :func:`solve_dense` first, so a symbol fails here exactly as there; a
     vanishing sigma-bar raises :class:`DomainMismatchError`.
     """
-    def mean_preconditioner():
-        warnings = _conditioning(require_invertible(sym, mu), "solution")
-        mean = _mean_symbol(sym)
-        zero = np.abs(mean) <= ZERO_THRESHOLD
-        if zero.any():
-            k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
-            raise DomainMismatchError(
-                f"the mean of the symbol over the grid vanishes at k={k}; "
-                "the krylov preconditioner divides by it")
-        return (lambda v: v / mean), warnings
-
-    return _solve_by_gmres(sym, g, mean_preconditioner, "krylov-gmres", "krylov",
+    _require_same_box(sym, g)
+    warnings = _conditioning(require_invertible(sym, mu), "solution")
+    mean = _mean_symbol(sym)
+    zero = np.abs(mean) <= ZERO_THRESHOLD
+    if zero.any():
+        k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
+        raise DomainMismatchError(
+            f"the mean of the symbol over the grid vanishes at k={k}; "
+            "the krylov preconditioner divides by it")
+    return _solve_by_gmres(sym, g, lambda v: v / mean, warnings, "krylov-gmres", "krylov",
                            max_iter, tol, s_values)
 
 
@@ -293,13 +292,11 @@ def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int
     :func:`parametrix` runs the ellipticity and vanishing checks; the
     expansion carries the (K x X) samples of each term.
     """
-    def parametrix_preconditioner():
-        B = partial_sum(parametrix(SymbolExpansion([sym], [mu]), mu, order), order)
-        smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
-        return (lambda v: apply(B, LatticeSequence(sym.box, v)).values,
-                _conditioning(smallest, "iteration"))
-
-    return _solve_by_gmres(sym, g, parametrix_preconditioner, "parametrix-iteration",
+    _require_same_box(sym, g)
+    B = partial_sum(parametrix(SymbolExpansion([sym], [mu]), mu, order), order)
+    smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
+    return _solve_by_gmres(sym, g, lambda v: apply(B, LatticeSequence(sym.box, v)).values,
+                           _conditioning(smallest, "iteration"), "parametrix-iteration",
                            "parametrix", max_iter, tol, s_values)
 
 

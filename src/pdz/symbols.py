@@ -202,12 +202,12 @@ class SampledSymbol:
 
     Rows run over box points (lexicographic), columns over grid nodes
     (C order).  A symbol is backed by the stored (K x X) array or by a
-    :class:`SymbolDefinition`; :meth:`blocks` builds the row blocks of the
-    latter from the factors of :meth:`separated`, or from the evaluator
-    when there are none, and the first read of ``samples`` keeps them.
-    That array, the row Fourier coefficients kappa(k, l) and the factor
-    arrays of :meth:`separated` are each computed once on demand under a
-    lock; everything else treats instances as immutable.
+    :class:`SymbolDefinition`, whose factors (:meth:`separated`) are
+    evaluated at construction; :meth:`blocks` builds the row blocks of the
+    latter from those factors, or from the evaluator when there are none,
+    each pass evaluating the rows it reads.  The (K x X) ``samples`` and the
+    row Fourier coefficients kappa(k, l) are each computed once on first
+    read under a lock; everything else treats instances as immutable.
     """
 
     __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa",
@@ -220,15 +220,18 @@ class SampledSymbol:
         self.box = box
         self.grid = grid
         self.params = params
-        self._kappa = self._separated = None
-        self._lock = threading.RLock()  # kappa() fills through separated()
+        self._kappa = None
+        self._lock = threading.Lock()
         if isinstance(samples, SymbolDefinition):
             self._samples, self._definition = None, samples
+            self._separated = self._factor_arrays(samples.separated)
             return
         samples = np.asarray(samples, dtype=complex)
-        if samples.shape != (box.size, grid.size):
-            samples = samples.reshape(box.size, grid.size)
-        self._samples, self._definition = samples, None
+        if samples.size != box.size * grid.size:
+            raise DomainMismatchError(f"symbol samples have {samples.size} entries, "
+                                      f"box x grid has {box.size} x {grid.size}")
+        self._samples = samples.reshape(box.size, grid.size)
+        self._definition = self._separated = None
         for rows, block in self.blocks():
             self._require_finite(rows, block)
 
@@ -283,19 +286,14 @@ class SampledSymbol:
 
     def separated(self):
         """``(A, B)`` with sigma(k_i, x_j) = sum_t A[t, i] B[t, j], the
-        definition's separated form evaluated once, on the first call: A is
-        (T x K) and B (T x X); every pass reads sigma from them.  None for an
+        definition's separated form evaluated at construction: A is (T x K)
+        and B (T x X); every pass reads sigma from them.  None for an
         array-backed symbol, a definition without that form, and when A, B or
         the bound sum_t max|A_t| max|B_t| is non-finite: the definition's
         evaluator then serves the passes and reports the non-finite samples."""
-        if self._separated is None:
-            with self._lock:
-                if self._separated is None:
-                    self._separated = self._factor_arrays() or ()
-        return self._separated or None
+        return self._separated
 
-    def _factor_arrays(self):
-        pairs = None if self._definition is None else self._definition.separated
+    def _factor_arrays(self, pairs):
         if not pairs:
             return None
         K, X = self.box.size, self.grid.size
@@ -378,11 +376,11 @@ class SampledSymbol:
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:
     """Sample a closed-form symbol on box x grid.
 
-    Samples that fit in one row block are built and stored at once; larger
-    ones stay with the definition, whose factors (or evaluator) each pass
-    reads one row block at a time, so both must be pure.  Raises
-    :class:`ResourceLimitError` when the dense (K x X) samples would not fit
-    in the machine's physical memory.
+    The symbol keeps the definition: its factors are evaluated here, and
+    each pass evaluates the rows it reads from them (or from the evaluator),
+    so both must be pure; the (K x X) array is kept only once ``samples``
+    is read.  Raises :class:`ResourceLimitError` when that array would not
+    fit in the machine's physical memory.
     """
     require_matched(box, grid)
     nbytes = box.size * grid.size * 16
@@ -395,10 +393,7 @@ def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> Sa
             f"symbol samples need {box.size} x {grid.size} complex entries "
             f"({nbytes / 2**30:.1f} GiB), above the {physical / 2**30:.1f} GiB "
             "of physical memory")
-    sym = SampledSymbol(box, grid, definition, params=definition.params)
-    if nbytes <= ROW_BLOCK_BYTES:  # one block: streaming would save nothing
-        sym.samples
-    return sym
+    return SampledSymbol(box, grid, definition, params=definition.params)
 
 
 def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbol:

@@ -303,6 +303,44 @@ def test_bad_symbol_parameter_exits_2(tmp_path, capsys, command, params, key):
     assert err.startswith(f"config error: symbol 'S': {key!r} must be a")
 
 
+_JOB = {"box": {"n": 1, "N": 4},
+        "symbols": [{"name": "S", "kind": "expression", "params": {"expr": "2 + k_1**2"}}],
+        "kernel": {"symbol": "S"}}
+
+
+def _job_with(**changes):
+    return {**_JOB, **changes}
+
+
+def _symbol_with(**changes):
+    return _job_with(symbols=[{**_JOB["symbols"][0], **changes}])
+
+
+@pytest.mark.parametrize("job, message", [
+    (_job_with(symbols=[5]), "symbol entry must be a mapping"),
+    (_symbol_with(name=""), "needs a nonempty 'name'"),
+    (_symbol_with(params=[1]), "params must be a mapping"),
+    (_symbol_with(kind="table"), "kind must be 'builtin' or 'expression'"),
+    (_symbol_with(params={}), "needs a string 'expr'"),
+    (_symbol_with(kind="builtin", params={"builtin": "rotate"}), "unknown builtin 'rotate'"),
+    (_symbol_with(params={"expr": "k_1 < x_1"}), "unsupported syntax"),
+    (_job_with(kernel=[1]), "config section 'kernel' must be a mapping"),
+    (None, "cannot read config"),
+    ([1], "config root must be a JSON object"),
+    (_job_with(box=5), "'box' must be an object"),
+    (_job_with(symbols={}), "'symbols' must be a list"),
+    (_job_with(symbols=_JOB["symbols"] * 2), "symbol 'S' defined twice"),
+], ids=["entry", "name", "params", "kind", "expr", "builtin", "syntax", "section",
+        "unreadable", "root", "box", "symbols", "duplicate"])
+def test_config_structure_errors_exit_2(tmp_path, capsys, job, message):
+    path = tmp_path / "job.json"
+    if job is not None:
+        path.write_text(json.dumps(job))
+    assert main(["kernel", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 # ---------------------------------------------------------------------------
 # serialization round trips
 
@@ -794,11 +832,17 @@ def test_kernel_csv_two_dimensional_layout(tmp_path):
 
 def test_importing_the_cli_leaves_concurrent_futures_unloaded():
     """The row-block passes use bare threads: ``concurrent.futures`` would add
-    several milliseconds to every command's start-up."""
+    several milliseconds to every command's start-up.  Every module the
+    import adds comes from the standard library, numpy or pdz, the only
+    declared runtime dependency; the baseline is taken in the same process,
+    after the site hooks have run."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, pdz.cli; print('concurrent.futures' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import pdz.cli; "
+             "print('concurrent.futures' in sys.modules); "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - sys.stdlib_module_names - {'numpy', 'pdz'}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n")[:2] == ["False", "[]"]

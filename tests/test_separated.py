@@ -34,6 +34,9 @@ SEPARABLE = {
     "-(2*k_1 - x_{n})*(x_1 + k_1)/(2 + abs_k)": 4,
     "3 + exp(2*pi*i*x_1)": 1,
     "(1 + abs_k)**2": 1,
+    "+(k_1*exp(2*pi*i*x_{n}))": 1,
+    "(k_1*cos(2*pi*x_{n}))**2": 1,
+    "((1 + k_1**2)*(2 + cos(2*pi*x_1)))**-1": 1,
 }
 
 #: Expressions with no separated form.

@@ -13,7 +13,7 @@ from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, NotEllipticEr
                  kernel_decay_fits, matrix, sample)
 from pdz import io as pdzio
 from pdz.solver import lattice_deviation, solve_dense
-from pdz.symbols import ROW_BLOCK_BYTES, ZERO_THRESHOLD, require_invertible
+from pdz.symbols import ZERO_THRESHOLD, require_invertible
 
 import helpers
 import oracles
@@ -123,10 +123,16 @@ def test_non_finite_evaluator_raises_through_apply_and_samples(block_rows):
     assert (str(err.value), err.value.where) == expected
 
 
-def test_samples_that_fit_one_block_are_stored_at_once():
-    box, grid = helpers.box_and_grid(1, 100)
-    assert box.size * grid.size * 16 <= ROW_BLOCK_BYTES
-    assert sample(SymbolDefinition(_elliptic), box, grid)._samples is not None
+def test_sample_evaluates_nothing():
+    box, grid = helpers.box_and_grid(1, 4)
+    calls = []
+
+    def counted(k, x):
+        calls.append(None)
+        return _elliptic(k, x)
+
+    assert sample(SymbolDefinition(counted), box, grid)._samples is None
+    assert len(calls) == 0
 
 
 def test_streamed_apply_holds_a_fraction_of_the_samples():

@@ -53,8 +53,17 @@ def test_sample_rejects_nonfinite_with_location():
             return out / (k[..., 0] - 1)  # infinite at k = 1
 
     with pytest.raises(NonFiniteValueError) as err:
-        sample(SymbolDefinition(bad), box, grid)
+        sample(SymbolDefinition(bad), box, grid).samples
     assert err.value.where[0] == (1,)
+
+
+def test_constructors_reject_samples_of_the_wrong_size():
+    from pdz.quantize import ToroidalSymbol
+    box, grid = helpers.box_and_grid(1, 2)
+    with pytest.raises(DomainMismatchError, match=r"9 entries, box x grid has 5 x 5"):
+        SampledSymbol(box, grid, np.ones(9))
+    with pytest.raises(DomainMismatchError, match=r"9 entries, grid x box has 5 x 5"):
+        ToroidalSymbol(grid, box, np.ones(9))
 
 
 def _plain(point):
