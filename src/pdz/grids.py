@@ -9,6 +9,7 @@ Statements about the full lattice are probed by refining N.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,19 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 #: Hard cap on the number of box points a constructor will accept, read at
 #: construction time.
 POINT_CAP = 1 << 20
+
+
+def require_memory(what: str, rows: int, cols: int) -> None:
+    """Raise :class:`ResourceLimitError` before a (rows x cols) complex array
+    larger than physical memory is built (no check without ``os.sysconf``)."""
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare
+        return
+    if 16 * rows * cols > physical:
+        raise ResourceLimitError(
+            f"{what}: {rows} x {cols} complex entries ({16 * rows * cols / 2**30:.1f} GiB), "
+            f"above the {physical / 2**30:.1f} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -233,5 +247,6 @@ class TorusFunction:
 def character_matrix(box: LatticeBox, grid: TorusGrid) -> np.ndarray:
     """(box.size, grid.size) matrix of e^{2*pi*i k.x} over box points and grid nodes."""
     require_matched(box, grid)
+    require_memory("character matrix", box.size, grid.size)
     phases = box.points.astype(float) @ grid.nodes.T
     return np.exp(2j * np.pi * phases)

@@ -23,7 +23,7 @@ from .errors import (ConfigError, DivergenceError, DomainMismatchError,
 from .fourier import forward_fourier, inverse_fourier
 from .grids import LatticeSequence, TorusFunction
 from .quantize import apply, matrix
-from .symbols import ZERO_THRESHOLD, SampledSymbol, require_invertible
+from .symbols import ZERO_THRESHOLD, SampledSymbol, check_expansion_order, require_invertible
 
 #: Below this grid minimum a conditioning warning is attached to reports.
 CONDITION_WARNING = 1e-6
@@ -317,6 +317,7 @@ def solve(sym: SampledSymbol, g: LatticeSequence, method: str = "auto", mu: floa
     :class:`ConfigError`."""
     if method not in ("auto", "multiplier", "krylov", "dense", "iterative"):
         raise ConfigError(f"solve: unknown method {method!r}")
+    check_expansion_order(order)
     fallback, scan = False, None
     if method == "auto":
         inside_cap = sym.box.size <= quantize.DENSE_CAP

@@ -25,9 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainMismatchError, NonFiniteValueError, NotEllipticError,
-                     ResourceLimitError, SingularSymbolError)
-from .grids import LatticeBox, TorusFunction, TorusGrid, require_matched
+from .errors import DomainMismatchError, NonFiniteValueError, NotEllipticError, SingularSymbolError
+from .grids import LatticeBox, TorusFunction, TorusGrid, require_matched, require_memory
 
 #: Largest total expansion order supported by the multi-index machinery.
 ORDER_CAP = 12
@@ -317,10 +316,11 @@ class SampledSymbol:
 
     @property
     def samples(self) -> np.ndarray:
-        """The (K x X) samples, built from the definition on first read."""
+        """The (K x X) samples, built on first read if they fit in physical memory."""
         if self._samples is None:
             with self._lock:
                 if self._samples is None:
+                    require_memory("symbol samples", self.box.size, self.grid.size)
                     values = np.empty((self.box.size, self.grid.size), dtype=complex)
                     for rows, block in self.blocks():
                         values[rows] = block
@@ -354,14 +354,15 @@ class SampledSymbol:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
 
         Returned as a read-only (box.size, box.size) array with l in box
-        order, gathered from :meth:`kappa_blocks` on the first call and kept
-        (for :func:`pdz.quantize.kernel` alone); the rows reconstruct the
-        samples via sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
+        order, gathered from :meth:`kappa_blocks` on the first call if it fits
+        in physical memory and kept (for :func:`pdz.quantize.kernel` alone);
+        the rows give sigma(k, x) = sum_l kappa(k, l) e^{-2 pi i l.x}.
         """
         if self._kappa is None:
             with self._lock:
                 if self._kappa is None:
                     K = self.box.size
+                    require_memory("row transform kappa", K, K)
                     kap = np.empty((K, K), dtype=complex)
                     for rows, block in self.kappa_blocks():
                         kap[rows] = block
@@ -374,25 +375,9 @@ class SampledSymbol:
 
 
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:
-    """Sample a closed-form symbol on box x grid.
-
-    The symbol keeps the definition: its factors are evaluated here, and
-    each pass evaluates the rows it reads from them (or from the evaluator),
-    so both must be pure; the (K x X) array is kept only once ``samples``
-    is read.  Raises :class:`ResourceLimitError` when that array would not
-    fit in the machine's physical memory.
-    """
-    require_matched(box, grid)
-    nbytes = box.size * grid.size * 16
-    try:
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare
-        physical = None
-    if physical is not None and nbytes > physical:
-        raise ResourceLimitError(
-            f"symbol samples need {box.size} x {grid.size} complex entries "
-            f"({nbytes / 2**30:.1f} GiB), above the {physical / 2**30:.1f} GiB "
-            "of physical memory")
+    """Sample a closed-form symbol on box x grid, keeping the definition: its
+    factors are evaluated here and each pass evaluates the rows it reads, so
+    both must be pure; the (K x X) array is kept once ``samples`` is read."""
     return SampledSymbol(box, grid, definition, params=definition.params)
 
 

@@ -622,6 +622,32 @@ def test_solve_rejects_an_iteration_budget_below_one(tmp_path, capsys, max_iter)
     assert "'max_iter' must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["auto", "multiplier", "krylov", "dense", "iterative"])
+@pytest.mark.parametrize("order", [0, 13])
+def test_solve_checks_the_expansion_order_on_every_route(tmp_path, capsys, method, order):
+    path = _solve_job(tmp_path, "3 + exp(2*pi*i*x_1)", 8, method=method, order=order)
+    assert main(["solve", "--config", path]) == 3
+    assert "expansion order must lie in [1, 12]" in capsys.readouterr().err
+
+
+def test_apply_of_a_separated_symbol_beyond_physical_memory_exits_0(tmp_path, capsys):
+    # n=1 N=131072: the (K x X) samples would be 1.1 TB; apply reads the factors
+    box = LatticeBox(1, 131072)
+    delta = LatticeSequence.delta(box)
+    write_sequence_csv(delta, tmp_path / "g.csv")
+    job = {"box": {"n": 1, "N": box.N},
+           "symbols": [{"name": "E", "kind": "expression",
+                        "params": {"expr": "1.5 + k_1**2 + exp(2*pi*i*x_1)"}}],
+           "apply": {"symbol": "E", "input": "g.csv"}}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    out = tmp_path / "f.csv"
+    assert main(["apply", "--config", str(tmp_path / "job.json"), "--out", str(out)]) == 0
+    weight = 1.5 + box.points[:, 0].astype(float) ** 2
+    want = weight * delta.values + delta.shifted((1,)).values
+    # the FFT's rounding of f, about 1e-16, is scaled by a(k) = 1.5 + k^2
+    assert (np.abs(read_sequence_csv(out, box).values - want) <= 1e-12 * weight).all()
+
+
 def test_solve_dense_method_matches_the_iterative_solution(tmp_path, capsys):
     # the job of test_solve_command_iterative_method, solved both ways
     solutions = {}

@@ -321,3 +321,13 @@ def test_separated_symbol_is_finite_where_its_fused_evaluator_overflows():
     want = box.points[:, :1] ** 2 * (1 + grid.nodes[None, :, 0]) ** 2
     assert np.isfinite(values).all()
     _close(values, want)
+
+
+def test_separated_apply_beyond_physical_memory_is_the_weighted_shift():
+    # n=2 N=511: the (K x X) samples would be 17.5 TB; apply reads the factors
+    box = LatticeBox(2, 511)
+    definition = _factors_only(_definition("1.5 + k_1**2 + exp(2*pi*i*x_1)", 2))
+    sym = sample(definition, box, box.matched_grid())
+    f = helpers.random_sequence(box, np.random.default_rng(3))
+    want = (1.5 + box.points[:, 0] ** 2) * f.values + f.shifted((1, 0)).values
+    _close(apply(sym, f).values, want)

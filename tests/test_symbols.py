@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import tracemalloc
+from pathlib import Path
 
+import pdz
 from pdz import (DomainMismatchError, LatticeBox, NonFiniteValueError, ResourceLimitError,
                  SampledSymbol, SymbolClassParams, SymbolDefinition, TorusFunction,
-                 constant_symbol,
+                 character_matrix, constant_symbol, kernel,
                  ellipticity_check, forward_difference, generalized_difference,
                  order_fit, periodic_taylor, sample, seminorm_estimate, x_derivative)
 from pdz.symbols import (falling_derivative, multi_factorial, multi_indices_below,
@@ -107,20 +109,48 @@ def test_blocked_sample_matches_one_evaluator_call(monkeypatch, n, N, rows):
     assert np.array_equal(sym.samples, full)
 
 
-def test_sample_refuses_samples_beyond_physical_memory():
-    box = LatticeBox(2, 511)  # 1023^4 complex samples: 17.5 TB
+#: 1023^2 points: (K x X) samples and (K x K) kappa of 17.5 TB each, more
+#: than any test machine holds.
+_BEYOND_MEMORY = LatticeBox(2, 511)
 
-    def never(k, x):
-        raise AssertionError("evaluator called before the size check")
 
+def _never(k, x):
+    raise AssertionError("evaluator called before the size check")
+
+
+def _refused_under_one_mib(build) -> None:
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="physical memory"):
-            sample(SymbolDefinition(never), box, box.matched_grid())
+            build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_sample_refuses_samples_beyond_physical_memory():
+    # sample() only constructs; the first read of the samples is refused
+    box, grid = _BEYOND_MEMORY, _BEYOND_MEMORY.matched_grid()
+    _refused_under_one_mib(lambda: sample(SymbolDefinition(_never), box, grid).samples)
+    _refused_under_one_mib(lambda: SampledSymbol(box, grid, SymbolDefinition(_never)).samples)
+
+
+@pytest.mark.parametrize("build", [lambda sym: sym.kappa(), kernel], ids=["kappa", "kernel"])
+def test_kappa_beyond_physical_memory_is_refused_before_allocating(build):
+    box = _BEYOND_MEMORY
+    sym = sample(SymbolDefinition(_never), box, box.matched_grid())
+    _refused_under_one_mib(lambda: build(sym))
+
+
+def test_character_matrix_beyond_physical_memory_is_refused_before_allocating():
+    box = _BEYOND_MEMORY
+    _refused_under_one_mib(lambda: character_matrix(box, box.matched_grid()))
+
+
+def test_physical_memory_is_read_in_one_place():
+    src = Path(pdz.__file__).parent
+    assert sum(f.read_text().count("SC_PHYS_PAGES") for f in src.glob("*.py")) == 1
 
 
 # ---------------------------------------------------------------------------
