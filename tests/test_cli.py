@@ -630,7 +630,7 @@ def test_solve_checks_the_expansion_order_on_every_route(tmp_path, capsys, metho
     assert "expansion order must lie in [1, 12]" in capsys.readouterr().err
 
 
-def test_apply_of_a_separated_symbol_beyond_physical_memory_exits_0(tmp_path, capsys):
+def test_apply_of_a_separated_symbol_beyond_physical_memory_exits_0(tmp_path):
     # n=1 N=131072: the (K x X) samples would be 1.1 TB; apply reads the factors
     box = LatticeBox(1, 131072)
     delta = LatticeSequence.delta(box)
