@@ -19,13 +19,12 @@ from .symbols import (AmplitudeDefinition, EllipticityReport, PeriodicTaylor,
                       multi_indices_below, multi_indices_of_degree, order_fit,
                       periodic_taylor, sample, seminorm_estimate, x_derivative,
                       x_reflect)
-from .quantize import (Kernel, OperatorMatrix, PhaseFunction, ToroidalSymbol,
-                       amplitude_to_symbol, apply, apply_amplitude, apply_fso,
-                       apply_toroidal, fso_boundedness_check, kernel, kernel_apply,
-                       link_defect, matrix, sample_toroidal, symbol_from_operator,
-                       toroidal_from_lattice)
-from .calculus import (SymbolExpansion, adjoint, compose, parametrix, partial_sum,
-                       transpose)
+from .quantize import (Kernel, OperatorMatrix, PhaseFunction, ToroidalSymbol, apply,
+                       apply_amplitude, apply_fso, apply_toroidal, fso_boundedness_check,
+                       kernel, kernel_apply, link_defect, matrix, sample_toroidal,
+                       symbol_from_operator, toroidal_from_lattice)
+from .calculus import (SymbolExpansion, adjoint, amplitude_to_symbol, compose, parametrix,
+                       partial_sum, transpose)
 from .report import DiagnosticsReport
 from .analysis import (WeightedNormParams, compactness_tail, hs_norm,
                        kernel_decay_fit, kernel_decay_fits, lp_bound_report,

@@ -49,18 +49,21 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
 
 def hs_norm(sym: SampledSymbol) -> float:
     """Quadrature L^2 norm of the symbol over box x grid; coincides with the
-    Frobenius norm of the dense operator matrix."""
-    return float(np.sqrt(np.sum(np.abs(sym.samples) ** 2) * sym.grid.weight))
+    Frobenius norm of the dense operator matrix; one pass over the row blocks."""
+    return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for _, b in sym.blocks()) * sym.grid.weight))
 
 
 def trace(sym: SampledSymbol) -> complex:
     """sum_k (1/M^n) sum_j sigma(k, x_j): the matrix trace, and (within dense
-    eigensolver accuracy) the eigenvalue sum."""
-    return complex(np.sum(sym.samples) * sym.grid.weight)
+    eigensolver accuracy) the eigenvalue sum; one pass over the row blocks."""
+    return complex(sum(np.sum(block) for _, block in sym.blocks()) * sym.grid.weight)
 
 
 def _row_lq_norms(sym: SampledSymbol, q: float) -> np.ndarray:
-    return (np.sum(np.abs(sym.samples) ** q, axis=1) * sym.grid.weight) ** (1.0 / q)
+    sums = np.empty(sym.box.size)
+    for rows, block in sym.blocks():
+        sums[rows] = np.sum(np.abs(block) ** q, axis=1)
+    return (sums * sym.grid.weight) ** (1.0 / q)
 
 
 def schatten_report(sym: SampledSymbol, p: float) -> DiagnosticsReport:

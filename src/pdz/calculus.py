@@ -1,6 +1,9 @@
-"""Symbolic calculus: composition, adjoint, and transpose expansions, finite
-partial sums of symbol expansions, and the parametrix recursion for elliptic
-symbols.
+"""Symbolic calculus: composition, adjoint, and transpose expansions, the
+reduction of amplitudes to symbols, finite partial sums of symbol
+expansions, and the parametrix recursion for elliptic symbols.
+
+The adjoint, the transpose and the amplitude reduction are one series,
+sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by :func:`_difference_series`.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -14,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainMismatchError
-from .symbols import (SampledSymbol, SymbolClassParams, check_expansion_order,
-                      each_row_block, falling_multiplier, from_x_spectrum, lattice_difference,
-                      multi_factorial, multi_indices_below, multi_indices_of_degree,
-                      require_invertible, x_reflect, x_spectrum)
+from .grids import LatticeBox, TorusGrid, require_matched, require_memory
+from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
+                      check_expansion_order, each_row_block, falling_multiplier,
+                      from_x_spectrum, lattice_difference, multi_factorial,
+                      multi_indices_below, multi_indices_of_degree, require_invertible,
+                      x_reflect, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -107,20 +112,24 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     return SampledSymbol(sigma.box, sigma.grid, acc, params=params)
 
 
+def _difference_series(spec: np.ndarray, grid, order: int, axes) -> np.ndarray:
+    """sum_{|alpha| < order} (1/alpha!) Delta^alpha D^(alpha)_x on an x-spectrum whose
+    lattice axes are ``axes``: Delta^alpha commutes with the x-transform and the multiplier."""
+    acc = spec.copy()
+    for alpha in multi_indices_below(len(axes), order)[1:]:
+        term = lattice_difference(spec, alpha, axes)
+        term *= falling_multiplier(grid, alpha) / multi_factorial(alpha)
+        acc += term
+    return acc
+
+
 def _dual_expansion(flipped: SampledSymbol, order: int, params) -> SampledSymbol:
-    """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x flipped, summed
-    on one x-spectrum: Delta^alpha_k acts on the lattice axes, so it commutes
-    with the x-transform and with the falling-factorial multiplier."""
+    """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x flipped."""
     order = check_expansion_order(order)
     box, grid = flipped.box, flipped.grid
     spec = x_spectrum(flipped.samples, grid).reshape(box.shape + grid.shape)
-    acc = spec.copy()
-    for alpha in multi_indices_below(box.n, order)[1:]:
-        term = lattice_difference(spec, alpha)
-        term *= falling_multiplier(grid, alpha) / multi_factorial(alpha)
-        acc += term
-    samples = from_x_spectrum(acc, grid).reshape(box.size, grid.size)
-    return SampledSymbol(box, grid, samples, params=params)
+    acc = _difference_series(spec, grid, order, range(box.n))
+    return SampledSymbol(box, grid, from_x_spectrum(acc, grid), params=params)
 
 
 def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
@@ -131,6 +140,30 @@ def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
 def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x)."""
     return _dual_expansion(x_reflect(sigma), order, sigma.params)
+
+
+def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGrid,
+                        order: int) -> SampledSymbol:
+    """Reduce an amplitude to a symbol by the finite expansion
+
+        sum_{|alpha| < order} (1/alpha!) Delta^alpha_l D^(alpha)_x a(k, l, x) |_{l=k},
+
+    summed on the stencil l = k + gamma, 0 <= gamma_i < order (wrapped), the
+    only points Delta^alpha reads at l = k; the cyclic wrap of the stencil's
+    differences never reaches the corner gamma = 0 that is read.  For
+    amplitudes independent of l the alpha = 0 term alone is exact.
+    """
+    order = check_expansion_order(order)
+    require_matched(box, grid)
+    n, K = box.n, box.size
+    require_memory("amplitude stencil", K * order**n, grid.size)
+    l_pts = box.wrap(box.points[:, None, :] + np.indices((order,) * n).reshape(n, -1).T)
+    vals = np.asarray(amp.evaluator(box.points[:, None, None, :], l_pts[:, :, None, :],
+                                    grid.nodes[None, None, :, :]), dtype=complex)
+    spec = x_spectrum(np.broadcast_to(vals, l_pts.shape[:2] + (grid.size,)), grid)
+    acc = _difference_series(spec.reshape((K,) + (order,) * n + grid.shape), grid, order,
+                             range(1, n + 1))
+    return SampledSymbol(box, grid, from_x_spectrum(acc.reshape((K, -1) + grid.shape)[:, 0], grid))
 
 
 def parametrix(a_terms: SymbolExpansion, mu: float, order: int,

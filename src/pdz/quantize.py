@@ -10,7 +10,8 @@ provided (FFT application, kernel summation, dense matrix) so each can serve
 as an oracle for the others.  A symbol given as a finite sum
 sum_t a_t(k) b_t(x) (:meth:`SampledSymbol.separated`) is applied and
 transformed through its T factors instead; array-backed symbols keep the
-dense path, the oracle for that one.  Also here: amplitude operators,
+dense path, the oracle for that one.  Also here: amplitude operators
+(their reduction to symbols is a calculus expansion, in :mod:`pdz.calculus`),
 operators with a general phase, the dual quantization on the torus, and the
 conjugation identity tying the two quantizations together.
 """
@@ -25,9 +26,8 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
                     character_matrix, require_matched)
 from .report import DiagnosticsReport
-from .symbols import (AmplitudeDefinition, SampledSymbol, check_expansion_order,
-                      falling_multiplier, from_x_spectrum, lattice_difference,
-                      multi_factorial, multi_indices_below, partial_multiplier, row_blocks,
+from .symbols import (AmplitudeDefinition, SampledSymbol, from_x_spectrum,
+                      lattice_difference, multi_indices_below, partial_multiplier, row_blocks,
                       x_spectrum)
 
 
@@ -202,66 +202,24 @@ def symbol_from_operator(op: OperatorMatrix, grid: TorusGrid | None = None) -> S
 # ---------------------------------------------------------------------------
 # amplitude operators
 
-#: Cap on box.size^2 * grid.size for materializing (k, l, x) tensors.
-AMPLITUDE_TENSOR_CAP = 1 << 24
-
-
 def apply_amplitude(amp: AmplitudeDefinition, f: LatticeSequence) -> LatticeSequence:
     """Apply the amplitude operator
 
         A f(k) = sum_m (1/M^n) sum_j e^{2 pi i (k-m).x_j} a(k, m, x_j) f(m),
 
-    evaluating the amplitude lazily one k-row at a time.
+    each row one weighted sum of the amplitude's k-row, evaluated lazily one
+    k at a time, against e^{-2 pi i m.x_j} f(m), formed once.
     """
     box = f.box
     grid = box.matched_grid()
     E = character_matrix(box, grid)
-    axes = tuple(range(1, grid.n + 1))
-    l_pts = box.points[:, None, :]
-    x_pts = grid.nodes[None, :, :]
+    weighted = np.conj(E) * f.values[:, None]
     out = np.empty(box.size, dtype=complex)
-    for i in range(box.size):
-        k_pt = box.points[i].reshape(1, 1, box.n)
-        a_vals = np.asarray(amp.evaluator(k_pt, l_pts, x_pts), dtype=complex)
-        a_vals = np.broadcast_to(a_vals, (box.size, grid.size))
-        g = a_vals * E[i][None, :]
-        spec = np.fft.fftn(g.reshape((box.size,) + grid.shape), axes=axes) * grid.weight
-        row = spec.reshape(box.size, grid.size)[np.arange(box.size), box.fft_indices]
-        out[i] = row @ f.values
+    for i, k_pt in enumerate(box.points):
+        a_vals = amp.evaluator(k_pt[None, None, :], box.points[:, None, :], grid.nodes[None, :, :])
+        out[i] = E[i] @ (np.asarray(a_vals, dtype=complex) * weighted).sum(axis=0)
+    out *= grid.weight
     return LatticeSequence(box, out)
-
-
-def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGrid,
-                        order: int) -> SampledSymbol:
-    """Reduce an amplitude to a symbol by the finite expansion
-
-        sum_{|alpha| < order} (1/alpha!) Delta^alpha_l D^(alpha)_x a(k, l, x) |_{l=k}.
-
-    For amplitudes independent of l the alpha = 0 term alone is exact.
-    """
-    require_matched(box, grid)
-    order = check_expansion_order(order)
-    if box.size**2 * grid.size > AMPLITUDE_TENSOR_CAP:
-        raise ResourceLimitError(
-            f"amplitude tensor {box.size}^2 x {grid.size} exceeds the cap"
-        )
-    k_pts = box.points[:, None, None, :]
-    l_pts = box.points[None, :, None, :]
-    x_pts = grid.nodes[None, None, :, :]
-    tensor = np.asarray(amp.evaluator(k_pts, l_pts, x_pts), dtype=complex)
-    tensor = np.broadcast_to(tensor, (box.size, box.size, grid.size))
-
-    # Delta^alpha_l and the falling-factorial multiplier both commute with the
-    # x-transform, so every term is summed on the diagonal l = k of one spectrum
-    K = box.size
-    spec = x_spectrum(tensor, grid).reshape((K,) + box.shape + grid.shape)
-    diag = np.arange(K)
-    acc = np.zeros((K,) + grid.shape, dtype=complex)
-    for alpha in multi_indices_below(box.n, order):
-        work = lattice_difference(spec, alpha, range(1, 1 + box.n))
-        acc += work.reshape((K, K) + grid.shape)[diag, diag] * (
-            falling_multiplier(grid, alpha) / multi_factorial(alpha))
-    return SampledSymbol(box, grid, from_x_spectrum(acc, grid))
 
 
 # ---------------------------------------------------------------------------

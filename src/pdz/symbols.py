@@ -371,7 +371,11 @@ class SampledSymbol:
         return self._kappa
 
     def row_max(self) -> np.ndarray:
-        return np.abs(self.samples).max(axis=1)
+        """max_x |sigma(k, x)| per row, from one pass over the row blocks."""
+        out = np.empty(self.box.size)
+        for rows, block in self.blocks():
+            out[rows] = np.abs(block).max(axis=1)
+        return out
 
 
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:

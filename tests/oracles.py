@@ -251,3 +251,21 @@ def serial_parametrix(terms, order):
         acc *= inv_leading
         b_terms.append(acc)
     return [b.reshape(box.size, grid.size) for b in b_terms]
+
+
+def serial_amplitude_reduction(amp, box, grid, order):
+    """Samples of sum_{|alpha| < order} (1/alpha!) Delta^alpha_l D^(alpha)_x a(k, l, x)|_{l=k}
+    from the whole (K x K x X) tensor of the amplitude: every term taken on the
+    tensor's spectrum and read on its diagonal l = k."""
+    K = box.size
+    tensor = np.asarray(amp.evaluator(box.points[:, None, None, :], box.points[None, :, None, :],
+                                      grid.nodes[None, None, :, :]), dtype=complex)
+    tensor = np.broadcast_to(tensor, (K, K, grid.size))
+    spec = _serial_spectrum(tensor, grid).reshape((K,) + box.shape + grid.shape)
+    diag = np.arange(K)
+    acc = np.zeros((K,) + grid.shape, dtype=complex)
+    for alpha in multi_indices_below(box.n, order):
+        work = lattice_difference(spec, alpha, range(1, 1 + box.n))
+        acc += work.reshape((K, K) + grid.shape)[diag, diag] * (
+            falling_multiplier(grid, alpha) / multi_factorial(alpha))
+    return _serial_inverse(acc, grid)

@@ -1,11 +1,13 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdz import (AmplitudeDefinition, DomainMismatchError, NotEllipticError,
-                 OperatorMatrix, SampledSymbol, SingularSymbolError,
+from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox, NotEllipticError,
+                 OperatorMatrix, ResourceLimitError, SampledSymbol, SingularSymbolError,
                  SymbolClassParams, SymbolExpansion, TorusFunction, adjoint,
                  amplitude_to_symbol, calculus, compose, constant_symbol, matrix,
                  order_fit, parametrix, partial_sum, periodic_taylor,
@@ -529,3 +531,69 @@ def test_each_row_block_visits_every_block_once_on_more_threads_than_cores(monke
     assert (counts == 1).all()
     assert len(idents) <= 8
     assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
+# amplitude reduction: the series summed on the stencil l = k + {0..order-1}^n
+
+
+def _stencil_amplitudes(box, grid, order, rng):
+    """A generic amplitude, an independent random value at each (k, l, x), as
+    ``(everywhere, on_stencil, asked)``: ``on_stencil`` is the same amplitude
+    raising for any l outside k + {0..order-1}^n (wrapped), and ``asked``
+    collects the number of (k, l) pairs of each of its calls."""
+    K, X = box.size, grid.size
+    table = rng.standard_normal((K, K, X)) + 1j * rng.standard_normal((K, K, X))
+    place = grid.M ** np.arange(grid.n)[::-1]
+
+    def everywhere(k, l, x):
+        return table[box.index_of(k), box.index_of(l), np.rint(x * grid.M).astype(int) @ place]
+
+    asked = []
+
+    def on_stencil(k, l, x):
+        if not ((l - k) % box.M < order).all():
+            raise AssertionError("amplitude evaluated off the stencil")
+        asked.append(int(np.prod(np.broadcast_shapes(k.shape[:-1], l.shape[:-1]))))
+        return everywhere(k, l, x)
+    return AmplitudeDefinition(everywhere), AmplitudeDefinition(on_stencil), asked
+
+
+@pytest.mark.parametrize("rows", [1, 5, None], ids=["1-row-blocks", "5-row-blocks",
+                                                      "default-blocks"])
+@pytest.mark.parametrize("n, N, order", [(1, 4, 3), (1, 1, 5), (2, 2, 2), (2, 3, 3), (3, 1, 2)])
+def test_amplitude_reduction_is_bit_identical_to_the_tensor_reduction(monkeypatch, rows, n,
+                                                                      N, order):
+    # (1, 1, 5) has order > M = 3: the stencil wraps around the box
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, grid.size)
+    everywhere, on_stencil, asked = _stencil_amplitudes(
+        box, grid, order, np.random.default_rng(100 * n + 10 * N + order))
+    got = amplitude_to_symbol(on_stencil, box, grid, order).samples
+    assert sum(asked) == box.size * order**n
+    want = oracles.serial_amplitude_reduction(everywhere, box, grid, order)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_amplitude_stencil_beyond_physical_memory_is_refused_before_evaluating():
+    box = LatticeBox(2, 511)  # a stencil of 4 K x X complex entries, 70 TB
+
+    def never(k, l, x):
+        raise AssertionError("amplitude evaluated before the size check")
+
+    with pytest.raises(ResourceLimitError, match="amplitude stencil.*physical memory"):
+        amplitude_to_symbol(AmplitudeDefinition(never), box, box.matched_grid(), 2)
+
+
+def test_the_difference_series_has_one_home():
+    # D^(alpha) multipliers are built in symbols.falling_derivative (one
+    # derivative) and otherwise only by the calculus expansions
+    src = Path(calculus.__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            callers.update((path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                           if isinstance(node, ast.Call)
+                           and getattr(node.func, "id", None) == "falling_multiplier")
+    assert {f for f, fn in callers if (f, fn) != ("symbols.py", "falling_derivative")} == {
+        "calculus.py"}

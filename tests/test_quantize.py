@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox,
                  TorusFunction, amplitude_to_symbol, apply, apply_amplitude,
                  apply_fso, apply_toroidal, constant_symbol, fso_boundedness_check,
                  kernel, kernel_apply, link_defect, matrix, sample_toroidal,
-                 symbol_from_operator, toroidal_from_lattice)
+                 symbol_from_operator, symbols, toroidal_from_lattice)
 from pdz.symbols import (lattice_difference, multi_indices_of_degree,
                          partial_x_derivative)
 
@@ -236,31 +238,53 @@ def test_amplitude_to_symbol_constant():
                                1.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n, N, d", [(1, 4, (2,)), (2, 2, (1, 1))], ids=["n1", "n2"])
-def test_amplitude_to_symbol_reduces_l_dependent_characters(n, N, d):
-    # a(k, l, x) = b(k) e^{2 pi i l.y} e^{2 pi i d.x} with y a grid node and
-    # d >= 0: the alpha-sum is the binomial expansion of e^{2 pi i d.y}, so
-    # the reduced symbol is b(k) e^{2 pi i (k+d).y} e^{2 pi i d.x} once
-    # order > |d|, and the alpha = d terms are still missing at order |d|
-    box, grid = helpers.box_and_grid(n, N)
+def _character_amplitude(box, grid, d):
+    """``(amp, expected)`` for a(k, l, x) = b(k) e^{2 pi i l.y} e^{2 pi i d.x},
+    y a grid node and d >= 0: the alpha-sum is the binomial expansion of
+    e^{2 pi i d.y}, so the reduced symbol is ``expected``, b(k) e^{2 pi i (k+d).y}
+    e^{2 pi i d.x}, once order > |d|, and the alpha = d terms are still
+    missing at order |d|."""
     rng = np.random.default_rng(17)
     b = rng.standard_normal(box.size) + 1j * rng.standard_normal(box.size)
-    y = np.arange(1, n + 1) / grid.M
+    y = np.arange(1, box.n + 1) / grid.M
     d = np.asarray(d, dtype=float)
 
     def evaluator(k, l, x):
         return b[box.index_of(k)] * np.exp(2j * np.pi * (l @ y + x @ d))
 
-    amp = AmplitudeDefinition(evaluator)
     expected = np.outer(b * np.exp(2j * np.pi * (box.points + d) @ y),
                         np.exp(2j * np.pi * grid.nodes @ d))
-    reduced = amplitude_to_symbol(amp, box, grid, int(d.sum()) + 1)
+    return AmplitudeDefinition(evaluator), expected
+
+
+@pytest.mark.parametrize("n, N, d", [(1, 4, (2,)), (2, 2, (1, 1))], ids=["n1", "n2"])
+def test_amplitude_to_symbol_reduces_l_dependent_characters(n, N, d):
+    box, grid = helpers.box_and_grid(n, N)
+    amp, expected = _character_amplitude(box, grid, d)
+    reduced = amplitude_to_symbol(amp, box, grid, sum(d) + 1)
     np.testing.assert_allclose(reduced.samples, expected, atol=1e-12)
     amp_matrix = oracles.operator_matrix_by_columns(
         lambda v: apply_amplitude(amp, LatticeSequence(box, v)).values, box)
     assert np.max(np.abs(matrix(reduced).values - amp_matrix)) <= 1e-11
-    short = amplitude_to_symbol(amp, box, grid, int(d.sum()))
+    short = amplitude_to_symbol(amp, box, grid, sum(d))
     assert np.max(np.abs(short.samples - expected)) > 1e-3
+
+
+def test_amplitude_to_symbol_reduces_without_the_k_l_x_tensor(monkeypatch):
+    # K = 289: the (K x K x X) tensor would be 24.1M entries, 386 MB; the
+    # stencil l = k + {0, 1, 2}^2 is 9 K x X entries.  One CPU, so that the
+    # peak does not grow with the row blocks transformed side by side.
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    box, grid = helpers.box_and_grid(2, 8)
+    amp, expected = _character_amplitude(box, grid, (1, 1))
+    tracemalloc.start()
+    try:
+        reduced = amplitude_to_symbol(amp, box, grid, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(reduced.samples, expected, atol=1e-12)
+    assert peak < 16 * box.size**2 * grid.size / 4
 
 
 def test_amplitude_reduction_matches_operator_once_order_suffices():

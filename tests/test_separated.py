@@ -5,6 +5,7 @@ whole box x grid (the dense oracle), or the evaluator alone with no
 separated form (the blocked dense path)."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,3 +332,20 @@ def test_separated_apply_beyond_physical_memory_is_the_weighted_shift():
     f = helpers.random_sequence(box, np.random.default_rng(3))
     want = (1.5 + box.points[:, 0] ** 2) * f.values + f.shifted((1, 0)).values
     _close(apply(sym, f).values, want)
+
+
+def test_hs_norm_and_trace_stream_the_row_blocks():
+    # n=2 N=16: 19 MB of samples, of which hs_norm and trace hold a block at a time
+    box, grid = helpers.box_and_grid(2, 16)
+    sym = sample(_factors_only(_definition("1.5 + k_1**2 + exp(2*pi*i*x_1)", 2)), box, grid)
+    tracemalloc.start()
+    try:
+        got = hs_norm(sym), trace(sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * box.size * grid.size / 4
+    assert sym._samples is None
+    a = 1.5 + box.points[:, 0] ** 2  # the x-mean of sigma; |sigma|^2 has x-mean a^2 + 1
+    want = np.sqrt(np.sum(a**2 + 1.0)), np.sum(a)
+    assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
