@@ -20,7 +20,7 @@ from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
                       check_expansion_order, each_row_block, falling_multiplier,
-                      from_x_spectrum, lattice_difference, multi_factorial,
+                      from_x_spectrum, lattice_difference_rows, multi_factorial,
                       multi_indices_below, multi_indices_of_degree, require_invertible,
                       x_reflect, x_spectrum)
 
@@ -67,23 +67,22 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
-def _add_product_terms(acc: np.ndarray, spec: np.ndarray, right: np.ndarray, grid, alphas,
-                       op=np.add) -> None:
+def _add_product_terms(acc: np.ndarray, terms, grid, op=np.add) -> None:
     """``acc = op(acc, (1/alpha!) D^(alpha)_x left . Delta^alpha_k right)`` for
-    each alpha, the left factor given by its x-spectrum ``spec``: Delta^alpha
-    is taken whole, the transform and the products per row block."""
-    flat = acc.reshape(-1, grid.size)
-    spec = spec.reshape((len(flat),) + grid.shape)
-    for alpha in alphas:
-        multiplier, factorial = falling_multiplier(grid, alpha), multi_factorial(alpha)
-        diff = lattice_difference(right, alpha).reshape(flat.shape)
+    each ``(spec, right, alpha)`` of ``terms`` in turn, the left factor given
+    by its x-spectrum ``spec``, all in one pass over blocks of leading-axis
+    slices (the differences with their halo slices)."""
+    terms = [(spec, right, alpha, falling_multiplier(grid, alpha), multi_factorial(alpha))
+             for spec, right, alpha in terms]
 
-        def add(rows):
+    def add(rows):
+        for spec, right, alpha, multiplier, factorial in terms:
             term = from_x_spectrum(spec[rows], grid, multiplier)
-            term *= diff[rows]
-            term /= factorial
-            op(flat[rows], term, out=flat[rows])
-        each_row_block(add, len(flat), grid.size)
+            term *= lattice_difference_rows(right, alpha, rows)
+            if factorial != 1:
+                term /= factorial
+            op(acc[rows], term, out=acc[rows])
+    each_row_block(add, len(acc), acc[0].size)
 
 
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
@@ -100,8 +99,9 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     acc = left * right
-    _add_product_terms(acc, x_spectrum(left, grid), right, grid,
-                       multi_indices_below(box.n, order)[1:])
+    spec = x_spectrum(left, grid)
+    _add_product_terms(acc, [(spec, right, alpha)
+                             for alpha in multi_indices_below(box.n, order)[1:]], grid)
     params = None
     if sigma.params is not None and tau.params is not None:
         params = SymbolClassParams(
@@ -112,15 +112,24 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     return SampledSymbol(sigma.box, sigma.grid, acc, params=params)
 
 
-def _difference_series(spec: np.ndarray, grid, order: int, axes) -> np.ndarray:
+def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray,
+                       corner=()) -> np.ndarray:
     """sum_{|alpha| < order} (1/alpha!) Delta^alpha D^(alpha)_x on an x-spectrum whose
-    lattice axes are ``axes``: Delta^alpha commutes with the x-transform and the multiplier."""
-    acc = spec.copy()
-    for alpha in multi_indices_below(len(axes), order)[1:]:
-        term = lattice_difference(spec, alpha, axes)
-        term *= falling_multiplier(grid, alpha) / multi_factorial(alpha)
-        acc += term
-    return acc
+    lattice axes are ``axes`` (Delta^alpha commutes with the x-transform and the
+    multiplier), summed per block of leading-axis slices; each block's sum, read
+    at index ``corner`` of the axes after the leading one, is inverted into ``out``."""
+    weights = [(alpha, falling_multiplier(grid, alpha) / multi_factorial(alpha))
+               for alpha in multi_indices_below(len(axes), order)[1:]]
+
+    def series(rows):
+        acc = spec[rows].copy()
+        for alpha, weight in weights:
+            term = lattice_difference_rows(spec, alpha, rows, axes)
+            term *= weight
+            acc += term
+        from_x_spectrum(acc[(slice(None),) + corner], grid, out=out[rows])
+    each_row_block(series, len(spec), spec[0].size)
+    return out
 
 
 def _dual_expansion(flipped: SampledSymbol, order: int, params) -> SampledSymbol:
@@ -128,8 +137,9 @@ def _dual_expansion(flipped: SampledSymbol, order: int, params) -> SampledSymbol
     order = check_expansion_order(order)
     box, grid = flipped.box, flipped.grid
     spec = x_spectrum(flipped.samples, grid).reshape(box.shape + grid.shape)
-    acc = _difference_series(spec, grid, order, range(box.n))
-    return SampledSymbol(box, grid, from_x_spectrum(acc, grid), params=params)
+    out = _difference_series(spec, grid, order, range(box.n),
+                             np.empty(box.shape + (grid.size,), dtype=complex))
+    return SampledSymbol(box, grid, out.reshape(box.size, grid.size), params=params)
 
 
 def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
@@ -161,9 +171,10 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
     vals = np.asarray(amp.evaluator(box.points[:, None, None, :], l_pts[:, :, None, :],
                                     grid.nodes[None, None, :, :]), dtype=complex)
     spec = x_spectrum(np.broadcast_to(vals, l_pts.shape[:2] + (grid.size,)), grid)
-    acc = _difference_series(spec.reshape((K,) + (order,) * n + grid.shape), grid, order,
-                             range(1, n + 1))
-    return SampledSymbol(box, grid, from_x_spectrum(acc.reshape((K, -1) + grid.shape)[:, 0], grid))
+    del vals
+    out = _difference_series(spec.reshape((K,) + (order,) * n + grid.shape), grid, order,
+                             range(1, n + 1), np.empty((K, grid.size), dtype=complex), (0,) * n)
+    return SampledSymbol(box, grid, out)
 
 
 def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
@@ -198,13 +209,11 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     for m in range(1, order):
         specs.append(x_spectrum(b_terms[-1].samples.reshape(shape), grid))
         acc = np.zeros_like(inv_leading)
-        for jdx in range(m):
-            for ldx in range(min(m, len(lower))):
-                g = m - jdx - ldx
-                if g < 0:
-                    continue
-                _add_product_terms(acc, specs[jdx], lower[ldx], grid,
-                                   multi_indices_of_degree(n, g), np.subtract)
+        _add_product_terms(acc, [(specs[jdx], lower[ldx], gamma)
+                                 for jdx in range(m) for ldx in range(min(m, len(lower)))
+                                 if m - jdx - ldx >= 0
+                                 for gamma in multi_indices_of_degree(n, m - jdx - ldx)],
+                           grid, np.subtract)
         acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         b_terms.append(leading.with_samples(
             acc, params=SymbolClassParams(-mu - step * m, params.rho, params.delta)))

@@ -49,25 +49,39 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
+#: Set on a thread while it runs blocks of a pass, so that a pass started
+#: from inside a block runs inline instead of starting threads of its own.
+_in_pass = threading.local()
+
+
 def each_row_block(fn, rows: int, width: int) -> None:
     """Call ``fn`` on each slice of :func:`row_blocks` on one thread per CPU
-    the process may use, the caller's included (inline for one block or one
-    CPU); return when all are done, raising the first exception raised.
-    ``fn`` writes only its own rows, so results do not depend on the threads."""
+    the process may use, the caller's included (inline for one block, one
+    CPU, or a pass started from inside a block); return when all are done,
+    raising the first exception raised.  ``fn`` writes only its own rows, so
+    results do not depend on the threads."""
     blocks = list(row_blocks(rows, width))
+    if getattr(_in_pass, "active", False):
+        for block in blocks:
+            fn(block)
+        return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pending, lock, errors = iter(blocks), threading.Lock(), []
 
     def work():
-        while not errors:
-            with lock:
-                block = next(pending, None)
-            if block is None:
-                return
-            try:
-                fn(block)
-            except BaseException as exc:  # noqa: BLE001 -- re-raised below
-                errors.append(exc)
+        _in_pass.active = True
+        try:
+            while not errors:
+                with lock:
+                    block = next(pending, None)
+                if block is None:
+                    return
+                try:
+                    fn(block)
+                except BaseException as exc:  # noqa: BLE001 -- re-raised below
+                    errors.append(exc)
+        finally:
+            _in_pass.active = False
 
     pool = [threading.Thread(target=work) for _ in range(min(len(blocks), cpus or 1) - 1)]
     for t in pool:
@@ -406,6 +420,34 @@ def lattice_difference(values: np.ndarray, alpha, axes=None) -> np.ndarray:
     return values
 
 
+def _first_difference(values: np.ndarray, axis: int) -> np.ndarray:
+    """``np.roll(values, -1, axis) - values`` in one pass: the same subtractions."""
+    out, lead = np.empty_like(values), (slice(None),) * axis
+    head, tail, first, last = (lead + (s,) for s in (slice(1, None), slice(None, -1),
+                                                     slice(0, 1), slice(-1, None)))
+    np.subtract(values[head], values[tail], out=out[tail])
+    np.subtract(values[first], values[last], out=out[last])
+    return out
+
+
+def lattice_difference_rows(values: np.ndarray, alpha, rows: slice, axes=None) -> np.ndarray:
+    """``lattice_difference(values, alpha, axes)[rows]``, ``rows`` a slice of
+    the leading axis, computed from those slices alone plus, where the leading
+    axis is differenced alpha_0 times, the next alpha_0 slices (wrapped) as a
+    halo.  Each entry goes through the same subtractions in the same order,
+    so the result is the same bit for bit.  May return a view of ``values``."""
+    axes = range(len(alpha)) if axes is None else axes
+    stop = rows.stop + sum(a for axis, a in zip(axes, alpha) if axis == 0)
+    if stop <= len(values):
+        block = values[rows.start:stop]
+    else:
+        block = values.take(np.arange(rows.start, stop) % len(values), axis=0)
+    for axis, a in zip(axes, alpha):
+        for _ in range(a):  # along the leading axis the halo shrinks by one slice
+            block = block[1:] - block[:-1] if axis == 0 else _first_difference(block, axis)
+    return block
+
+
 def forward_difference(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Delta^alpha in the lattice variable, iterated first differences with
     cyclic wrap at the box edge."""
@@ -458,12 +500,14 @@ def partial_multiplier(grid: TorusGrid, alpha) -> np.ndarray:
     return x_multiplier(grid, lambda l, i: (2j * np.pi * l) ** alpha[i])
 
 
-def _transform_rows(transform, rows: np.ndarray, grid: TorusGrid, multiplier=None):
-    """numpy's ``transform`` over the grid axes of ``rows`` (times ``multiplier``), by blocks."""
-    out, axes = np.empty(rows.shape, dtype=complex), tuple(range(1, grid.n + 1))
+def _transform_rows(transform, rows: np.ndarray, grid: TorusGrid, multiplier=None, out=None):
+    """numpy's ``transform`` over the grid axes of ``rows`` (times ``multiplier``), by
+    blocks, each written straight into its slice of ``out`` (a new array by default)."""
+    axes = tuple(range(1, grid.n + 1))
+    out = np.empty(rows.shape, dtype=complex) if out is None else out
 
     def fill(b):
-        out[b] = transform(rows[b] if multiplier is None else rows[b] * multiplier, axes=axes)
+        transform(rows[b] if multiplier is None else rows[b] * multiplier, axes=axes, out=out[b])
     each_row_block(fill, len(rows), grid.size)
     return out
 
@@ -475,11 +519,16 @@ def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return out.reshape(values.shape[:-1] + grid.shape)
 
 
-def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=1.0) -> np.ndarray:
-    """Multiply an :func:`x_spectrum` by ``multiplier`` (a scalar or of shape
-    ``grid.shape``) and invert it; returns shape (...,) + (grid.size,)."""
-    out = _transform_rows(np.fft.ifftn, spec.reshape((-1,) + grid.shape), grid, multiplier)
-    return out.reshape(spec.shape[:-grid.n] + (grid.size,))
+def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Multiply an :func:`x_spectrum` by ``multiplier`` (none, a scalar or of
+    shape ``grid.shape``) and invert it, into ``out`` if given (contiguous);
+    returns shape (...,) + (grid.size,)."""
+    shape = spec.shape[:-grid.n] + (grid.size,)
+    rows = spec.reshape((-1,) + grid.shape)
+    out = _transform_rows(np.fft.ifftn, rows, grid, multiplier,
+                          None if out is None else out.reshape(rows.shape))
+    return out.reshape(shape)
 
 
 def _apply_x_multiplier(sym: SampledSymbol, multiplier: np.ndarray) -> SampledSymbol:

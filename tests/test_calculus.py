@@ -1,6 +1,7 @@
 import ast
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -441,7 +442,8 @@ def cpus(request, monkeypatch):
 
 @pytest.mark.parametrize("rows, n, N", helpers.block_cases(
     {1: [(1, 30), (2, 4), (3, 2)], 7: [(1, 30), (2, 4), (3, 2)],
-     None: [(1, 160), (2, 8), (3, 3)]}))
+     None: [(1, 160), (2, 8), (3, 3)],
+     3: [(3, 2)]}))  # one leading slice, 25 rows, is nine row blocks
 def test_calculus_is_bit_identical_to_the_serial_expansions(monkeypatch, cpus, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
     helpers.force_block_rows(monkeypatch, rows, grid.size)
@@ -510,6 +512,55 @@ def test_a_one_block_input_starts_no_thread(monkeypatch, cpus):
     parametrix(SymbolExpansion(a_terms), 2.0, 3)
 
 
+@pytest.mark.parametrize("op", ["compose", "adjoint"])
+def test_a_pass_inside_a_block_starts_no_thread(monkeypatch, op):
+    """At n=2 N=24 one leading-axis slice (49 rows of 2401 entries) exceeds
+    ROW_BLOCK_BYTES, so each block's transform is itself more than one row
+    block; it runs inline, and two CPUs never see more than one extra thread."""
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0, 1})
+    box, grid = helpers.box_and_grid(2, 24)
+    assert 16 * grid.size * box.M > symbols.ROW_BLOCK_BYTES
+    sigma = helpers.random_symbol(box, grid, np.random.default_rng(24))
+    baseline, extra = threading.active_count(), []
+
+    class Counted(threading.Thread):
+        def start(self):
+            extra.append(threading.active_count() - baseline + 1)
+            super().start()
+
+    monkeypatch.setattr(symbols.threading, "Thread", Counted)
+    if op == "compose":
+        compose(sigma, sigma, 3)
+    else:
+        adjoint(sigma, 3)
+    assert extra and max(extra) <= 1
+
+
+def _dense_peak(op, order=3):
+    """tracemalloc peak of ``op`` at n=2 N=24 on dense random symbols, in
+    units of one (K x X) samples array (92 MB)."""
+    box, grid = helpers.box_and_grid(2, 24)
+    rng = np.random.default_rng(30)
+    sigma, tau = (helpers.random_symbol(box, grid, rng) for _ in range(2))
+    tracemalloc.start()
+    try:
+        op(sigma, tau, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / sigma.samples.nbytes
+
+
+def test_compose_holds_at_most_three_sample_arrays():
+    # the product, the left factor's spectrum and the blocks in flight
+    assert _dense_peak(compose) <= 3.0
+
+
+def test_adjoint_holds_at_most_four_sample_arrays():
+    # the conjugate, its spectrum, the result and the blocks in flight
+    assert _dense_peak(lambda sigma, tau, order: adjoint(sigma, order)) <= 4.0
+
+
 def test_each_row_block_visits_every_block_once_on_more_threads_than_cores(monkeypatch):
     """A stress run: eight threads, frequent switches, 300 one-row blocks; a
     block handed out twice or never (a lost update of the shared queue)
@@ -575,6 +626,23 @@ def test_amplitude_reduction_is_bit_identical_to_the_tensor_reduction(monkeypatc
     assert np.array_equal(_bits(got), _bits(want))
 
 
+def test_amplitude_reduction_holds_at_most_three_stencil_arrays():
+    # one stencil array is K order^n X complex entries (12 MB here); the
+    # amplitude's values and their spectrum are two, and each block keeps
+    # only its gamma = 0 corner
+    box, grid, order = *helpers.box_and_grid(2, 8), 3
+    amp = AmplitudeDefinition(
+        lambda k, l, x: np.exp(2j * np.pi * (x[..., 0] + 2 * x[..., 1])) * (1.0 + l[..., 0]**2)
+        + k[..., 1] * np.cos(2 * np.pi * x[..., 0]))
+    tracemalloc.start()
+    try:
+        amplitude_to_symbol(amp, box, grid, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * box.size * order**box.n * grid.size
+
+
 def test_amplitude_stencil_beyond_physical_memory_is_refused_before_evaluating():
     box = LatticeBox(2, 511)  # a stencil of 4 K x X complex entries, 70 TB
 
@@ -597,3 +665,46 @@ def test_the_difference_series_has_one_home():
                            and getattr(node.func, "id", None) == "falling_multiplier")
     assert {f for f, fn in callers if (f, fn) != ("symbols.py", "falling_derivative")} == {
         "calculus.py"}
+
+
+# ---------------------------------------------------------------------------
+# lattice differences of a block of leading-axis slices, with halo slices
+
+
+def _blocked_differences(values, order, blocks, axes=None):
+    """``(alpha, rows, got, want)`` for each alpha with |alpha| < order and
+    each block: Delta^alpha of the block's slices alone against the whole
+    difference's rows."""
+    n = len(range(values.ndim - 1) if axes is None else axes)
+    for alpha in symbols.multi_indices_below(n, order):
+        want = symbols.lattice_difference(values, alpha, axes)
+        for rows in blocks:
+            yield alpha, rows, symbols.lattice_difference_rows(values, alpha, rows, axes), \
+                want[rows]
+
+
+@pytest.mark.parametrize("n, N", [(1, 4), (2, 2), (3, 1), (1, 1)])
+def test_a_blocked_difference_is_bit_identical_to_the_whole_one(n, N):
+    # (1, 1): M = 3, and |alpha| up to 5 needs a halo longer than the box
+    box, grid = helpers.box_and_grid(n, N)
+    rng = np.random.default_rng(n + 10 * N)
+    values = (rng.standard_normal(box.shape + (grid.size,))
+              + 1j * rng.standard_normal(box.shape + (grid.size,)))
+    one_slice = [slice(i, i + 1) for i in range(box.M)]
+    two_slices = [slice(i, min(i + 2, box.M)) for i in range(0, box.M, 2)]
+    for alpha, rows, got, want in _blocked_differences(values, 6, one_slice + two_slices):
+        assert got.shape == want.shape, (alpha, rows)
+        assert np.array_equal(_bits(got), _bits(want)), (alpha, rows)
+
+
+@pytest.mark.parametrize("n, N, order", [(1, 2, 5), (2, 1, 3), (3, 1, 2)])
+def test_a_blocked_difference_on_the_stencil_axes_needs_no_halo(n, N, order):
+    # the amplitude's layout (K, order, ..., order, X): the blocks run over k,
+    # the differences over the stencil axes 1..n
+    box, grid = helpers.box_and_grid(n, N)
+    rng = np.random.default_rng(7 * n + order)
+    shape = (box.size,) + (order,) * n + (grid.size,)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    blocks = [slice(i, min(i + 2, box.size)) for i in range(0, box.size, 2)]
+    for alpha, rows, got, want in _blocked_differences(values, 6, blocks, range(1, n + 1)):
+        assert np.array_equal(_bits(got), _bits(want)), (alpha, rows)
