@@ -522,12 +522,12 @@ def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=None,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Multiply an :func:`x_spectrum` by ``multiplier`` (none, a scalar or of
-    shape ``grid.shape``) and invert it, into ``out`` if given (contiguous);
-    returns shape (...,) + (grid.size,)."""
+    shape ``grid.shape``) and invert it, into ``out`` if given (an array that
+    reshapes without a copy); returns shape (...,) + (grid.size,)."""
     shape = spec.shape[:-grid.n] + (grid.size,)
     rows = spec.reshape((-1,) + grid.shape)
     out = _transform_rows(np.fft.ifftn, rows, grid, multiplier,
-                          None if out is None else out.reshape(rows.shape))
+                          None if out is None else out.reshape(rows.shape, copy=False))
     return out.reshape(shape)
 
 
