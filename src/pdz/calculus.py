@@ -20,7 +20,7 @@ from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
                       check_expansion_order, each_row_block, falling_multiplier,
-                      from_x_spectrum, lattice_difference_rows, multi_factorial,
+                      from_x_spectrum, lattice_difference, multi_factorial,
                       multi_indices_below, multi_indices_of_degree, require_invertible,
                       x_reflect, x_spectrum)
 
@@ -78,7 +78,7 @@ def _add_product_terms(acc: np.ndarray, terms, grid, op=np.add) -> None:
     def add(rows):
         for spec, right, alpha, multiplier, factorial in terms:
             term = from_x_spectrum(spec[rows], grid, multiplier)
-            term *= lattice_difference_rows(right, alpha, rows)
+            term *= lattice_difference(right, alpha, rows=rows)
             if factorial != 1:
                 term /= factorial
             op(acc[rows], term, out=acc[rows])
@@ -124,7 +124,7 @@ def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray
     def series(rows):
         acc = spec[rows].copy()
         for alpha, weight in weights:
-            term = lattice_difference_rows(spec, alpha, rows, axes)
+            term = lattice_difference(spec, alpha, axes, rows=rows)
             term *= weight
             acc += term
         from_x_spectrum(acc[(slice(None),) + corner], grid, out=out[rows])
@@ -132,24 +132,24 @@ def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray
     return out
 
 
-def _dual_expansion(flipped: SampledSymbol, order: int, params) -> SampledSymbol:
-    """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x flipped."""
+def _dual_expansion(spec: np.ndarray, sigma: SampledSymbol, order: int) -> SampledSymbol:
+    """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x of the samples
+    whose :func:`x_spectrum` is ``spec``, on sigma's box and grid, with its params."""
     order = check_expansion_order(order)
-    box, grid = flipped.box, flipped.grid
-    spec = x_spectrum(flipped.samples, grid).reshape(box.shape + grid.shape)
-    out = _difference_series(spec, grid, order, range(box.n),
+    box, grid = sigma.box, sigma.grid
+    out = _difference_series(spec.reshape(box.shape + grid.shape), grid, order, range(box.n),
                              np.empty(box.shape + (grid.size,), dtype=complex))
-    return SampledSymbol(box, grid, out.reshape(box.size, grid.size), params=params)
+    return SampledSymbol(box, grid, out.reshape(box.size, grid.size), params=sigma.params)
 
 
 def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated adjoint symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x conj(sigma)."""
-    return _dual_expansion(sigma.with_samples(np.conj(sigma.samples)), order, sigma.params)
+    return _dual_expansion(x_spectrum(np.conj(sigma.samples), sigma.grid), sigma, order)
 
 
 def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x)."""
-    return _dual_expansion(x_reflect(sigma), order, sigma.params)
+    return _dual_expansion(x_spectrum(x_reflect(sigma).samples, sigma.grid), sigma, order)
 
 
 def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGrid,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
-                    character_matrix, require_matched)
+                    character_matrix, require_matched, require_memory)
 from .report import DiagnosticsReport
 from .symbols import (AmplitudeDefinition, SampledSymbol, from_x_spectrum,
                       lattice_difference, multi_indices_below, partial_multiplier, row_blocks,
@@ -238,6 +238,8 @@ class PhaseFunction:
     n: int
 
     def samples(self, box: LatticeBox, grid: TorusGrid) -> np.ndarray:
+        """phi on box x grid, (K x X), if such arrays fit in physical memory."""
+        require_memory("phase samples", box.size, grid.size)
         vals = np.asarray(self.evaluator(box.points[:, None, :], grid.nodes[None, :, :]))
         return np.broadcast_to(vals.astype(float), (box.size, grid.size))
 
@@ -339,7 +341,7 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> Diagnosti
     pts = box.points[idx].astype(float)
     sub = grads[idx]
     kdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    gdist = np.linalg.norm(sub[:, None, :, :] - sub[None, :, :, :], axis=-1).min(axis=-1)
+    gdist = np.array([np.linalg.norm(row - sub, axis=-1).min(axis=-1) for row in sub])
     mask = kdist > 0
     ratios = gdist[mask] / kdist[mask]
     rep.add_value("phase_gradient_separation", float(ratios.min()) if ratios.size else float("inf"))

@@ -5,7 +5,9 @@ Conventions fixed here and relied on everywhere else:
 
 * ``Delta^alpha`` iterates the first differences ``Delta_j t(k) = t(k+v_j) - t(k)``
   with cyclic wrap at the box edge (the spectral and pointwise definitions
-  then agree exactly on the cyclic model).
+  then agree exactly on the cyclic model).  It has one home,
+  :func:`lattice_difference`, which every difference in the package calls,
+  on the whole array or on a block of leading-axis slices.
 * ``D^(beta)`` is the falling-factorial derivative: per axis,
   ``D^(l) = D (D-1) ... (D-l+1)`` with ``D = (1/2 pi i) d/dx`` and
   ``D^(0) = I``.  On a character ``e^{2 pi i d x}`` it acts by
@@ -408,20 +410,8 @@ def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbo
 # difference and derivative operators
 
 
-def lattice_difference(values: np.ndarray, alpha, axes=None) -> np.ndarray:
-    """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
-    of alpha; default the leading ones): iterated first differences with
-    cyclic wrap.  Returns ``values`` itself when alpha = 0."""
-    for axis, a in zip(range(len(alpha)) if axes is None else axes, alpha):
-        for _ in range(a):
-            rolled = np.roll(values, -1, axis=axis)
-            rolled -= values
-            values = rolled
-    return values
-
-
 def _first_difference(values: np.ndarray, axis: int) -> np.ndarray:
-    """``np.roll(values, -1, axis) - values`` in one pass: the same subtractions."""
+    """``t(k + v_axis) - t(k)`` along a cyclic ``axis`` of ``values``, in one pass."""
     out, lead = np.empty_like(values), (slice(None),) * axis
     head, tail, first, last = (lead + (s,) for s in (slice(1, None), slice(None, -1),
                                                      slice(0, 1), slice(-1, None)))
@@ -430,13 +420,18 @@ def _first_difference(values: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def lattice_difference_rows(values: np.ndarray, alpha, rows: slice, axes=None) -> np.ndarray:
-    """``lattice_difference(values, alpha, axes)[rows]``, ``rows`` a slice of
-    the leading axis, computed from those slices alone plus, where the leading
-    axis is differenced alpha_0 times, the next alpha_0 slices (wrapped) as a
-    halo.  Each entry goes through the same subtractions in the same order,
-    so the result is the same bit for bit.  May return a view of ``values``."""
+def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.ndarray:
+    """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
+    of alpha; default the leading ones): iterated first differences with
+    cyclic wrap, on the slice ``rows`` of the leading axis (default all).
+
+    Reads those slices plus, where the leading axis is differenced alpha_0
+    times, the next alpha_0 slices (wrapped, however far) as a halo.  Each
+    entry goes through the same subtractions in the same order whatever
+    ``rows`` is, so a block is bit for bit those rows of the whole
+    difference.  May return a view of ``values``."""
     axes = range(len(alpha)) if axes is None else axes
+    rows = slice(0, len(values)) if rows is None else rows
     stop = rows.stop + sum(a for axis, a in zip(axes, alpha) if axis == 0)
     if stop <= len(values):
         block = values[rows.start:stop]

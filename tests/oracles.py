@@ -8,8 +8,8 @@ library's row-blocked transforms.
 
 import numpy as np
 
-from pdz.symbols import (falling_multiplier, lattice_difference, multi_factorial,
-                         multi_indices_below, multi_indices_of_degree, x_reflect)
+from pdz.symbols import (falling_multiplier, multi_factorial, multi_indices_below,
+                         multi_indices_of_degree, x_reflect)
 
 
 def phase_matrix(box, grid):
@@ -175,6 +175,23 @@ def smallest(samples):
     """(|sigma|, row, node) of the first minimum of |sigma|."""
     i, j = np.unravel_index(int(np.argmin(np.abs(samples))), samples.shape)
     return float(np.abs(samples[i, j])), int(i), int(j)
+
+
+# ---------------------------------------------------------------------------
+# lattice differences by whole-array rolls
+
+
+def lattice_difference(values, alpha, axes=None):
+    """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
+    of alpha; default the leading ones): each first difference a cyclic roll
+    of the whole array minus the array.  Returns ``values`` itself when
+    alpha = 0."""
+    for axis, a in zip(range(len(alpha)) if axes is None else axes, alpha):
+        for _ in range(a):
+            rolled = np.roll(values, -1, axis=axis)
+            rolled -= values
+            values = rolled
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -556,9 +556,11 @@ def test_compose_holds_at_most_three_sample_arrays():
     assert _dense_peak(compose) <= 3.0
 
 
-def test_adjoint_holds_at_most_four_sample_arrays():
-    # the conjugate, its spectrum, the result and the blocks in flight
-    assert _dense_peak(lambda sigma, tau, order: adjoint(sigma, order)) <= 4.0
+@pytest.mark.parametrize("op", [adjoint, transpose], ids=["adjoint", "transpose"])
+def test_the_dual_expansions_hold_at_most_three_sample_arrays(op):
+    # the conjugated or reflected samples and their spectrum; then the
+    # spectrum, the result and the blocks in flight
+    assert _dense_peak(lambda sigma, tau, order: op(sigma, order)) <= 3.0
 
 
 def test_each_row_block_visits_every_block_once_on_more_threads_than_cores(monkeypatch):
@@ -667,19 +669,44 @@ def test_the_difference_series_has_one_home():
         "calculus.py"}
 
 
+def _scoped(node, scope=""):
+    """``(scope, node)`` for every node below ``node``, ``scope`` the dotted
+    names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from _scoped(child, inner)
+
+
+def test_the_lattice_difference_has_one_home():
+    # every Delta^alpha is symbols.lattice_difference; np.roll is left to the
+    # cyclic translate of a sequence
+    rolls, homes = set(), []
+    for path in Path(calculus.__file__).parent.glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "roll":
+                rolls.add((path.name, scope))
+            if isinstance(node, ast.FunctionDef) and "lattice_difference" in node.name:
+                homes.append((path.name, node.name))
+    assert rolls == {("grids.py", "LatticeSequence.shifted")}
+    assert homes == [("symbols.py", "lattice_difference")]
+
+
 # ---------------------------------------------------------------------------
 # lattice differences of a block of leading-axis slices, with halo slices
 
 
 def _blocked_differences(values, order, blocks, axes=None):
     """``(alpha, rows, got, want)`` for each alpha with |alpha| < order and
-    each block: Delta^alpha of the block's slices alone against the whole
-    difference's rows."""
+    each block: Delta^alpha of the block's slices alone against the rows of
+    the whole difference by rolls."""
     n = len(range(values.ndim - 1) if axes is None else axes)
     for alpha in symbols.multi_indices_below(n, order):
-        want = symbols.lattice_difference(values, alpha, axes)
+        want = oracles.lattice_difference(values, alpha, axes)
         for rows in blocks:
-            yield alpha, rows, symbols.lattice_difference_rows(values, alpha, rows, axes), \
+            yield alpha, rows, symbols.lattice_difference(values, alpha, axes, rows=rows), \
                 want[rows]
 
 
@@ -695,6 +722,12 @@ def test_a_blocked_difference_is_bit_identical_to_the_whole_one(n, N):
     for alpha, rows, got, want in _blocked_differences(values, 6, one_slice + two_slices):
         assert got.shape == want.shape, (alpha, rows)
         assert np.array_equal(_bits(got), _bits(want)), (alpha, rows)
+    sym = SampledSymbol(box, grid, values.reshape(box.size, grid.size))
+    for alpha in symbols.multi_indices_below(n, 6):  # the whole leading axis
+        want = oracles.lattice_difference(values, alpha)
+        assert np.array_equal(_bits(symbols.lattice_difference(values, alpha)), _bits(want))
+        assert np.array_equal(_bits(symbols.forward_difference(sym, alpha).samples),
+                              _bits(want.reshape(box.size, grid.size))), alpha
 
 
 @pytest.mark.parametrize("n, N, order", [(1, 2, 5), (2, 1, 3), (3, 1, 2)])

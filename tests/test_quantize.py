@@ -5,12 +5,11 @@ import pytest
 
 from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox,
                  LatticeSequence, OperatorMatrix, PhaseFunction, ResourceLimitError,
-                 TorusFunction, amplitude_to_symbol, apply, apply_amplitude,
-                 apply_fso, apply_toroidal, constant_symbol, fso_boundedness_check,
-                 kernel, kernel_apply, link_defect, matrix, sample_toroidal,
-                 symbol_from_operator, symbols, toroidal_from_lattice)
-from pdz.symbols import (lattice_difference, multi_indices_of_degree,
-                         partial_x_derivative)
+                 SymbolDefinition, TorusFunction, amplitude_to_symbol, apply,
+                 apply_amplitude, apply_fso, apply_toroidal, constant_symbol,
+                 fso_boundedness_check, kernel, kernel_apply, link_defect, matrix, sample,
+                 sample_toroidal, symbol_from_operator, symbols, toroidal_from_lattice)
+from pdz.symbols import multi_indices_of_degree, partial_x_derivative
 
 import helpers
 import oracles
@@ -402,7 +401,8 @@ def test_fso_boundedness_matches_per_alpha_references():
     interior = np.abs(box.points).max(axis=1) <= box.N - 1
     phase_ref = 0.0
     for j in range(n):
-        diff = lattice_difference(phi, (1,), (j,)).reshape((box.size,) + grid.shape)[interior]
+        diff = oracles.lattice_difference(phi, (1,), (j,)).reshape((box.size,) + grid.shape)[
+            interior]
         for alpha in alphas:
             work = diff
             for axis, a in enumerate(alpha):
@@ -412,6 +412,34 @@ def test_fso_boundedness_matches_per_alpha_references():
     rep = fso_boundedness_check(phase, sym)
     assert rep.values["sigma_derivative_sup"] == sigma_ref
     assert rep.values["phase_difference_derivative_sup"] == phase_ref
+
+
+def test_fso_boundedness_holds_fewer_than_ten_sample_arrays():
+    # the gradient separation of 256 probe points, taken one probe at a
+    # time: never the (256, 256, X, n) array of all pairs (about 300 sample
+    # arrays here)
+    box, grid = helpers.box_and_grid(2, 12)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(51))
+    tracemalloc.start()
+    try:
+        rep = fso_boundedness_check(PhaseFunction(_linear_phase(), 2), sym)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.values["separation_pairs_subsampled_to"] == 256
+    assert rep.values["phase_gradient_separation"] == pytest.approx(2 * np.pi, rel=1e-6)
+    assert peak < 10 * sym.samples.nbytes
+
+
+def test_phase_samples_beyond_physical_memory_are_refused_before_evaluating():
+    box = LatticeBox(2, 511)  # K x X = 1.1e12 entries, 16 TB as complex
+
+    def never(k, x):
+        raise AssertionError("evaluated before the size check")
+
+    sym = sample(SymbolDefinition(never), box, box.matched_grid())
+    with pytest.raises(ResourceLimitError, match="phase samples.*physical memory"):
+        apply_fso(PhaseFunction(never, 2), sym, LatticeSequence.delta(box))
 
 
 # ---------------------------------------------------------------------------
