@@ -425,21 +425,22 @@ def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.nd
     of alpha; default the leading ones): iterated first differences with
     cyclic wrap, on the slice ``rows`` of the leading axis (default all).
 
-    Reads those slices plus, where the leading axis is differenced alpha_0
-    times, the next alpha_0 slices (wrapped, however far) as a halo.  Each
-    entry goes through the same subtractions in the same order whatever
-    ``rows`` is, so a block is bit for bit those rows of the whole
-    difference.  May return a view of ``values``."""
+    A block of rows reads its slices plus, where the leading axis is
+    differenced alpha_0 times, the next alpha_0 slices (wrapped, however
+    far) as a halo.  Each entry goes through the same subtractions in the
+    same order either way, so a block is bit for bit those rows of the whole
+    difference.  Returns ``values`` itself when alpha = 0 and ``rows`` is
+    None; a block may be a view of ``values``."""
     axes = range(len(alpha)) if axes is None else axes
-    rows = slice(0, len(values)) if rows is None else rows
-    stop = rows.stop + sum(a for axis, a in zip(axes, alpha) if axis == 0)
-    if stop <= len(values):
-        block = values[rows.start:stop]
-    else:
-        block = values.take(np.arange(rows.start, stop) % len(values), axis=0)
+    block = values
+    if rows is not None:
+        stop = rows.stop + sum(a for axis, a in zip(axes, alpha) if axis == 0)
+        block = (values[rows.start:stop] if stop <= len(values) else
+                 values.take(np.arange(rows.start, stop) % len(values), axis=0))
     for axis, a in zip(axes, alpha):
-        for _ in range(a):  # along the leading axis the halo shrinks by one slice
-            block = block[1:] - block[:-1] if axis == 0 else _first_difference(block, axis)
+        for _ in range(a):  # along the leading axis a block's halo shrinks by one slice
+            block = (block[1:] - block[:-1] if axis == 0 and rows is not None
+                     else _first_difference(block, axis))
     return block
 
 
