@@ -22,7 +22,7 @@ from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
                       check_expansion_order, each_row_block, falling_multiplier,
                       from_x_spectrum, lattice_difference, multi_factorial,
                       multi_indices_below, multi_indices_of_degree, require_invertible,
-                      x_reflect, x_spectrum)
+                      x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -67,22 +67,18 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
-def _add_product_terms(acc: np.ndarray, terms, grid, op=np.add) -> None:
-    """``acc = op(acc, (1/alpha!) D^(alpha)_x left . Delta^alpha_k right)`` for
-    each ``(spec, right, alpha)`` of ``terms`` in turn, the left factor given
-    by its x-spectrum ``spec``, all in one pass over blocks of leading-axis
-    slices (the differences with their halo slices)."""
-    terms = [(spec, right, alpha, falling_multiplier(grid, alpha), multi_factorial(alpha))
-             for spec, right, alpha in terms]
-
-    def add(rows):
-        for spec, right, alpha, multiplier, factorial in terms:
-            term = from_x_spectrum(spec[rows], grid, multiplier)
-            term *= lattice_difference(right, alpha, rows=rows)
-            if factorial != 1:
-                term /= factorial
-            op(acc[rows], term, out=acc[rows])
-    each_row_block(add, len(acc), acc[0].size)
+def _add_product_terms(acc: np.ndarray, terms, grid, rows: slice, op=np.add) -> None:
+    """``acc = op(acc, (1/alpha!) D^(alpha)_x left . Delta^alpha_k right)`` on the
+    block ``rows`` of leading-axis slices, for each ``(spec, right, alpha, multiplier)``
+    of ``terms``: the left factor's x-spectrum on the block, the whole right factor
+    (differenced with its halo slices), and the multiplier of D^(alpha)."""
+    for spec, right, alpha, multiplier in terms:
+        term = from_x_spectrum(spec, grid, multiplier)
+        term *= lattice_difference(right, alpha, rows=rows)
+        factorial = multi_factorial(alpha)
+        if factorial != 1:
+            term /= factorial
+        op(acc, term, out=acc)
 
 
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
@@ -100,8 +96,11 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     acc = left * right
     spec = x_spectrum(left, grid)
-    _add_product_terms(acc, [(spec, right, alpha)
-                             for alpha in multi_indices_below(box.n, order)[1:]], grid)
+    alphas = multi_indices_below(box.n, order)[1:]
+    multipliers = [falling_multiplier(grid, alpha) for alpha in alphas]
+    each_row_block(lambda rows: _add_product_terms(acc[rows], [
+        (spec[rows], right, *term) for term in zip(alphas, multipliers)], grid, rows),
+        len(acc), acc[0].size)
     params = None
     if sigma.params is not None and tau.params is not None:
         params = SymbolClassParams(
@@ -149,7 +148,9 @@ def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
 
 def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
     """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x)."""
-    return _dual_expansion(x_spectrum(x_reflect(sigma).samples, sigma.grid), sigma, order)
+    grid = sigma.grid  # one gather of the samples at the nodes -x, all grid axes at once
+    return _dual_expansion(x_spectrum(sigma.samples.take(np.ravel_multi_index(
+        -np.indices(grid.shape) % grid.M, grid.shape).ravel(), axis=1), grid), sigma, order)
 
 
 def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGrid,
@@ -177,6 +178,38 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
     return SampledSymbol(box, grid, out)
 
 
+def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
+                     m_cut: float | None, keep) -> tuple[SymbolClassParams, float]:
+    """Check the order and A_0, then run :func:`parametrix`'s recursion on ``a_terms``
+    per block of leading-axis slices, handing each block's ``[B_0 .. B_{order-1}]``
+    to ``keep(rows, b_terms)`` to keep or change; return A_0's class (default mu), min |A_0|."""
+    order = check_expansion_order(order)
+    leading = a_terms[0]
+    smallest = require_invertible(leading, mu, m_cut=m_cut)
+    params = leading.params or SymbolClassParams(mu)
+    params.validate_for_calculus()
+    n, grid = leading.box.n, leading.grid
+    lower = [t.samples.reshape(leading.box.shape + (grid.size,)) for t in a_terms]
+    falling = {gamma: falling_multiplier(grid, gamma) for gamma in multi_indices_below(n, order)}
+
+    def recursion(rows):  # B_m on a block reads its B_j and the A_l with halo slices
+        inv_leading = 1.0 / lower[0][rows]
+        b_terms, specs = [inv_leading], []  # specs: the x-spectra of B_0 .. B_{m-1}
+        for m in range(1, order):
+            specs.append(x_spectrum(b_terms[-1], grid))
+            acc = np.zeros_like(inv_leading)
+            _add_product_terms(acc, [(specs[jdx], lower[ldx], gamma, falling[gamma])
+                                     for jdx in range(m) for ldx in range(min(m, len(lower)))
+                                     if m - jdx - ldx >= 0
+                                     for gamma in multi_indices_of_degree(n, m - jdx - ldx)],
+                               grid, rows, np.subtract)
+            acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
+            b_terms.append(acc)
+        keep(rows, b_terms)
+    each_row_block(recursion, len(lower[0]), lower[0][0].size)
+    return params, smallest
+
+
 def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
                m_cut: float | None = None) -> SymbolExpansion:
     """Recursive approximate-inverse expansion for an elliptic symbol.
@@ -190,33 +223,16 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
 
     skipping (j, l) pairs that would need |gamma| < 0.  Requires the leading
     term to pass the ellipticity check at order mu and to be nonvanishing on
-    the whole box (the reciprocal is taken pointwise).
+    the whole box (the reciprocal is taken pointwise).  The terms are kept in
+    one (order x K x X) stack, filled per block by :func:`_parametrix_pass`.
     """
-    order = check_expansion_order(order)
     leading = a_terms.terms[0]
-    require_invertible(leading, mu, m_cut=m_cut)
+    stack = np.empty((check_expansion_order(order),) + leading.box.shape + (leading.grid.size,),
+                     dtype=complex)
 
-    params = leading.params or SymbolClassParams(mu)
-    params.validate_for_calculus()
-    step = params.rho - params.delta
-    n, grid = leading.box.n, leading.grid
-    shape = leading.box.shape + (grid.size,)
-    lower = [t.samples.reshape(shape) for t in a_terms.terms]
-    inv_leading = 1.0 / lower[0]
-    b_terms = [leading.with_samples(inv_leading, params=SymbolClassParams(
-        -mu, params.rho, params.delta))]
-    specs = []  # x-spectra of B_0 .. B_{m-1}
-    for m in range(1, order):
-        specs.append(x_spectrum(b_terms[-1].samples.reshape(shape), grid))
-        acc = np.zeros_like(inv_leading)
-        _add_product_terms(acc, [(specs[jdx], lower[ldx], gamma)
-                                 for jdx in range(m) for ldx in range(min(m, len(lower)))
-                                 if m - jdx - ldx >= 0
-                                 for gamma in multi_indices_of_degree(n, m - jdx - ldx)],
-                           grid, np.subtract)
-        acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
-        b_terms.append(leading.with_samples(
-            acc, params=SymbolClassParams(-mu - step * m, params.rho, params.delta)))
-
-    orders = [-mu - step * m for m in range(order)]
-    return SymbolExpansion(terms=b_terms, orders=orders)
+    def keep(rows, b_terms):
+        stack[:, rows] = b_terms
+    params, _ = _parametrix_pass(a_terms.terms, mu, order, m_cut, keep)
+    orders = [-mu - (params.rho - params.delta) * m for m in range(order)]
+    return SymbolExpansion([leading.with_samples(out, params=SymbolClassParams(
+        mu_m, params.rho, params.delta)) for out, mu_m in zip(stack, orders)], orders)

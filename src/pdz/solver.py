@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quantize
-from .calculus import SymbolExpansion, parametrix, partial_sum
+from .calculus import _parametrix_pass
 from .analysis import WeightedNormParams, weighted_norm
 from .errors import (ConfigError, DivergenceError, DomainMismatchError,
                      NonFiniteValueError, SingularSymbolError)
@@ -285,16 +285,24 @@ def solve_krylov(sym: SampledSymbol, mu: float, g: LatticeSequence, max_iter: in
 def solve_elliptic(sym: SampledSymbol, mu: float, g: LatticeSequence, order: int,
                    max_iter: int = 50, tol: float = 1e-10,
                    s_values=(0.0, 2.0)) -> SolveReport:
-    """Solve Op(sigma) f = g by :func:`_solve_by_gmres` with Op(B) as the
-    right preconditioner, B the parametrix of sigma summed to ``order``
-    terms, so that Op(sigma) Op(B) is the identity plus a smoothing operator.
-
-    :func:`parametrix` runs the ellipticity and vanishing checks; the
-    expansion carries the (K x X) samples of each term.
-    """
+    """Solve Op(sigma) f = g by :func:`_solve_by_gmres` with Op(B) as the right
+    preconditioner, B at most ``order`` terms of the parametrix of sigma summed
+    row by row as an asymptotic series stopped at its smallest term: on row k,
+    B_m is added only while max_x |B_m(k, .)| < max_x |B_{m-1}(k, .)| and every
+    earlier term of the row was added (where sigma is small the terms grow, and
+    their full sum would lose the digits of Op(B)).  One pass over row blocks
+    runs the checks and the recursion and keeps only the sum."""
     _require_same_box(sym, g)
-    B = partial_sum(parametrix(SymbolExpansion([sym], [mu]), mu, order), order)
-    smallest = min(float(np.abs(block).min()) for _, block in sym.blocks())
+    total = np.empty(sym.box.shape + (sym.grid.size,), dtype=complex)
+
+    def keep(rows, b_terms):
+        sizes = [np.abs(term).max(axis=-1) for term in b_terms]
+        added = np.logical_and.accumulate([b < a for a, b in zip(sizes, sizes[1:])])
+        for term, rows_added in zip(b_terms[1:], added):
+            np.add(b_terms[0], term, out=b_terms[0], where=rows_added[..., None])
+        total[rows] = b_terms[0]
+    smallest = _parametrix_pass([sym], mu, order, None, keep)[1]
+    B = sym.with_samples(total)
     return _solve_by_gmres(sym, g, lambda v: apply(B, LatticeSequence(sym.box, v)).values,
                            _conditioning(smallest, "iteration"), "parametrix-iteration",
                            "parametrix", max_iter, tol, s_values)

@@ -20,6 +20,15 @@ def random_symbol(box, grid, rng):
     return SampledSymbol(box, grid, s)
 
 
+def elliptic_symbol(n, N):
+    """(2 + |k|^2)(1 + 0.3 e^{2 pi i x_1}) on the box of (n, N) and its matched
+    grid, stored, elliptic of order 2."""
+    box, grid = box_and_grid(n, N)
+    wave = 1.0 + 0.3 * np.exp(2j * np.pi * grid.nodes[:, 0])
+    return SampledSymbol(box, grid, np.outer(2.0 + box.norms**2, wave),
+                         params=SymbolClassParams(2.0))
+
+
 def separable_symbol(box, grid, k_profile, x_profile, mu=0.0):
     """sigma(k, x) = k_profile(|k| row values) * x_profile(node values)."""
     kvals = np.asarray(k_profile(box.points), dtype=complex)

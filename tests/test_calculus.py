@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox, NotEllipticError,
-                 OperatorMatrix, ResourceLimitError, SampledSymbol, SingularSymbolError,
-                 SymbolClassParams, SymbolExpansion, TorusFunction, adjoint,
-                 amplitude_to_symbol, calculus, compose, constant_symbol, matrix,
-                 order_fit, parametrix, partial_sum, periodic_taylor,
+from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox, LatticeSequence,
+                 NotEllipticError, OperatorMatrix, ResourceLimitError, SampledSymbol,
+                 SingularSymbolError, SymbolClassParams, SymbolExpansion, TorusFunction,
+                 adjoint, amplitude_to_symbol, calculus, compose, constant_symbol, matrix,
+                 order_fit, parametrix, partial_sum, periodic_taylor, solve_elliptic,
                  symbol_from_operator, symbols, transpose)
 
 import helpers
@@ -426,9 +426,7 @@ def _calculus_inputs(box, grid, rng):
     K, X = box.size, grid.size
     dense = lambda: rng.standard_normal((K, X)) + 1j * rng.standard_normal((K, X))
     sigma, tau = SampledSymbol(box, grid, dense()), SampledSymbol(box, grid, dense())
-    wave = 1.0 + 0.3 * np.exp(2j * np.pi * grid.nodes[:, 0])
-    leading = SampledSymbol(box, grid, np.outer(2.0 + box.norms**2, wave),
-                            params=SymbolClassParams(2.0))
+    leading = helpers.elliptic_symbol(box.n, box.N)
     lower = SampledSymbol(box, grid, 0.1 * dense() * (1.0 + box.norms)[:, None])
     return sigma, tau, [leading, lower]
 
@@ -476,18 +474,21 @@ def _fail_third(fn):
     return wrapped
 
 
-@pytest.mark.parametrize("op", ["compose", "adjoint", "transpose", "parametrix"])
+@pytest.mark.parametrize("op", ["compose", "adjoint", "transpose", "parametrix",
+                                "solve_elliptic"])
 def test_an_exception_in_one_row_block_reaches_the_caller(monkeypatch, cpus, op):
     box, grid = helpers.box_and_grid(2, 4)
     helpers.force_block_rows(monkeypatch, 7, grid.size)
     sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(5))
-    if op in ("compose", "parametrix"):  # one from_x_spectrum call per block and term
+    if op not in ("adjoint", "transpose"):  # one from_x_spectrum call per block and term
         monkeypatch.setattr(calculus, "from_x_spectrum", _fail_third(calculus.from_x_spectrum))
     else:  # one whole from_x_spectrum, one ifftn per block inside it
         monkeypatch.setattr(np.fft, "ifftn", _fail_third(np.fft.ifftn))
     run = {"compose": lambda: compose(sigma, tau, 3), "adjoint": lambda: adjoint(sigma, 3),
            "transpose": lambda: transpose(sigma, 3),
-           "parametrix": lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3)}[op]
+           "parametrix": lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3),
+           "solve_elliptic": lambda: solve_elliptic(a_terms[0], 2.0, LatticeSequence.delta(box),
+                                                    3)}[op]
     threads = threading.active_count()
     with pytest.raises(ArithmeticError, match="third block"):
         run()
@@ -561,6 +562,28 @@ def test_the_dual_expansions_hold_at_most_three_sample_arrays(op):
     # the conjugated or reflected samples and their spectrum; then the
     # spectrum, the result and the blocks in flight
     assert _dense_peak(lambda sigma, tau, order: op(sigma, order)) <= 3.0
+
+
+def test_transpose_holds_no_more_than_adjoint(monkeypatch):
+    # the reflection is one gather of the samples, as the conjugate is one
+    # pass; on one CPU the blocks in flight are the same for both, and the
+    # second run of each is read, the first having filled numpy's caches
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    peaks = {op: [_dense_peak(lambda sigma, tau, order: op(sigma, order)) for _ in range(2)][1]
+             for op in (adjoint, transpose)}
+    assert peaks[transpose] <= peaks[adjoint]
+
+
+def test_parametrix_holds_its_terms_and_little_more():
+    # one (order x K x X) stack of the terms, and the blocks in flight
+    leading, order = helpers.elliptic_symbol(2, 24), 4
+    tracemalloc.start()
+    try:
+        parametrix(SymbolExpansion([leading], [2.0]), 2.0, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (order + 1) * leading.samples.nbytes
 
 
 def test_each_row_block_visits_every_block_once_on_more_threads_than_cores(monkeypatch):
