@@ -3,7 +3,8 @@ reduction of amplitudes to symbols, finite partial sums of symbol
 expansions, and the parametrix recursion for elliptic symbols.
 
 The adjoint, the transpose and the amplitude reduction are one series,
-sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by :func:`_difference_series`.
+sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by :func:`_difference_series`;
+compose and the parametrix take D^(alpha)_x by :func:`_falling_derivatives`.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -21,8 +22,7 @@ from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
                       check_expansion_order, each_row_block, falling_multiplier,
                       from_x_spectrum, lattice_difference, multi_factorial,
-                      multi_indices_below, multi_indices_of_degree, require_invertible,
-                      x_spectrum)
+                      multi_indices_below, require_invertible, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -67,18 +67,40 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
-def _add_product_terms(acc: np.ndarray, terms, grid, rows: slice, op=np.add) -> None:
-    """``acc = op(acc, (1/alpha!) D^(alpha)_x left . Delta^alpha_k right)`` on the
-    block ``rows`` of leading-axis slices, for each ``(spec, right, alpha, multiplier)``
-    of ``terms``: the left factor's x-spectrum on the block, the whole right factor
-    (differenced with its halo slices), and the multiplier of D^(alpha)."""
-    for spec, right, alpha, multiplier in terms:
-        term = from_x_spectrum(spec, grid, multiplier)
-        term *= lattice_difference(right, alpha, rows=rows)
-        factorial = multi_factorial(alpha)
-        if factorial != 1:
-            term /= factorial
-        op(acc, term, out=acc)
+def _axis_multipliers(grid: TorusGrid, high: int) -> list[list[np.ndarray]]:
+    """Per grid axis i, the multipliers of D^(a e_i) for 1 <= a <= high."""
+    return [[falling_multiplier(grid, tuple(a if j == i else 0 for j in range(grid.n)))
+             for a in range(1, high + 1)] for i in range(grid.n)]
+
+
+def _falling_derivatives(values: np.ndarray, grid, high: int, multipliers, alpha=(), axis=0):
+    """``(alpha, D^(alpha)_x values)`` for each |alpha| <= high, ``values`` shaped
+    (..., grid.size), depth first from alpha = 0: a node whose last nonzero entry
+    is alpha_i is one inverse FFT along grid axis i of its parent's FFT along i
+    times ``multipliers[i][alpha_i - 1]``; the walk holds a node and a spectrum per level."""
+    alpha = alpha or (0,) * grid.n
+    yield alpha, values
+    budget = high - sum(alpha)
+    if not budget:
+        return
+    for i in range(axis, grid.n):
+        along = i - grid.n
+        spec = np.fft.fft(values.reshape(values.shape[:-1] + grid.shape), axis=along)
+        for a, multiplier in enumerate(multipliers[i][:budget], 1):
+            child = np.fft.ifft(spec * multiplier, axis=along).reshape(values.shape)
+            yield from _falling_derivatives(child, grid, high, multipliers,
+                                            alpha[:i] + (a,) + alpha[i + 1:], i + 1)
+            del child
+        del spec
+
+
+def _product_term(deriv: np.ndarray, right: np.ndarray, alpha, rows: slice) -> np.ndarray:
+    """(1/alpha!) deriv . Delta^alpha_k right on the block ``rows``, deriv = D^(alpha)_x left."""
+    term = deriv * lattice_difference(right, alpha, rows=rows)
+    factorial = multi_factorial(alpha)
+    if factorial != 1:
+        term /= factorial
+    return term
 
 
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
@@ -95,12 +117,13 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     acc = left * right
-    spec = x_spectrum(left, grid)
-    alphas = multi_indices_below(box.n, order)[1:]
-    multipliers = [falling_multiplier(grid, alpha) for alpha in alphas]
-    each_row_block(lambda rows: _add_product_terms(acc[rows], [
-        (spec[rows], right, *term) for term in zip(alphas, multipliers)], grid, rows),
-        len(acc), acc[0].size)
+    multipliers = _axis_multipliers(grid, order - 1)
+
+    def series(rows):
+        for alpha, deriv in _falling_derivatives(left[rows], grid, order - 1, multipliers):
+            if any(alpha):
+                acc[rows] += _product_term(deriv, right, alpha, rows)
+    each_row_block(series, len(acc), acc[0].size)
     params = None
     if sigma.params is not None and tau.params is not None:
         params = SymbolClassParams(
@@ -188,23 +211,20 @@ def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
     smallest = require_invertible(leading, mu, m_cut=m_cut)
     params = leading.params or SymbolClassParams(mu)
     params.validate_for_calculus()
-    n, grid = leading.box.n, leading.grid
+    grid = leading.grid
     lower = [t.samples.reshape(leading.box.shape + (grid.size,)) for t in a_terms]
-    falling = {gamma: falling_multiplier(grid, gamma) for gamma in multi_indices_below(n, order)}
+    multipliers = _axis_multipliers(grid, order - 1)
 
-    def recursion(rows):  # B_m on a block reads its B_j and the A_l with halo slices
+    def recursion(rows):  # B_j's terms reach the B_m, m > j, with the A_l read with halo slices
         inv_leading = 1.0 / lower[0][rows]
-        b_terms, specs = [inv_leading], []  # specs: the x-spectra of B_0 .. B_{m-1}
-        for m in range(1, order):
-            specs.append(x_spectrum(b_terms[-1], grid))
-            acc = np.zeros_like(inv_leading)
-            _add_product_terms(acc, [(specs[jdx], lower[ldx], gamma, falling[gamma])
-                                     for jdx in range(m) for ldx in range(min(m, len(lower)))
-                                     if m - jdx - ldx >= 0
-                                     for gamma in multi_indices_of_degree(n, m - jdx - ldx)],
-                               grid, rows, np.subtract)
-            acc *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
-            b_terms.append(acc)
+        b_terms = [inv_leading] + [np.zeros_like(inv_leading) for _ in range(1, order)]
+        for j in range(order - 1):  # B_j is final: scatter its terms, then finish B_{j+1}
+            for gamma, deriv in _falling_derivatives(b_terms[j], grid, order - 1 - j,
+                                                     multipliers):
+                for m, a_l in enumerate(lower[:order - j - sum(gamma)], j + sum(gamma)):
+                    if m > j:  # B_j . A_0 is B_j's own equation
+                        b_terms[m] -= _product_term(deriv, a_l, gamma, rows)
+            b_terms[j + 1] *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         keep(rows, b_terms)
     each_row_block(recursion, len(lower[0]), lower[0][0].size)
     return params, smallest
@@ -218,10 +238,10 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     missing terms read as zero), the inverse expansion starts from
     B_0 = 1/A_0 and continues, for 1 <= m < order, with
 
-        B_m = (-1/A_0) sum_{j<m} sum_{l<m} sum_{|gamma| = m-j-l}
+        B_m = (-1/A_0) sum_{j<m} sum_{l<=m-j} sum_{|gamma| = m-j-l}
                   (1/gamma!) [D^(gamma)_x B_j] Delta^gamma_k A_l,
 
-    skipping (j, l) pairs that would need |gamma| < 0.  Requires the leading
+    each B_j, once final, adding its terms to every later B_m.  Requires the leading
     term to pass the ellipticity check at order mu and to be nonvanishing on
     the whole box (the reciprocal is taken pointwise).  The terms are kept in
     one (order x K x X) stack, filled per block by :func:`_parametrix_pass`.

@@ -197,6 +197,7 @@ def lattice_difference(values, alpha, axes=None):
 # ---------------------------------------------------------------------------
 # serial calculus: every expansion term on the whole (K x X) array, one numpy
 # FFT call per x-transform; the library's blocked passes must agree bit for bit
+# with the one-axis derivative trees, and to roundoff with the n-axis ones
 
 
 def _serial_spectrum(values, grid):
@@ -217,8 +218,52 @@ def _serial_product_terms(spec, right, grid, alphas):
         yield term
 
 
+def _tree_path(alpha):
+    """The (axis, entry) steps from 0 to alpha, one per nonzero entry: sorted by
+    them, the alpha come in depth-first order of the one-axis derivative tree."""
+    return [(i, a) for i, a in enumerate(alpha) if a]
+
+
+def _serial_falling(values, grid, high):
+    """``(alpha, D^(alpha)_x values)`` for |alpha| <= high on the whole array:
+    alpha with last nonzero entry alpha_i is numpy's one-axis inverse FFT along
+    grid axis i of the one-axis FFT of its parent (alpha_i set to 0) times the
+    multiplier of D^(alpha_i e_i), in depth-first order."""
+    n, shape = grid.n, values.shape[:-1] + grid.shape
+    nodes, spectra = {(0,) * n: values.reshape(shape)}, {}
+    for alpha in sorted(multi_indices_below(n, high + 1), key=_tree_path):
+        if any(alpha):
+            i = _tree_path(alpha)[-1][0]
+            parent = alpha[:i] + (0,) + alpha[i + 1:]
+            step = tuple(a if axis == i else 0 for axis, a in enumerate(alpha))
+            if (parent, i) not in spectra:
+                spectra[parent, i] = np.fft.fft(nodes[parent], axis=i - n)
+            nodes[alpha] = np.fft.ifft(spectra[parent, i] * falling_multiplier(grid, step),
+                                       axis=i - n)
+        yield alpha, nodes[alpha].reshape(values.shape)
+
+
+def _serial_term(deriv, right, alpha):
+    term = deriv * lattice_difference(right, alpha)
+    term /= multi_factorial(alpha)
+    return term
+
+
 def serial_compose(sigma, tau, order):
-    """Samples of sum_{|alpha| < order} (1/alpha!) D^(alpha)_x sigma . Delta^alpha_k tau."""
+    """Samples of sum_{|alpha| < order} (1/alpha!) D^(alpha)_x sigma . Delta^alpha_k tau,
+    the terms added in the order of :func:`_serial_falling`."""
+    box, grid = sigma.box, sigma.grid
+    left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
+    acc = left * right
+    for alpha, deriv in _serial_falling(left, grid, order - 1):
+        if any(alpha):
+            acc += _serial_term(deriv, right, alpha)
+    return acc.reshape(box.size, grid.size)
+
+
+def serial_compose_fftn(sigma, tau, order):
+    """:func:`serial_compose` with every D^(alpha) one n-axis inverse FFT of the
+    left factor's n-axis spectrum."""
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     spec = _serial_spectrum(left, grid)
@@ -248,7 +293,26 @@ def serial_transpose(sigma, order):
 
 def serial_parametrix(terms, order):
     """Samples of B_0 .. B_{order-1} of the parametrix recursion for the
-    expansion ``terms`` (A_0, A_1, ...)."""
+    expansion ``terms`` (A_0, A_1, ...): each final B_j subtracts its terms
+    (1/gamma!) D^(gamma) B_j . Delta^gamma A_l, in the order of
+    :func:`_serial_falling` and then of l, from the sums of B_{j+l+|gamma|}."""
+    box, grid = terms[0].box, terms[0].grid
+    lower = [t.samples.reshape(box.shape + (grid.size,)) for t in terms]
+    inv_leading = 1.0 / lower[0]
+    b_terms = [inv_leading] + [np.zeros_like(inv_leading) for _ in range(1, order)]
+    for j in range(order - 1):
+        for gamma, deriv in _serial_falling(b_terms[j], grid, order - 1 - j):
+            for ldx, a_l in enumerate(lower):
+                m = j + ldx + sum(gamma)
+                if j < m < order:
+                    b_terms[m] -= _serial_term(deriv, a_l, gamma)
+        b_terms[j + 1] *= inv_leading
+    return [b.reshape(box.size, grid.size) for b in b_terms]
+
+
+def serial_parametrix_fftn(terms, order):
+    """:func:`serial_parametrix` with every D^(gamma) one n-axis inverse FFT of
+    an n-axis spectrum, each B_m summed over its (j, l, gamma) at once."""
     box, grid = terms[0].box, terms[0].grid
     shape = box.shape + (grid.size,)
     lower = [t.samples.reshape(shape) for t in terms]
@@ -258,12 +322,9 @@ def serial_parametrix(terms, order):
         specs.append(_serial_spectrum(b_terms[-1], grid))
         acc = np.zeros_like(inv_leading)
         for jdx in range(m):
-            for ldx in range(min(m, len(lower))):
-                g = m - jdx - ldx
-                if g < 0:
-                    continue
+            for ldx in range(min(m - jdx + 1, len(lower))):
                 for term in _serial_product_terms(specs[jdx], lower[ldx], grid,
-                                                  multi_indices_of_degree(box.n, g)):
+                                                  multi_indices_of_degree(box.n, m - jdx - ldx)):
                     acc -= term
         acc *= inv_leading
         b_terms.append(acc)

@@ -336,6 +336,24 @@ def test_parametrix_accepts_multi_term_input():
     assert len(exp.terms) == 3
 
 
+def test_a_lower_term_of_the_symbol_reaches_the_parametrix_through_b0():
+    # B_m carries B_0 . A_m (j = 0, gamma = 0, l = m): without it A_1 never
+    # enters the expansion and the residual stays at its order-1 size
+    box, grid = helpers.box_and_grid(1, 20)
+    k1 = np.abs(box.points[:, 0].astype(float))
+    lead = SampledSymbol(box, grid, np.outer(2.0 + k1**2, 1.0 + 0.3 * np.cos(
+        2 * np.pi * grid.nodes[:, 0])), params=SymbolClassParams(2.0))
+    lower = _k_symbol(box, grid, 1.0 + 1.5 * k1)
+    A = matrix(lead).values + matrix(lower).values
+    far = box.norms >= 10
+    residuals = []
+    for order in (1, 2):
+        exp = parametrix(SymbolExpansion([lead, lower], [2.0, 1.0]), 2.0, order)
+        B = matrix(partial_sum(exp, order)).values
+        residuals.append(np.abs((B @ A - np.eye(box.size))[far]).max())
+    assert residuals[1] < 0.5 * residuals[0]
+
+
 def _assert_compose_mixed_frequencies_exact(n):
     # per-axis degree 1 in nonnegative frequencies on the first two axes:
     # terminates at order 3
@@ -480,8 +498,8 @@ def test_an_exception_in_one_row_block_reaches_the_caller(monkeypatch, cpus, op)
     box, grid = helpers.box_and_grid(2, 4)
     helpers.force_block_rows(monkeypatch, 7, grid.size)
     sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(5))
-    if op not in ("adjoint", "transpose"):  # one from_x_spectrum call per block and term
-        monkeypatch.setattr(calculus, "from_x_spectrum", _fail_third(calculus.from_x_spectrum))
+    if op not in ("adjoint", "transpose"):  # one one-axis ifft per block and derivative
+        monkeypatch.setattr(np.fft, "ifft", _fail_third(np.fft.ifft))
     else:  # one whole from_x_spectrum, one ifftn per block inside it
         monkeypatch.setattr(np.fft, "ifftn", _fail_third(np.fft.ifftn))
     run = {"compose": lambda: compose(sigma, tau, 3), "adjoint": lambda: adjoint(sigma, 3),
@@ -511,6 +529,52 @@ def test_a_one_block_input_starts_no_thread(monkeypatch, cpus):
     assert np.array_equal(_bits(transpose(sigma, 3).samples),
                           _bits(oracles.serial_transpose(sigma, 3)))
     parametrix(SymbolExpansion(a_terms), 2.0, 3)
+
+
+@pytest.mark.parametrize("n, N", [(1, 12), (2, 4), (3, 2)])
+def test_calculus_agrees_with_the_n_axis_expansions(n, N):
+    # the one-axis derivative trees against every D^(alpha) taken as one
+    # n-axis inverse transform of one n-axis spectrum
+    box, grid = helpers.box_and_grid(n, N)
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(40 + n))
+    order = 4
+    cases = [(compose(sigma, tau, order).samples, oracles.serial_compose_fftn(sigma, tau, order))]
+    cases += zip([b.samples for b in parametrix(SymbolExpansion(a_terms), 2.0, order).terms],
+                 oracles.serial_parametrix_fftn(a_terms, order))
+    for got, want in cases:
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
+    # n=3, order 3, per row block: compose takes 6 forward and 9 inverse
+    # one-axis transforms (one per |alpha| = 1, 2), the parametrix 6 + 9 for
+    # B_0 and 3 + 3 for B_1; no n-axis transform is taken
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    box, grid = helpers.box_and_grid(3, 2)
+    helpers.force_block_rows(monkeypatch, box.size // box.M, grid.size)
+    blocks = len(list(symbols.row_blocks(box.M, box.size // box.M * grid.size)))
+    assert blocks == box.M
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(7))
+    calls = {"fft": 0, "ifft": 0}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an n-axis transform was taken")
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, refused)
+    for run, forward, inverse in [(lambda: compose(sigma, tau, 3), 6, 9),
+                                  (lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3), 9, 12)]:
+        calls.update(fft=0, ifft=0)
+        run()
+        assert calls == {"fft": forward * blocks, "ifft": inverse * blocks}
 
 
 @pytest.mark.parametrize("op", ["compose", "adjoint"])
@@ -552,9 +616,9 @@ def _dense_peak(op, order=3):
     return peak / sigma.samples.nbytes
 
 
-def test_compose_holds_at_most_three_sample_arrays():
-    # the product, the left factor's spectrum and the blocks in flight
-    assert _dense_peak(compose) <= 3.0
+def test_compose_holds_at_most_two_sample_arrays():
+    # the product and the blocks in flight, each block's derivative tree among them
+    assert _dense_peak(compose) <= 2.0
 
 
 @pytest.mark.parametrize("op", [adjoint, transpose], ids=["adjoint", "transpose"])
