@@ -3,8 +3,10 @@ reduction of amplitudes to symbols, finite partial sums of symbol
 expansions, and the parametrix recursion for elliptic symbols.
 
 The adjoint, the transpose and the amplitude reduction are one series,
-sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by :func:`_difference_series`;
-compose and the parametrix take D^(alpha)_x by :func:`_falling_derivatives`.
+sum (1/alpha!) Delta^alpha D^(alpha)_x, summed in the x-spectrum by
+:func:`_difference_series`; compose and the parametrix take D^(alpha)_x
+from :func:`pdz.symbols.x_derivatives`.  Each is one pass over the row
+blocks, and no pass starts inside a block.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -19,10 +21,10 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
-from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams,
-                      check_expansion_order, each_row_block, falling_multiplier,
-                      from_x_spectrum, lattice_difference, multi_factorial,
-                      multi_indices_below, require_invertible, x_spectrum)
+from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams, axis_multipliers,
+                      check_expansion_order, each_row_block, falling_factor,
+                      falling_multiplier, lattice_difference, multi_factorial,
+                      multi_indices_below, require_invertible, x_derivatives, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -67,33 +69,6 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
-def _axis_multipliers(grid: TorusGrid, high: int) -> list[list[np.ndarray]]:
-    """Per grid axis i, the multipliers of D^(a e_i) for 1 <= a <= high."""
-    return [[falling_multiplier(grid, tuple(a if j == i else 0 for j in range(grid.n)))
-             for a in range(1, high + 1)] for i in range(grid.n)]
-
-
-def _falling_derivatives(values: np.ndarray, grid, high: int, multipliers, alpha=(), axis=0):
-    """``(alpha, D^(alpha)_x values)`` for each |alpha| <= high, ``values`` shaped
-    (..., grid.size), depth first from alpha = 0: a node whose last nonzero entry
-    is alpha_i is one inverse FFT along grid axis i of its parent's FFT along i
-    times ``multipliers[i][alpha_i - 1]``; the walk holds a node and a spectrum per level."""
-    alpha = alpha or (0,) * grid.n
-    yield alpha, values
-    budget = high - sum(alpha)
-    if not budget:
-        return
-    for i in range(axis, grid.n):
-        along = i - grid.n
-        spec = np.fft.fft(values.reshape(values.shape[:-1] + grid.shape), axis=along)
-        for a, multiplier in enumerate(multipliers[i][:budget], 1):
-            child = np.fft.ifft(spec * multiplier, axis=along).reshape(values.shape)
-            yield from _falling_derivatives(child, grid, high, multipliers,
-                                            alpha[:i] + (a,) + alpha[i + 1:], i + 1)
-            del child
-        del spec
-
-
 def _product_term(deriv: np.ndarray, right: np.ndarray, alpha, rows: slice) -> np.ndarray:
     """(1/alpha!) deriv . Delta^alpha_k right on the block ``rows``, deriv = D^(alpha)_x left."""
     term = deriv * lattice_difference(right, alpha, rows=rows)
@@ -117,10 +92,10 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     acc = left * right
-    multipliers = _axis_multipliers(grid, order - 1)
+    multipliers = axis_multipliers(grid, order - 1, falling_factor)
 
     def series(rows):
-        for alpha, deriv in _falling_derivatives(left[rows], grid, order - 1, multipliers):
+        for alpha, deriv in x_derivatives(left[rows], grid, order - 1, multipliers):
             if any(alpha):
                 acc[rows] += _product_term(deriv, right, alpha, rows)
     each_row_block(series, len(acc), acc[0].size)
@@ -139,7 +114,8 @@ def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray
     """sum_{|alpha| < order} (1/alpha!) Delta^alpha D^(alpha)_x on an x-spectrum whose
     lattice axes are ``axes`` (Delta^alpha commutes with the x-transform and the
     multiplier), summed per block of leading-axis slices; each block's sum, read
-    at index ``corner`` of the axes after the leading one, is inverted into ``out``."""
+    at index ``corner`` of the axes after the leading one, is inverted by one
+    ``ifftn`` straight into its rows of ``out``."""
     weights = [(alpha, falling_multiplier(grid, alpha) / multi_factorial(alpha))
                for alpha in multi_indices_below(len(axes), order)[1:]]
 
@@ -149,7 +125,9 @@ def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray
             term = lattice_difference(spec, alpha, axes, rows=rows)
             term *= weight
             acc += term
-        from_x_spectrum(acc[(slice(None),) + corner], grid, out=out[rows])
+        part = acc[(slice(None),) + corner]
+        np.fft.ifftn(part, axes=tuple(range(-grid.n, 0)),
+                     out=out[rows].reshape(part.shape, copy=False))
     each_row_block(series, len(spec), spec[0].size)
     return out
 
@@ -213,14 +191,13 @@ def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
     params.validate_for_calculus()
     grid = leading.grid
     lower = [t.samples.reshape(leading.box.shape + (grid.size,)) for t in a_terms]
-    multipliers = _axis_multipliers(grid, order - 1)
+    multipliers = axis_multipliers(grid, order - 1, falling_factor)
 
     def recursion(rows):  # B_j's terms reach the B_m, m > j, with the A_l read with halo slices
         inv_leading = 1.0 / lower[0][rows]
         b_terms = [inv_leading] + [np.zeros_like(inv_leading) for _ in range(1, order)]
         for j in range(order - 1):  # B_j is final: scatter its terms, then finish B_{j+1}
-            for gamma, deriv in _falling_derivatives(b_terms[j], grid, order - 1 - j,
-                                                     multipliers):
+            for gamma, deriv in x_derivatives(b_terms[j], grid, order - 1 - j, multipliers):
                 for m, a_l in enumerate(lower[:order - j - sum(gamma)], j + sum(gamma)):
                     if m > j:  # B_j . A_0 is B_j's own equation
                         b_terms[m] -= _product_term(deriv, a_l, gamma, rows)

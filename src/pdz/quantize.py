@@ -13,7 +13,9 @@ transformed through its T factors instead; array-backed symbols keep the
 dense path, the oracle for that one.  Also here: amplitude operators
 (their reduction to symbols is a calculus expansion, in :mod:`pdz.calculus`),
 operators with a general phase, the dual quantization on the torus, and the
-conjugation identity tying the two quantizations together.
+conjugation identity tying the two quantizations together.  The x-derivatives
+of the general-phase witnesses come from :func:`pdz.symbols.x_derivatives`;
+the one-axis transforms taken here are those of :func:`apply`'s dense path.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
                     character_matrix, require_matched, require_memory)
 from .report import DiagnosticsReport
-from .symbols import (AmplitudeDefinition, SampledSymbol, from_x_spectrum,
-                      lattice_difference, multi_indices_below, partial_multiplier, row_blocks,
-                      x_spectrum)
+from .symbols import (AmplitudeDefinition, SampledSymbol, axis_multipliers, lattice_difference,
+                      partial_factor, row_blocks, x_derivatives)
 
 
 #: Cap on M^n for dense (M^n)^2 objects, read at each call (and by ``solve``).
@@ -315,11 +316,11 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> Diagnosti
     n = grid.n
     rep = DiagnosticsReport("fso_boundedness")
 
-    spec = x_spectrum(sym.samples, grid)
+    multipliers = axis_multipliers(grid, 2 * n + 1, partial_factor)
     sigma_max = 0.0
-    for alpha in multi_indices_below(n, 2 * n + 2):
-        deriv = from_x_spectrum(spec, grid, partial_multiplier(grid, alpha))
-        sigma_max = max(sigma_max, float(np.abs(deriv).max()))
+    for _, block in sym.blocks():
+        for _, deriv in x_derivatives(block, grid, 2 * n + 1, multipliers):
+            sigma_max = max(sigma_max, float(np.abs(deriv).max()))
     rep.add_value("sigma_derivative_sup", sigma_max)
 
     phi = phase.samples(box, grid).reshape((box.size,) + grid.shape)

@@ -99,11 +99,6 @@ def _row_scan(sym: SampledSymbol) -> tuple[np.ndarray, float, bool]:
     return first, deviation, deviation <= 1e-12 * scale
 
 
-def lattice_deviation(sym: SampledSymbol) -> tuple[float, bool]:
-    """The deviation and the k-independence verdict of :func:`_row_scan`."""
-    return _row_scan(sym)[1:]
-
-
 def invert_multiplier(sym: SampledSymbol, g: LatticeSequence,
                       s_values=(0.0, 2.0)) -> SolveReport:
     """Solve Op(sigma) f = g for a symbol with no lattice dependence by exact

@@ -14,6 +14,12 @@ Conventions fixed here and relied on everywhere else:
   ``d (d-1) ... (d-l+1)``, so it annihilates nonnegative-frequency
   trigonometric polynomials of degree < l; that exactness is what makes
   finite expansions in the calculus module terminate.
+* Every x-derivative (D^beta, D^(beta), d^alpha/dx^alpha) is a product of
+  one-axis operators, each one FFT along its grid axis, a multiplier from
+  :func:`axis_multipliers`, and one inverse FFT: :func:`x_derivatives`
+  walks all |alpha| <= high of a block as a tree, and the single
+  derivatives take one pass over the row blocks with no transform along
+  an axis they do not differentiate.
 """
 
 from __future__ import annotations
@@ -51,39 +57,26 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
-#: Set on a thread while it runs blocks of a pass, so that a pass started
-#: from inside a block runs inline instead of starting threads of its own.
-_in_pass = threading.local()
-
-
 def each_row_block(fn, rows: int, width: int) -> None:
     """Call ``fn`` on each slice of :func:`row_blocks` on one thread per CPU
-    the process may use, the caller's included (inline for one block, one
-    CPU, or a pass started from inside a block); return when all are done,
-    raising the first exception raised.  ``fn`` writes only its own rows, so
-    results do not depend on the threads."""
+    the process may use, the caller's included (inline for one block or one
+    CPU); return when all are done, raising the first exception raised.
+    ``fn`` writes only its own rows, so results do not depend on the
+    threads, and starts no pass of its own."""
     blocks = list(row_blocks(rows, width))
-    if getattr(_in_pass, "active", False):
-        for block in blocks:
-            fn(block)
-        return
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pending, lock, errors = iter(blocks), threading.Lock(), []
 
     def work():
-        _in_pass.active = True
-        try:
-            while not errors:
-                with lock:
-                    block = next(pending, None)
-                if block is None:
-                    return
-                try:
-                    fn(block)
-                except BaseException as exc:  # noqa: BLE001 -- re-raised below
-                    errors.append(exc)
-        finally:
-            _in_pass.active = False
+        while not errors:
+            with lock:
+                block = next(pending, None)
+            if block is None:
+                return
+            try:
+                fn(block)
+            except BaseException as exc:  # noqa: BLE001 -- re-raised below
+                errors.append(exc)
 
     pool = [threading.Thread(target=work) for _ in range(min(len(blocks), cpus or 1) - 1)]
     for t in pool:
@@ -475,82 +468,116 @@ def _fft_frequencies(M: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(M) * M).astype(int)
 
 
-def x_multiplier(grid: TorusGrid, per_axis) -> np.ndarray:
-    """Spectral multiplier of shape ``grid.shape``: the product over axes i of
-    ``per_axis(l, i)``, l the integer FFT frequencies of one grid axis."""
-    freqs = _fft_frequencies(grid.M)
-    out = np.ones(())
-    for i in range(grid.n):
-        out = np.multiply.outer(out, per_axis(freqs, i))
-    return out
+def falling_factor(l: np.ndarray, a: int) -> np.ndarray:
+    """l (l-1) ... (l-a+1) at the integer frequencies ``l``, as floats; 1 for a = 0."""
+    return np.prod(l - np.arange(a)[:, None], axis=0, dtype=float)
 
 
 def falling_multiplier(grid: TorusGrid, beta) -> np.ndarray:
-    """Multiplier of D^(beta): per axis l (l-1) ... (l-beta_j+1)."""
-    return x_multiplier(
-        grid, lambda l, i: np.prod(l - np.arange(beta[i])[:, None], axis=0, dtype=float))
-
-
-def partial_multiplier(grid: TorusGrid, alpha) -> np.ndarray:
-    """Multiplier of d^alpha/dx^alpha: per axis (2 pi i l)^alpha_j."""
-    return x_multiplier(grid, lambda l, i: (2j * np.pi * l) ** alpha[i])
-
-
-def _transform_rows(transform, rows: np.ndarray, grid: TorusGrid, multiplier=None, out=None):
-    """numpy's ``transform`` over the grid axes of ``rows`` (times ``multiplier``), by
-    blocks, each written straight into its slice of ``out`` (a new array by default)."""
-    axes = tuple(range(1, grid.n + 1))
-    out = np.empty(rows.shape, dtype=complex) if out is None else out
-
-    def fill(b):
-        transform(rows[b] if multiplier is None else rows[b] * multiplier, axes=axes, out=out[b])
-    each_row_block(fill, len(rows), grid.size)
+    """Multiplier of D^(beta) of shape ``grid.shape``: the product over axes
+    i of :func:`falling_factor` (l, beta_i), l the FFT frequencies of axis i."""
+    freqs = _fft_frequencies(grid.M)
+    out = np.ones(())
+    for b in beta:
+        out = np.multiply.outer(out, falling_factor(freqs, b))
     return out
 
 
+def axis_multipliers(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray]]:
+    """Per grid axis i, ``factor(l, a)`` for 1 <= a <= high at the FFT
+    frequencies l of that axis, shaped to broadcast along grid axis i of an
+    array (..., *grid.shape): the multipliers of the one-axis operators."""
+    freqs = _fft_frequencies(grid.M)
+    return [[factor(freqs, a).reshape((-1,) + (1,) * (grid.n - 1 - i))
+             for a in range(1, high + 1)] for i in range(grid.n)]
+
+
+def _axis_derivative(values: np.ndarray, axis: int, multiplier: np.ndarray) -> np.ndarray:
+    """One FFT of ``values`` along ``axis``, times ``multiplier``, and back."""
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * multiplier, axis=axis)
+
+
+def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, multipliers,
+                  alpha=(), axis=0):
+    """``(alpha, D^alpha values)`` for each |alpha| <= high, ``values`` shaped
+    (..., grid.size) and D^alpha the product of the one-axis operators of
+    ``multipliers`` (:func:`axis_multipliers`), depth first from alpha = 0: a
+    node whose last nonzero entry is alpha_i is one inverse FFT along grid axis
+    i of its parent's FFT along i times ``multipliers[i][alpha_i - 1]``; the
+    walk holds a node and a spectrum per level."""
+    alpha = alpha or (0,) * grid.n
+    yield alpha, values
+    budget = high - sum(alpha)
+    if not budget:
+        return
+    for i in range(axis, grid.n):
+        along = i - grid.n
+        spec = np.fft.fft(values.reshape(values.shape[:-1] + grid.shape), axis=along)
+        for a, multiplier in enumerate(multipliers[i][:budget], 1):
+            child = np.fft.ifft(spec * multiplier, axis=along).reshape(values.shape)
+            yield from x_derivatives(child, grid, high, multipliers,
+                                     alpha[:i] + (a,) + alpha[i + 1:], i + 1)
+            del child
+        del spec
+
+
 def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """FFT over the grid variable of ``values`` shaped (..., grid.size);
-    returns shape (...,) + grid.shape."""
-    out = _transform_rows(np.fft.fftn, values.reshape((-1,) + grid.shape), grid)
+    """FFT over the grid variable of ``values`` shaped (..., grid.size), one
+    pass over the row blocks, each written straight into its slice of the
+    result; returns shape (...,) + grid.shape."""
+    rows = values.reshape((-1,) + grid.shape)
+    out, axes = np.empty(rows.shape, dtype=complex), tuple(range(1, grid.n + 1))
+
+    def fill(b):
+        np.fft.fftn(rows[b], axes=axes, out=out[b])
+    each_row_block(fill, len(rows), grid.size)
     return out.reshape(values.shape[:-1] + grid.shape)
 
 
-def from_x_spectrum(spec: np.ndarray, grid: TorusGrid, multiplier=None,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply an :func:`x_spectrum` by ``multiplier`` (none, a scalar or of
-    shape ``grid.shape``) and invert it, into ``out`` if given (an array that
-    reshapes without a copy); returns shape (...,) + (grid.size,)."""
-    shape = spec.shape[:-grid.n] + (grid.size,)
-    rows = spec.reshape((-1,) + grid.shape)
-    out = _transform_rows(np.fft.ifftn, rows, grid, multiplier,
-                          None if out is None else out.reshape(rows.shape, copy=False))
-    return out.reshape(shape)
+def _x_derivative(sym: SampledSymbol, beta, factor) -> SampledSymbol:
+    """The product over grid axes i with beta_i > 0 of the one-axis operators
+    with multiplier ``factor(l, beta_i)``, one pass over the row blocks: one
+    FFT and one inverse FFT along each such axis, none at beta = 0."""
+    grid = sym.grid
+    beta = check_multi_index(beta, grid.n)
+    multipliers = axis_multipliers(grid, max(beta), factor)
+    samples = sym.samples
+    out = np.empty_like(samples)
+
+    def fill(rows):
+        block = samples[rows].reshape((-1,) + grid.shape)
+        for i, b in enumerate(beta):
+            if b:
+                block = _axis_derivative(block, i - grid.n, multipliers[i][b - 1])
+        out[rows] = block.reshape(-1, grid.size)
+    each_row_block(fill, len(out), grid.size)
+    return SampledSymbol(sym.box, grid, out)
 
 
-def _apply_x_multiplier(sym: SampledSymbol, multiplier: np.ndarray) -> SampledSymbol:
-    out = from_x_spectrum(x_spectrum(sym.samples, sym.grid), sym.grid, multiplier)
-    return SampledSymbol(sym.box, sym.grid, out)
+def _power(l: np.ndarray, a: int) -> np.ndarray:
+    return l.astype(float) ** a
 
 
 def x_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
     """D^beta with D = (1/2 pi i) d/dx per axis, spectral and exact for
     trigonometric-polynomial rows."""
-    beta = check_multi_index(beta, sym.grid.n)
-    return _apply_x_multiplier(
-        sym, x_multiplier(sym.grid, lambda l, i: l.astype(float) ** beta[i]))
+    return _x_derivative(sym, beta, _power)
 
 
 def falling_derivative(sym: SampledSymbol, beta) -> SampledSymbol:
     """Falling-factorial derivative D^(beta): per axis the spectral multiplier
     is l (l-1) ... (l-beta_j+1); the empty product (beta_j = 0) is 1."""
-    beta = check_multi_index(beta, sym.grid.n)
-    return _apply_x_multiplier(sym, falling_multiplier(sym.grid, beta))
+    return _x_derivative(sym, beta, falling_factor)
+
+
+def partial_factor(l: np.ndarray, a: int) -> np.ndarray:
+    """(2 pi i l)^a, the multiplier of (d/dx)^a along one axis."""
+    return (2j * np.pi * l) ** a
 
 
 def partial_x_derivative(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Plain partial derivative d^alpha/dx^alpha (spectral multiplier (2 pi i l)^alpha)."""
-    alpha = check_multi_index(alpha, sym.grid.n)
-    return _apply_x_multiplier(sym, partial_multiplier(sym.grid, alpha))
+    return _x_derivative(sym, alpha, partial_factor)
 
 
 def x_reflect(sym: SampledSymbol) -> SampledSymbol:
@@ -739,14 +766,6 @@ class PeriodicTaylor:
         return out
 
 
-def _axis_spectral_derivative(values: np.ndarray, axis: int, M: int) -> np.ndarray:
-    spec = np.fft.fft(values, axis=axis)
-    shape = [1] * values.ndim
-    shape[axis] = M
-    spec *= _fft_frequencies(M).reshape(shape)
-    return np.fft.ifft(spec, axis=axis)
-
-
 def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
     """Expand h around 0 in powers of (e^{2 pi i x} - 1) to total order ``n_order``.
 
@@ -761,6 +780,7 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
     coefficients: dict[tuple[int, ...], complex] = {}
     remainders: dict[tuple[int, ...], np.ndarray] = {}
     denom = np.exp(2j * np.pi * np.arange(M) / M) - 1.0
+    frequencies = [steps[0] for steps in axis_multipliers(grid, 1, _power)]
 
     def expand(values: np.ndarray, axis: int, prefix: tuple[int, ...], budget: int) -> None:
         if axis == n:
@@ -778,7 +798,7 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
             g0 = np.take(g, [0], axis=axis)
             with np.errstate(divide="ignore", invalid="ignore"):
                 nxt = (g - g0) / d
-            deriv = _axis_spectral_derivative(g, axis, M)
+            deriv = _axis_derivative(g, axis, frequencies[axis])
             nxt[tuple(sl)] = np.take(deriv, 0, axis=axis)
             g = nxt
         remainders[prefix + (budget,) + (0,) * (n - axis - 1)] = g.copy()

@@ -195,6 +195,23 @@ def lattice_difference(values, alpha, axes=None):
 
 
 # ---------------------------------------------------------------------------
+# x-derivatives by one n-axis round trip
+
+
+def x_derivative(sym, beta, factor):
+    """Samples of the x-derivative of ``sym`` whose multiplier along grid
+    axis i is ``factor(l, beta_i)``, l the integer frequencies: one n-axis FFT
+    of the whole (K x X) samples, times the grid-shaped product of the axis
+    multipliers, and one n-axis inverse FFT."""
+    grid = sym.grid
+    freqs = np.rint(np.fft.fftfreq(grid.M) * grid.M)
+    multiplier = np.ones(())
+    for b in beta:
+        multiplier = np.multiply.outer(multiplier, factor(freqs, b))
+    return _serial_inverse(_serial_spectrum(sym.samples, grid), grid, multiplier)
+
+
+# ---------------------------------------------------------------------------
 # serial calculus: every expansion term on the whole (K x X) array, one numpy
 # FFT call per x-transform; the library's blocked passes must agree bit for bit
 # with the one-axis derivative trees, and to roundoff with the n-axis ones

@@ -492,21 +492,33 @@ def _fail_third(fn):
     return wrapped
 
 
-@pytest.mark.parametrize("op", ["compose", "adjoint", "transpose", "parametrix",
-                                "solve_elliptic"])
+def _calculus_runs(box, grid, rng):
+    """Each blocked calculus operation, by name, on inputs drawn from ``rng``."""
+    sigma, tau, a_terms = _calculus_inputs(box, grid, rng)
+    amp = AmplitudeDefinition(
+        lambda k, l, x: np.exp(2j * np.pi * x[..., 0]) * (1.0 + l[..., 0]**2)
+        + k[..., -1] * np.cos(2 * np.pi * x[..., -1]))
+    return {"compose": lambda: compose(sigma, tau, 3), "adjoint": lambda: adjoint(sigma, 3),
+            "transpose": lambda: transpose(sigma, 3),
+            "parametrix": lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3),
+            "amplitude_to_symbol": lambda: amplitude_to_symbol(amp, box, grid, 3),
+            "solve_elliptic": lambda: solve_elliptic(a_terms[0], 2.0,
+                                                     LatticeSequence.delta(box), 3)}
+
+
+CALCULUS_OPS = ["compose", "adjoint", "transpose", "parametrix", "amplitude_to_symbol",
+                "solve_elliptic"]
+
+
+@pytest.mark.parametrize("op", CALCULUS_OPS)
 def test_an_exception_in_one_row_block_reaches_the_caller(monkeypatch, cpus, op):
     box, grid = helpers.box_and_grid(2, 4)
     helpers.force_block_rows(monkeypatch, 7, grid.size)
-    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(5))
-    if op not in ("adjoint", "transpose"):  # one one-axis ifft per block and derivative
-        monkeypatch.setattr(np.fft, "ifft", _fail_third(np.fft.ifft))
-    else:  # one whole from_x_spectrum, one ifftn per block inside it
+    run = _calculus_runs(box, grid, np.random.default_rng(5))[op]
+    if op in ("adjoint", "transpose", "amplitude_to_symbol"):  # one ifftn per block
         monkeypatch.setattr(np.fft, "ifftn", _fail_third(np.fft.ifftn))
-    run = {"compose": lambda: compose(sigma, tau, 3), "adjoint": lambda: adjoint(sigma, 3),
-           "transpose": lambda: transpose(sigma, 3),
-           "parametrix": lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3),
-           "solve_elliptic": lambda: solve_elliptic(a_terms[0], 2.0, LatticeSequence.delta(box),
-                                                    3)}[op]
+    else:  # one one-axis ifft per block and derivative
+        monkeypatch.setattr(np.fft, "ifft", _fail_third(np.fft.ifft))
     threads = threading.active_count()
     with pytest.raises(ArithmeticError, match="third block"):
         run()
@@ -577,16 +589,31 @@ def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
         assert calls == {"fft": forward * blocks, "ifft": inverse * blocks}
 
 
-@pytest.mark.parametrize("op", ["compose", "adjoint"])
-def test_a_pass_inside_a_block_starts_no_thread(monkeypatch, op):
-    """At n=2 N=24 one leading-axis slice (49 rows of 2401 entries) exceeds
-    ROW_BLOCK_BYTES, so each block's transform is itself more than one row
-    block; it runs inline, and two CPUs never see more than one extra thread."""
+@pytest.mark.parametrize("op", CALCULUS_OPS)
+def test_no_pass_starts_inside_a_block(monkeypatch, op):
+    """No block of any pass enters each_row_block, on this thread or
+    another, and two CPUs never see more than one extra thread."""
     monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0, 1})
-    box, grid = helpers.box_and_grid(2, 24)
-    assert 16 * grid.size * box.M > symbols.ROW_BLOCK_BYTES
-    sigma = helpers.random_symbol(box, grid, np.random.default_rng(24))
-    baseline, extra = threading.active_count(), []
+    box, grid = helpers.box_and_grid(2, 4)
+    helpers.force_block_rows(monkeypatch, 7, grid.size)
+    run = _calculus_runs(box, grid, np.random.default_rng(24))[op]
+    whole_pass, running, passes, extra = symbols.each_row_block, [], [], []
+
+    def guarded(fn, rows, width):
+        assert not running, "a pass started inside a block"
+        passes.append(rows)
+
+        def marked(block):
+            running.append(block)
+            try:
+                fn(block)
+            finally:
+                running.remove(block)
+        whole_pass(marked, rows, width)
+
+    for module in (symbols, calculus):
+        monkeypatch.setattr(module, "each_row_block", guarded)
+    baseline = threading.active_count()
 
     class Counted(threading.Thread):
         def start(self):
@@ -594,11 +621,8 @@ def test_a_pass_inside_a_block_starts_no_thread(monkeypatch, op):
             super().start()
 
     monkeypatch.setattr(symbols.threading, "Thread", Counted)
-    if op == "compose":
-        compose(sigma, sigma, 3)
-    else:
-        adjoint(sigma, 3)
-    assert extra and max(extra) <= 1
+    run()
+    assert passes and extra and max(extra) <= 1
 
 
 def _dense_peak(op, order=3):
@@ -743,17 +767,14 @@ def test_amplitude_stencil_beyond_physical_memory_is_refused_before_evaluating()
 
 
 def test_the_difference_series_has_one_home():
-    # D^(alpha) multipliers are built in symbols.falling_derivative (one
-    # derivative) and otherwise only by the calculus expansions
-    src = Path(calculus.__file__).parent
+    # whole-grid D^(alpha) multipliers are built only by the series summed in
+    # the x-spectrum
     callers = set()
-    for path in src.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            callers.update((path.name, getattr(top, "name", None)) for node in ast.walk(top)
-                           if isinstance(node, ast.Call)
-                           and getattr(node.func, "id", None) == "falling_multiplier")
-    assert {f for f, fn in callers if (f, fn) != ("symbols.py", "falling_derivative")} == {
-        "calculus.py"}
+    for path in Path(calculus.__file__).parent.glob("*.py"):
+        callers.update(path.name for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "falling_multiplier")
+    assert callers == {"calculus.py"}
 
 
 def _scoped(node, scope=""):
@@ -765,6 +786,20 @@ def _scoped(node, scope=""):
             inner = f"{scope}.{child.name}" if scope else child.name
         yield inner, child
         yield from _scoped(child, inner)
+
+
+def test_the_x_derivative_has_one_home():
+    # every D^beta, D^(beta) and d^alpha/dx^alpha is a product of one-axis
+    # operators taken in symbols.py; the only other one-axis transforms are
+    # those of apply's dense path
+    found = set()
+    for path in Path(calculus.__file__).parent.glob("*.py"):
+        for scope, node in _scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft",
+                                                                         "np.fft.ifft"):
+                found.add((path.name, scope))
+    assert found == {("symbols.py", "x_derivatives"), ("symbols.py", "_axis_derivative"),
+                     ("quantize.py", "apply")}
 
 
 def test_the_lattice_difference_has_one_home():

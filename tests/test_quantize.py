@@ -414,10 +414,11 @@ def test_fso_boundedness_matches_per_alpha_references():
     assert rep.values["phase_difference_derivative_sup"] == phase_ref
 
 
-def test_fso_boundedness_holds_fewer_than_ten_sample_arrays():
+def test_fso_boundedness_holds_at_most_four_sample_arrays():
     # the gradient separation of 256 probe points, taken one probe at a
     # time: never the (256, 256, X, n) array of all pairs (about 300 sample
-    # arrays here)
+    # arrays here); the sigma-derivatives walk one row block at a time,
+    # never a whole-array spectrum
     box, grid = helpers.box_and_grid(2, 12)
     sym = helpers.random_symbol(box, grid, np.random.default_rng(51))
     tracemalloc.start()
@@ -428,7 +429,7 @@ def test_fso_boundedness_holds_fewer_than_ten_sample_arrays():
         tracemalloc.stop()
     assert rep.values["separation_pairs_subsampled_to"] == 256
     assert rep.values["phase_gradient_separation"] == pytest.approx(2 * np.pi, rel=1e-6)
-    assert peak < 10 * sym.samples.nbytes
+    assert peak <= 4 * sym.samples.nbytes
 
 
 def test_phase_samples_beyond_physical_memory_are_refused_before_evaluating():

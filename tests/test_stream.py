@@ -12,7 +12,7 @@ from pdz import (LatticeBox, LatticeSequence, NonFiniteValueError, NotEllipticEr
                  apply, ellipticity_check, kernel, kernel_apply, kernel_decay_fit,
                  kernel_decay_fits, matrix, sample)
 from pdz import io as pdzio
-from pdz.solver import lattice_deviation, solve_dense
+from pdz.solver import _row_scan, solve_dense
 from pdz.symbols import ZERO_THRESHOLD, require_invertible
 
 import helpers
@@ -57,7 +57,7 @@ def test_streamed_passes_equal_the_stored_array(monkeypatch, rows, n, N):
     assert np.array_equal(apply(streamed, f).values, apply(stored, f).values)
     assert pdzio.kernel_to_csv(streamed) == pdzio.kernel_to_csv(kernel(stored))
     assert pdzio.symbol_to_csv(streamed) == pdzio.symbol_to_csv(stored)
-    assert lattice_deviation(streamed) == lattice_deviation(stored)
+    assert _row_scan(streamed)[1:] == _row_scan(stored)[1:]
     assert streamed._samples is None and streamed._kappa is None  # nothing (K x X) kept
     assert require_invertible(streamed, 1.0) == require_invertible(stored, 1.0)
 

@@ -306,6 +306,44 @@ def test_falling_derivative_annihilation_of_one_sided_polynomials():
     assert np.max(np.abs(falling_derivative(sym, (2,)).samples)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, N, betas", [
+    (1, 6, [(0,), (1,), (3,)]),
+    (2, 3, [(0, 0), (2, 0), (0, 1), (2, 1)]),
+    (3, 2, [(0, 0, 0), (1, 0, 2), (0, 2, 0), (1, 1, 1)])])
+def test_x_derivatives_agree_with_the_n_axis_round_trip(n, N, betas):
+    box, grid = helpers.box_and_grid(n, N)
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(60 + n))
+    for derivative, factor in [(x_derivative, lambda l, b: l ** b),
+                               (falling_derivative, oracles.falling_factorial),
+                               (partial_x_derivative, lambda l, b: (2j * np.pi * l) ** b)]:
+        for beta in betas:
+            got = derivative(sym, beta).samples
+            want = oracles.x_derivative(sym, beta, factor)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(derivative(sym, (0,) * n).samples, sym.samples)
+
+
+def test_a_single_derivative_transforms_only_the_axes_it_differentiates(monkeypatch):
+    # one FFT and one inverse FFT along each axis with beta_i > 0, per row block
+    box, grid = helpers.box_and_grid(3, 2)
+    assert len(list(pdz.symbols.row_blocks(box.size, grid.size))) == 1
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(8))
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    for beta, want in [((2, 0, 1), ["fft", "ifft"] * 2), ((0, 0, 0), [])]:
+        calls.clear()
+        falling_derivative(sym, beta)
+        assert calls == want
+
+
 # ---------------------------------------------------------------------------
 # seminorms, orders, ellipticity
 
