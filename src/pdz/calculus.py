@@ -52,9 +52,6 @@ class SymbolExpansion:
         for t in self.terms[1:]:
             _require_same_domain(self.terms[0], t)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     """Pointwise sum of the first j terms."""

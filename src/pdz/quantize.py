@@ -13,9 +13,11 @@ transformed through its T factors instead; array-backed symbols keep the
 dense path, the oracle for that one.  Also here: amplitude operators
 (their reduction to symbols is a calculus expansion, in :mod:`pdz.calculus`),
 operators with a general phase, the dual quantization on the torus, and the
-conjugation identity tying the two quantizations together.  The x-derivatives
-of the general-phase witnesses come from :func:`pdz.symbols.x_derivatives`;
-the one-axis transforms taken here are those of :func:`apply`'s dense path.
+conjugation identity tying the two quantizations together.  A general phase
+is evaluated like a symbol, on the row blocks each pass reads.  The
+x-derivatives of the general-phase witnesses come from
+:func:`pdz.symbols.x_derivatives`; the one-axis transforms taken here are
+those of :func:`apply`'s dense path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
-                    character_matrix, require_matched, require_memory)
+                    character_matrix, require_matched)
 from .report import DiagnosticsReport
 from .symbols import (AmplitudeDefinition, SampledSymbol, axis_multipliers, lattice_difference,
                       partial_factor, row_blocks, x_derivatives)
@@ -236,26 +238,13 @@ class PhaseFunction:
     """
 
     evaluator: object
-    n: int
 
-    def samples(self, box: LatticeBox, grid: TorusGrid) -> np.ndarray:
-        """phi on box x grid, (K x X), if such arrays fit in physical memory."""
-        require_memory("phase samples", box.size, grid.size)
-        vals = np.asarray(self.evaluator(box.points[:, None, :], grid.nodes[None, :, :]))
-        return np.broadcast_to(vals.astype(float), (box.size, grid.size))
-
-    def periodicity_defect(self, box: LatticeBox, grid: TorusGrid) -> float:
-        """max over axes and nodes of |e^{i phi(k, x)} - e^{i phi(k, x + e_axis)}|."""
-        base = np.exp(1j * self.samples(box, grid))
-        worst = 0.0
-        for axis in range(grid.n):
-            shift = np.zeros(grid.n)
-            shift[axis] = 1.0
-            moved = np.asarray(self.evaluator(
-                box.points[:, None, :], grid.nodes[None, :, :] + shift))
-            moved = np.broadcast_to(moved.astype(float), (box.size, grid.size))
-            worst = max(worst, float(np.max(np.abs(base - np.exp(1j * moved)))))
-        return worst
+    def on(self, points: np.ndarray, grid: TorusGrid, shift: int | None = None) -> np.ndarray:
+        """phi on the lattice ``points`` x the grid nodes, (len(points) x X),
+        the nodes moved by the unit vector along axis ``shift`` when given."""
+        nodes = grid.nodes if shift is None else grid.nodes + np.eye(grid.n)[shift]
+        vals = np.asarray(self.evaluator(points[:, None, :], nodes[None, :, :]))
+        return np.broadcast_to(vals.astype(float), (len(points), grid.size))
 
 
 def apply_fso(phase: PhaseFunction, sym: SampledSymbol,
@@ -265,19 +254,27 @@ def apply_fso(phase: PhaseFunction, sym: SampledSymbol,
         T f(k) = (1/M^n) sum_j e^{i phi(k, x_j)} sigma(k, x_j) F(x_j);
 
     with phi(k, x) = 2 pi k.x this coincides with :func:`apply`.  The phase
-    must be 1-periodic on the grid to within 1e-10.
+    must be 1-periodic on the grid to within 1e-10: max |e^{i phi(k, x)} -
+    e^{i phi(k, x + e_axis)}|, taken in the same pass over the row blocks.
     """
     box, grid = sym.box, sym.grid
     if f.box != box:
         raise DomainMismatchError("sequence and symbol live on different boxes")
-    defect = phase.periodicity_defect(box, grid)
+    fhat = np.fft.fftn(box.to_fft_layout(f.values)).ravel()
+    out = np.empty(box.size, dtype=complex)
+    defect = 0.0
+    for rows, block in sym.blocks():
+        points = box.points[rows]
+        phases = np.exp(1j * phase.on(points, grid))
+        for axis in range(grid.n):
+            moved = np.exp(1j * phase.on(points, grid, axis))
+            defect = max(defect, float(np.abs(phases - moved).max()))
+        out[rows] = (phases * block) @ fhat
     if defect > 1e-10:
         raise DomainMismatchError(
             f"phase is not 1-periodic on the grid (defect {defect:.3e})"
         )
-    fhat = np.fft.fftn(box.to_fft_layout(f.values)).ravel()
-    phases = np.exp(1j * phase.samples(box, grid))
-    out = (phases * sym.samples) @ fhat * grid.weight
+    out *= grid.weight
     return LatticeSequence(box, out)
 
 
@@ -323,24 +320,31 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> Diagnosti
             sigma_max = max(sigma_max, float(np.abs(deriv).max()))
     rep.add_value("sigma_derivative_sup", sigma_max)
 
-    phi = phase.samples(box, grid).reshape((box.size,) + grid.shape)
+    # Delta_j phi per block of leading-axis slices: phi on the block and one
+    # halo slice, the sup over the block's interior rows
+    width = box.size // box.M  # box points per leading-axis slice
     interior = np.abs(box.points).max(axis=1) <= box.N - 1
     phase_max = 0.0
-    for j in range(n):
-        diff = lattice_difference(phi.reshape(box.shape + grid.shape), (1,), (j,))
-        diff = diff.reshape((box.size,) + grid.shape)
-        diff = diff[interior] if interior.any() else diff
-        phase_max = max(phase_max, _gradient_chain_sup(diff, grid, 2 * n + 1))
+    for rows in row_blocks(box.M, width * grid.size):
+        keep = interior[rows.start * width:rows.stop * width]
+        if not keep.any():
+            continue
+        halo = np.arange(rows.start * width, (rows.stop + 1) * width) % box.size
+        phi = phase.on(box.points[halo], grid).reshape((-1,) + box.shape[1:] + grid.shape)
+        for j in range(n):
+            diff = lattice_difference(phi, (1,), (j,), rows=slice(0, len(phi) - 1))
+            diff = diff.reshape((-1,) + grid.shape)[keep]
+            phase_max = max(phase_max, _gradient_chain_sup(diff, grid, 2 * n + 1))
     rep.add_value("phase_difference_derivative_sup", phase_max)
 
-    grads = np.stack([_grid_gradient(phi, grid, axis) for axis in range(n)], axis=-1)
-    grads = grads.reshape(box.size, grid.size, n)
     idx = np.arange(box.size)
     if box.size > 256:
         idx = np.random.default_rng(0).choice(box.size, size=256, replace=False)
         rep.add_value("separation_pairs_subsampled_to", 256)
+    phi = phase.on(box.points[idx], grid).reshape((len(idx),) + grid.shape)
+    sub = np.stack([_grid_gradient(phi, grid, axis) for axis in range(n)],
+                   axis=-1).reshape(len(idx), grid.size, n)
     pts = box.points[idx].astype(float)
-    sub = grads[idx]
     kdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     gdist = np.array([np.linalg.norm(row - sub, axis=-1).min(axis=-1) for row in sub])
     mask = kdist > 0

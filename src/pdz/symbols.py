@@ -183,14 +183,9 @@ class SymbolDefinition:
 
 @dataclass
 class AmplitudeDefinition:
-    """Closed-form amplitude ``evaluator(k, l, x)`` with declared orders."""
+    """Closed-form amplitude ``evaluator(k, l, x)``, broadcasting like a symbol evaluator."""
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    mu1: float = 0.0
-    mu2: float = 0.0
-    rho: float = 1.0
-    delta: float = 0.0
-    name: str = ""
 
 
 # ---------------------------------------------------------------------------

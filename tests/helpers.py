@@ -1,5 +1,7 @@
 """Shared fixture builders for the test suite."""
 
+import ast
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,14 @@ def block_cases(boxes):
     with ids naming the block setting and n."""
     return [pytest.param(r, n, N, id=("default-blocks" if r is None else f"{r}-row-blocks")
                          + f"-n{n}") for r, sizes in boxes.items() for n, N in sizes]
+
+
+def scoped(node, scope=""):
+    """``(scope, node)`` for every node below ``node``, ``scope`` the dotted
+    names of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield inner, child
+        yield from scoped(child, inner)

@@ -777,24 +777,13 @@ def test_the_difference_series_has_one_home():
     assert callers == {"calculus.py"}
 
 
-def _scoped(node, scope=""):
-    """``(scope, node)`` for every node below ``node``, ``scope`` the dotted
-    names of the classes and functions around it."""
-    for child in ast.iter_child_nodes(node):
-        inner = scope
-        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-            inner = f"{scope}.{child.name}" if scope else child.name
-        yield inner, child
-        yield from _scoped(child, inner)
-
-
 def test_the_x_derivative_has_one_home():
     # every D^beta, D^(beta) and d^alpha/dx^alpha is a product of one-axis
     # operators taken in symbols.py; the only other one-axis transforms are
     # those of apply's dense path
     found = set()
     for path in Path(calculus.__file__).parent.glob("*.py"):
-        for scope, node in _scoped(ast.parse(path.read_text())):
+        for scope, node in helpers.scoped(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft",
                                                                          "np.fft.ifft"):
                 found.add((path.name, scope))
@@ -807,7 +796,7 @@ def test_the_lattice_difference_has_one_home():
     # cyclic translate of a sequence
     rolls, homes = set(), []
     for path in Path(calculus.__file__).parent.glob("*.py"):
-        for scope, node in _scoped(ast.parse(path.read_text())):
+        for scope, node in helpers.scoped(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "roll":
                 rolls.add((path.name, scope))
             if isinstance(node, ast.FunctionDef) and "lattice_difference" in node.name:

@@ -322,7 +322,7 @@ def test_fso_with_standard_phase_reduces_to_apply():
     rng = np.random.default_rng(9)
     sym = helpers.random_symbol(box, grid, rng)
     f = helpers.random_sequence(box, rng)
-    phase = PhaseFunction(_linear_phase(), 1)
+    phase = PhaseFunction(_linear_phase())
     assert np.max(np.abs(apply_fso(phase, sym, f).values
                          - apply(sym, f).values)) <= 1e-12
 
@@ -330,7 +330,7 @@ def test_fso_with_standard_phase_reduces_to_apply():
 def test_fso_shifted_phase_translates():
     box, grid = helpers.box_and_grid(1, 4)
     f = helpers.random_sequence(box, np.random.default_rng(10))
-    phase = PhaseFunction(lambda k, x: 2 * np.pi * np.sum((k + 1.0) * x, axis=-1), 1)
+    phase = PhaseFunction(lambda k, x: 2 * np.pi * np.sum((k + 1.0) * x, axis=-1))
     out = apply_fso(phase, constant_symbol(box, grid), f)
     np.testing.assert_allclose(out.values, f.shifted([1]).values, atol=1e-12)
 
@@ -345,7 +345,7 @@ def test_fso_integer_matrix_phase_against_direct_summation():
     def evaluator(k, x):
         return 2 * np.pi * np.sum((k @ B.T) * x, axis=-1)
 
-    out = apply_fso(PhaseFunction(evaluator, 2), sym, f)
+    out = apply_fso(PhaseFunction(evaluator), sym, f)
     fhat = oracles.dft_forward(f.values, box, grid)
     phases = np.exp(1j * evaluator(box.points[:, None, :], grid.nodes[None, :, :]))
     direct = (phases * sym.samples * fhat[None, :]).sum(axis=1) * grid.weight
@@ -355,14 +355,15 @@ def test_fso_integer_matrix_phase_against_direct_summation():
 def test_fso_rejects_nonperiodic_phase():
     box, grid = helpers.box_and_grid(1, 3)
     f = LatticeSequence.delta(box)
-    bad = PhaseFunction(lambda k, x: np.sum(x, axis=-1), 1)
-    with pytest.raises(DomainMismatchError):
+    bad = PhaseFunction(lambda k, x: np.sum(x, axis=-1))
+    with pytest.raises(DomainMismatchError, match=r"phase is not 1-periodic on the grid "
+                                                  r"\(defect 9\.589e-01\)"):
         apply_fso(bad, constant_symbol(box, grid), f)
 
 
 def test_fso_boundedness_witnesses_standard_phase():
     box, grid = helpers.box_and_grid(1, 4)
-    rep = fso_boundedness_check(PhaseFunction(_linear_phase(), 1),
+    rep = fso_boundedness_check(PhaseFunction(_linear_phase()),
                                 constant_symbol(box, grid))
     assert rep.values["phase_gradient_separation"] == pytest.approx(2 * np.pi, rel=1e-6)
     assert rep.values["sigma_derivative_sup"] == pytest.approx(1.0, abs=1e-8)
@@ -375,7 +376,7 @@ def test_fso_boundedness_with_oscillating_phase_part():
     def evaluator(k, x):
         return 2 * np.pi * np.sum(k * x, axis=-1) + np.sin(2 * np.pi * x[..., 0])
 
-    rep = fso_boundedness_check(PhaseFunction(evaluator, 1), sym)
+    rep = fso_boundedness_check(PhaseFunction(evaluator), sym)
     assert np.isfinite(rep.values["sigma_derivative_sup"])
     assert np.isfinite(rep.values["phase_difference_derivative_sup"])
     # the lattice difference of the phase is 2 pi x, whose first derivative is 2 pi
@@ -394,10 +395,9 @@ def test_fso_boundedness_matches_per_alpha_references():
                 + (1.0 + k[..., 0] ** 2) * np.sin(2 * np.pi * x[..., 0])
                 * np.cos(2 * np.pi * x[..., 1]))
 
-    phase = PhaseFunction(evaluator, n)
     alphas = [a for total in range(2 * n + 2) for a in multi_indices_of_degree(n, total)]
     sigma_ref = max(float(np.abs(partial_x_derivative(sym, a).samples).max()) for a in alphas)
-    phi = phase.samples(box, grid).reshape(box.shape + grid.shape)
+    phi = evaluator(box.points[:, None, :], grid.nodes[None, :, :]).reshape(box.shape + grid.shape)
     interior = np.abs(box.points).max(axis=1) <= box.N - 1
     phase_ref = 0.0
     for j in range(n):
@@ -409,38 +409,68 @@ def test_fso_boundedness_matches_per_alpha_references():
                 for _ in range(a):
                     work = np.gradient(work, 1.0 / grid.M, axis=1 + axis, edge_order=2)
             phase_ref = max(phase_ref, float(np.abs(work).max()))
-    rep = fso_boundedness_check(phase, sym)
+    rep = fso_boundedness_check(PhaseFunction(evaluator), sym)
     assert rep.values["sigma_derivative_sup"] == sigma_ref
     assert rep.values["phase_difference_derivative_sup"] == phase_ref
 
 
-def test_fso_boundedness_holds_at_most_four_sample_arrays():
+def test_fso_boundedness_holds_at_most_two_and_a_half_sample_arrays():
     # the gradient separation of 256 probe points, taken one probe at a
     # time: never the (256, 256, X, n) array of all pairs (about 300 sample
-    # arrays here); the sigma-derivatives walk one row block at a time,
-    # never a whole-array spectrum
+    # arrays here); the sigma-derivatives and the phase differences walk one
+    # row block at a time, never a whole-array spectrum or phase
     box, grid = helpers.box_and_grid(2, 12)
     sym = helpers.random_symbol(box, grid, np.random.default_rng(51))
     tracemalloc.start()
     try:
-        rep = fso_boundedness_check(PhaseFunction(_linear_phase(), 2), sym)
+        rep = fso_boundedness_check(PhaseFunction(_linear_phase()), sym)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rep.values["separation_pairs_subsampled_to"] == 256
     assert rep.values["phase_gradient_separation"] == pytest.approx(2 * np.pi, rel=1e-6)
-    assert peak <= 4 * sym.samples.nbytes
+    assert peak <= 2.5 * sym.samples.nbytes
 
 
-def test_phase_samples_beyond_physical_memory_are_refused_before_evaluating():
-    box = LatticeBox(2, 511)  # K x X = 1.1e12 entries, 16 TB as complex
+def test_apply_fso_holds_at_most_one_sample_array_beyond_the_symbol():
+    # the phase, its shifted copies and their product with sigma are formed
+    # one row block at a time; a symbol that keeps its definition is
+    # evaluated block by block and does not build its samples
+    box, grid = helpers.box_and_grid(2, 12)
+    rng = np.random.default_rng(52)
+    sym = helpers.random_symbol(box, grid, rng)
+    f = helpers.random_sequence(box, rng)
+    streamed = sample(SymbolDefinition(lambda k, x: 1.0 + k[..., 0] ** 2
+                                       + np.exp(2j * np.pi * x[..., 1])), box, grid)
+    for symbol in (sym, streamed):
+        tracemalloc.start()
+        try:
+            apply_fso(PhaseFunction(_linear_phase()), symbol, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sym.samples.nbytes
+    assert streamed._samples is None
 
-    def never(k, x):
-        raise AssertionError("evaluated before the size check")
 
-    sym = sample(SymbolDefinition(never), box, box.matched_grid())
-    with pytest.raises(ResourceLimitError, match="phase samples.*physical memory"):
-        apply_fso(PhaseFunction(never, 2), sym, LatticeSequence.delta(box))
+def test_the_phase_is_evaluated_per_row_block():
+    box, grid = helpers.box_and_grid(2, 12)
+    rng = np.random.default_rng(53)
+    sym = helpers.random_symbol(box, grid, rng)
+    f = helpers.random_sequence(box, rng)
+    calls = []
+
+    def recorded(k, x):
+        calls.append(k.reshape(-1, box.n))
+        return _linear_phase()(k, x)
+
+    apply_fso(PhaseFunction(recorded), sym, f)
+    assert calls and max(len(k) for k in calls) < box.size
+    # every row, unshifted and shifted along each axis
+    assert sum(len(k) for k in calls) == (1 + box.n) * box.size
+    calls.clear()
+    fso_boundedness_check(PhaseFunction(recorded), sym)
+    assert calls and max(len(k) for k in calls) < box.size
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ast
 import tracemalloc
 from pathlib import Path
 
@@ -151,6 +152,22 @@ def test_character_matrix_beyond_physical_memory_is_refused_before_allocating():
 def test_physical_memory_is_read_in_one_place():
     src = Path(pdz.__file__).parent
     assert sum(f.read_text().count("SC_PHYS_PAGES") for f in src.glob("*.py")) == 1
+
+
+def test_memory_is_checked_where_a_full_array_is_built():
+    # the samples and kappa of a symbol, the character matrix and the
+    # amplitude stencil; the phase of a general-phase operator is read per
+    # row block, so no phase array is checked
+    found = set()
+    for path in Path(pdz.__file__).parent.glob("*.py"):
+        for scope, node in helpers.scoped(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "require_memory"):
+                found.add((path.name, scope))
+    assert found == {("symbols.py", "SampledSymbol.samples"),
+                     ("symbols.py", "SampledSymbol.kappa"),
+                     ("grids.py", "character_matrix"),
+                     ("calculus.py", "amplitude_to_symbol")}
 
 
 # ---------------------------------------------------------------------------
