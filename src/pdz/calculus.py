@@ -3,10 +3,11 @@ reduction of amplitudes to symbols, finite partial sums of symbol
 expansions, and the parametrix recursion for elliptic symbols.
 
 The adjoint, the transpose and the amplitude reduction are one series,
-sum (1/alpha!) Delta^alpha D^(alpha)_x, summed in the x-spectrum by
-:func:`_difference_series`; compose and the parametrix take D^(alpha)_x
-from :func:`pdz.symbols.x_derivatives`.  Each is one pass over the row
-blocks, and no pass starts inside a block.
+sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by one pass over the x-spectra
+each gives per row block, :func:`_difference_series`; compose and the
+parametrix take D^(alpha)_x from :func:`pdz.symbols.x_derivatives`.  Every
+D^(alpha) multiplier is built by :func:`pdz.symbols.axis_multipliers`, and
+no pass starts inside a block.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -22,9 +23,9 @@ import numpy as np
 from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams, axis_multipliers,
-                      check_expansion_order, each_row_block, falling_factor,
-                      falling_multiplier, lattice_difference, multi_factorial,
-                      multi_indices_below, require_invertible, x_derivatives, x_spectrum)
+                      check_expansion_order, each_row_block, falling_factor, lattice_difference,
+                      multi_factorial, multi_indices_below, require_invertible, x_derivatives,
+                      x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -106,26 +107,28 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     return SampledSymbol(sigma.box, sigma.grid, acc, params=params)
 
 
-def _difference_series(spec: np.ndarray, grid, order: int, axes, out: np.ndarray,
+def _difference_series(spectrum, grid, order: int, axes, out: np.ndarray,
                        corner=()) -> np.ndarray:
-    """sum_{|alpha| < order} (1/alpha!) Delta^alpha D^(alpha)_x on an x-spectrum whose
-    lattice axes are ``axes`` (Delta^alpha commutes with the x-transform and the
-    multiplier), summed per block of leading-axis slices; each block's sum, read
-    at index ``corner`` of the axes after the leading one, is inverted by one
-    ``ifftn`` straight into its rows of ``out``."""
-    weights = [(alpha, falling_multiplier(grid, alpha) / multi_factorial(alpha))
-               for alpha in multi_indices_below(len(axes), order)[1:]]
+    """sum_{|alpha| < order} (1/alpha!) Delta^alpha D^(alpha)_x on x-spectra whose lattice
+    axes are ``axes``, one pass over the blocks of leading-axis slices of ``out``:
+    ``spectrum(rows)`` is ``(spec, own)``, the slices ``own`` of ``spec`` the block's rows
+    and the rest their halo.  Each block's sum, read at index ``corner`` of its
+    order-long axes after the leading one, is inverted by one ``ifftn`` into ``out``."""
+    multipliers = axis_multipliers(grid, order - 1, falling_factor)
+    weights = [(alpha, np.prod([multipliers[i][a - 1] for i, a in enumerate(alpha) if a], axis=0)
+                / multi_factorial(alpha)) for alpha in multi_indices_below(len(axes), order)[1:]]
 
     def series(rows):
-        acc = spec[rows].copy()
+        spec, own = spectrum(rows)
+        acc = spec[own].copy()
         for alpha, weight in weights:
-            term = lattice_difference(spec, alpha, axes, rows=rows)
+            term = lattice_difference(spec, alpha, axes, rows=own)
             term *= weight
             acc += term
         part = acc[(slice(None),) + corner]
         np.fft.ifftn(part, axes=tuple(range(-grid.n, 0)),
                      out=out[rows].reshape(part.shape, copy=False))
-    each_row_block(series, len(spec), spec[0].size)
+    each_row_block(series, len(out), out[0].size * order ** len(corner))
     return out
 
 
@@ -134,7 +137,8 @@ def _dual_expansion(spec: np.ndarray, sigma: SampledSymbol, order: int) -> Sampl
     whose :func:`x_spectrum` is ``spec``, on sigma's box and grid, with its params."""
     order = check_expansion_order(order)
     box, grid = sigma.box, sigma.grid
-    out = _difference_series(spec.reshape(box.shape + grid.shape), grid, order, range(box.n),
+    spec = spec.reshape(box.shape + grid.shape)
+    out = _difference_series(lambda rows: (spec, rows), grid, order, range(box.n),
                              np.empty(box.shape + (grid.size,), dtype=complex))
     return SampledSymbol(box, grid, out.reshape(box.size, grid.size), params=sigma.params)
 
@@ -159,21 +163,25 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
 
     summed on the stencil l = k + gamma, 0 <= gamma_i < order (wrapped), the
     only points Delta^alpha reads at l = k; the cyclic wrap of the stencil's
-    differences never reaches the corner gamma = 0 that is read.  For
-    amplitudes independent of l the alpha = 0 term alone is exact.
+    differences never reaches the corner gamma = 0 that is read.  Each row
+    block evaluates and transforms its own stencil, so only the (K x X) result
+    is held whole.  For amplitudes independent of l the alpha = 0 term alone is exact.
     """
     order = check_expansion_order(order)
     require_matched(box, grid)
-    n, K = box.n, box.size
-    require_memory("amplitude stencil", K * order**n, grid.size)
-    l_pts = box.wrap(box.points[:, None, :] + np.indices((order,) * n).reshape(n, -1).T)
-    vals = np.asarray(amp.evaluator(box.points[:, None, None, :], l_pts[:, :, None, :],
-                                    grid.nodes[None, None, :, :]), dtype=complex)
-    spec = x_spectrum(np.broadcast_to(vals, l_pts.shape[:2] + (grid.size,)), grid)
-    del vals
-    out = _difference_series(spec.reshape((K,) + (order,) * n + grid.shape), grid, order,
-                             range(1, n + 1), np.empty((K, grid.size), dtype=complex), (0,) * n)
-    return SampledSymbol(box, grid, out)
+    require_memory("amplitude reduction", box.size, grid.size)
+    n, stencil = box.n, np.indices((order,) * box.n).reshape(box.n, -1).T
+
+    def spectrum(rows):
+        k = box.points[rows, None, :]
+        vals = np.asarray(amp.evaluator(k[:, None], box.wrap(k + stencil)[:, :, None],
+                                        grid.nodes[None, None]), dtype=complex)
+        vals = np.broadcast_to(vals, (len(k), len(stencil), grid.size))
+        return np.fft.fftn(vals.reshape((len(k),) + (order,) * n + grid.shape),
+                           axes=tuple(range(-grid.n, 0))), slice(0, len(k))
+    return SampledSymbol(box, grid, _difference_series(
+        spectrum, grid, order, range(1, n + 1), np.empty((box.size, grid.size), dtype=complex),
+        (0,) * n))
 
 
 def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,

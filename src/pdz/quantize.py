@@ -234,7 +234,8 @@ class PhaseFunction:
     """Real phase phi(k, x); x -> e^{i phi(k, x)} must be 1-periodic per axis.
 
     ``evaluator(k, x)`` broadcasts like a symbol evaluator and returns real
-    values; periodicity is witnessed on the grid rather than assumed.
+    values (a nonzero imaginary part is refused, never dropped); periodicity
+    is witnessed on the grid rather than assumed.
     """
 
     evaluator: object
@@ -244,7 +245,10 @@ class PhaseFunction:
         the nodes moved by the unit vector along axis ``shift`` when given."""
         nodes = grid.nodes if shift is None else grid.nodes + np.eye(grid.n)[shift]
         vals = np.asarray(self.evaluator(points[:, None, :], nodes[None, :, :]))
-        return np.broadcast_to(vals.astype(float), (len(points), grid.size))
+        if np.iscomplexobj(vals) and vals.imag.any():
+            raise DomainMismatchError(f"phase must be real, got an imaginary part up to "
+                                      f"{np.abs(vals.imag).max():.3e}")
+        return np.broadcast_to(vals.real.astype(float), (len(points), grid.size))
 
 
 def apply_fso(phase: PhaseFunction, sym: SampledSymbol,
@@ -342,11 +346,22 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> Diagnosti
         idx = np.random.default_rng(0).choice(box.size, size=256, replace=False)
         rep.add_value("separation_pairs_subsampled_to", 256)
     phi = phase.on(box.points[idx], grid).reshape((len(idx),) + grid.shape)
-    sub = np.stack([_grid_gradient(phi, grid, axis) for axis in range(n)],
-                   axis=-1).reshape(len(idx), grid.size, n)
+    grads = np.empty((n, len(idx), grid.size))
+    for axis in range(n):
+        grads[axis] = _grid_gradient(phi, grid, axis).reshape(len(idx), grid.size)
     pts = box.points[idx].astype(float)
     kdist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-    gdist = np.array([np.linalg.norm(row - sub, axis=-1).min(axis=-1) for row in sub])
+    # min_x |grad phi(k_i, x) - grad phi(k_j, x)| per i: the squares summed
+    # over the axes in order into one (probes x X) buffer, then min and sqrt
+    gdist, (total, square) = np.empty((len(idx), len(idx))), np.empty((2, len(idx), grid.size))
+    for i in range(len(idx)):
+        for axis, grad in enumerate(grads):
+            part = square if axis else total
+            np.subtract(grad[i], grad, out=part)
+            np.square(part, out=part)
+            if axis:
+                total += square
+        np.sqrt(total.min(axis=1), out=gdist[i])
     mask = kdist > 0
     ratios = gdist[mask] / kdist[mask]
     rep.add_value("phase_gradient_separation", float(ratios.min()) if ratios.size else float("inf"))

@@ -183,7 +183,9 @@ class SymbolDefinition:
 
 @dataclass
 class AmplitudeDefinition:
-    """Closed-form amplitude ``evaluator(k, l, x)``, broadcasting like a symbol evaluator."""
+    """Closed-form amplitude ``evaluator(k, l, x)``, broadcasting like a symbol
+    evaluator and pure as one must be: :func:`pdz.calculus.amplitude_to_symbol`
+    calls it once per row block, on the worker threads of its pass."""
 
     evaluator: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -468,23 +470,12 @@ def falling_factor(l: np.ndarray, a: int) -> np.ndarray:
     return np.prod(l - np.arange(a)[:, None], axis=0, dtype=float)
 
 
-def falling_multiplier(grid: TorusGrid, beta) -> np.ndarray:
-    """Multiplier of D^(beta) of shape ``grid.shape``: the product over axes
-    i of :func:`falling_factor` (l, beta_i), l the FFT frequencies of axis i."""
-    freqs = _fft_frequencies(grid.M)
-    out = np.ones(())
-    for b in beta:
-        out = np.multiply.outer(out, falling_factor(freqs, b))
-    return out
-
-
 def axis_multipliers(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray]]:
-    """Per grid axis i, ``factor(l, a)`` for 1 <= a <= high at the FFT
-    frequencies l of that axis, shaped to broadcast along grid axis i of an
-    array (..., *grid.shape): the multipliers of the one-axis operators."""
-    freqs = _fft_frequencies(grid.M)
-    return [[factor(freqs, a).reshape((-1,) + (1,) * (grid.n - 1 - i))
-             for a in range(1, high + 1)] for i in range(grid.n)]
+    """Per grid axis i, ``factor(l, a)`` for 1 <= a <= high at the FFT frequencies l
+    of that axis, C-contiguous of shape ``grid.shape``: the multipliers of the
+    one-axis operators, and by their products over the axes those of D^(beta)."""
+    freqs, index = _fft_frequencies(grid.M), np.indices(grid.shape)
+    return [[factor(freqs, a)[index[i]] for a in range(1, high + 1)] for i in range(grid.n)]
 
 
 def _axis_derivative(values: np.ndarray, axis: int, multiplier: np.ndarray) -> np.ndarray:

@@ -8,8 +8,7 @@ library's row-blocked transforms.
 
 import numpy as np
 
-from pdz.symbols import (falling_multiplier, multi_factorial, multi_indices_below,
-                         multi_indices_of_degree, x_reflect)
+from pdz.symbols import multi_factorial, multi_indices_below, multi_indices_of_degree, x_reflect
 
 
 def phase_matrix(box, grid):
@@ -54,6 +53,16 @@ def falling_factorial(values, length):
     out = np.ones_like(np.asarray(values, dtype=float))
     for m in range(length):
         out = out * (values - m)
+    return out
+
+
+def falling_multiplier(grid, beta):
+    """Multiplier of D^(beta) of shape ``grid.shape``: the outer product over
+    axes i of l (l-1) ... (l-beta_i+1), l the integer FFT frequencies."""
+    freqs = np.rint(np.fft.fftfreq(grid.M) * grid.M).astype(int)
+    out = np.ones(())
+    for b in beta:
+        out = np.multiply.outer(out, falling_factorial(freqs, b))
     return out
 
 
@@ -192,6 +201,42 @@ def lattice_difference(values, alpha, axes=None):
             rolled -= values
             values = rolled
     return values
+
+
+# ---------------------------------------------------------------------------
+# weighted shifts: closed-form truncations of series that do not end
+#
+# D^(i) e^{-2 pi i x} = (-1)^i i! e^{-2 pi i x}, so every term of the series
+# of a weighted shift a(k) e^{-+2 pi i x_j} is one power of -Delta_j
+
+
+def _alternating_differences(values, j, order):
+    """sum_{i < order} (-Delta_j)^i ``values``, Delta_j the cyclic first
+    difference along lattice axis j."""
+    acc, term = values.copy(), values
+    for _ in range(1, order):
+        term = -lattice_difference(term, (1,), (j,))
+        acc += term
+    return acc
+
+
+def shift_compose(a, tau, box, grid, j, order):
+    """Samples of the order-``order`` truncation of compose(sigma, tau) for
+    sigma = a(k) e^{-2 pi i x_j}: a e^{-2 pi i x_j} sum_{i < order} (-Delta_j)^i tau,
+    ``a`` the values a(k) in box order and ``tau`` the (K x X) samples."""
+    out = _alternating_differences(tau.reshape(box.shape + (grid.size,)), j, order)
+    out = out.reshape(box.size, grid.size)
+    out *= np.exp(-2j * np.pi * grid.nodes[:, j])
+    out *= a[:, None]
+    return out
+
+
+def shift_dual(a, box, grid, j, order):
+    """Samples of the order-``order`` truncation of adjoint(sigma), a real, and
+    of transpose(sigma) for sigma = a(k) e^{2 pi i x_j}:
+    sum_{i < order} (-Delta_j)^i a . e^{-2 pi i x_j}."""
+    k_part = _alternating_differences(a.reshape(box.shape), j, order).reshape(box.size)
+    return np.outer(k_part, np.exp(-2j * np.pi * grid.nodes[:, j]))
 
 
 # ---------------------------------------------------------------------------

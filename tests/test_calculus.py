@@ -206,6 +206,38 @@ def test_adjoint_residual_order_decreases_for_smooth_symbols():
     assert orders[1] < orders[0] and orders[2] < orders[1]
 
 
+def _rounding_floor(n, N, order):
+    """eps max_{|alpha| = order-1} prod_i N^alpha_i / alpha!: the relative
+    rounding a term of the series takes from its D^(alpha) multiplier."""
+    return np.finfo(float).eps * max(N ** (order - 1) / symbols.multi_factorial(alpha)
+                                     for alpha in symbols.multi_indices_of_degree(n, order - 1))
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, N, order, j", [(1, 40, 5, 0), (2, 6, 4, 0), (2, 6, 4, 1),
+                                            (3, 4, 3, 0), (3, 4, 3, 2), (1, 2048, 3, 0)])
+def test_weighted_shifts_match_their_closed_form_truncations(n, N, order, j):
+    # the series of a(k) e^{-+2 pi i x_j} does not end, and its truncations
+    # have closed forms at any K: (1, 2048) is K = 4097, above the dense cap
+    box, grid = helpers.box_and_grid(n, N)
+    a = np.sqrt(1.0 + (box.points.astype(float) ** 2).sum(axis=1))
+    tau = SampledSymbol(box, grid, np.outer(
+        1.0 / a, 2.0 + np.cos(2 * np.pi * grid.nodes).sum(axis=1)))
+    bound = 20 * _rounding_floor(n, N, order)
+    wave = np.exp(2j * np.pi * grid.nodes[:, j])
+    got = compose(SampledSymbol(box, grid, np.outer(a, np.conj(wave))), tau, order).samples
+    assert _relative_error(got, oracles.shift_compose(a, tau.samples, box, grid, j,
+                                                      order)) <= bound
+    del tau, got  # (K x X) arrays of 268 MB at K = 4097
+    sigma = SampledSymbol(box, grid, np.outer(a, wave))
+    want = oracles.shift_dual(a, box, grid, j, order)
+    for op in (adjoint, transpose):
+        assert _relative_error(op(sigma, order).samples, want) <= bound
+
+
 # ---------------------------------------------------------------------------
 # expansions and partial sums
 
@@ -739,11 +771,12 @@ def test_amplitude_reduction_is_bit_identical_to_the_tensor_reduction(monkeypatc
     assert np.array_equal(_bits(got), _bits(want))
 
 
-def test_amplitude_reduction_holds_at_most_three_stencil_arrays():
-    # one stencil array is K order^n X complex entries (12 MB here); the
-    # amplitude's values and their spectrum are two, and each block keeps
-    # only its gamma = 0 corner
-    box, grid, order = *helpers.box_and_grid(2, 8), 3
+def test_amplitude_reduction_holds_at_most_one_and_a_half_sample_arrays(monkeypatch):
+    # the (K x X) result and one block's stencil values, spectrum and terms:
+    # the stencil, 9 sample arrays here, is never built whole.  One CPU, so
+    # that the peak does not grow with the blocks in flight.
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    box, grid, order = *helpers.box_and_grid(2, 16), 3
     amp = AmplitudeDefinition(
         lambda k, l, x: np.exp(2j * np.pi * (x[..., 0] + 2 * x[..., 1])) * (1.0 + l[..., 0]**2)
         + k[..., 1] * np.cos(2 * np.pi * x[..., 0]))
@@ -753,28 +786,46 @@ def test_amplitude_reduction_holds_at_most_three_stencil_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * box.size * order**box.n * grid.size
+    assert peak <= 1.5 * 16 * box.size * grid.size
 
 
-def test_amplitude_stencil_beyond_physical_memory_is_refused_before_evaluating():
-    box = LatticeBox(2, 511)  # a stencil of 4 K x X complex entries, 70 TB
+def test_amplitude_output_beyond_physical_memory_is_refused_before_evaluating():
+    box = LatticeBox(2, 511)  # a (K x X) result of 17 TB
 
     def never(k, l, x):
         raise AssertionError("amplitude evaluated before the size check")
 
-    with pytest.raises(ResourceLimitError, match="amplitude stencil.*physical memory"):
+    with pytest.raises(ResourceLimitError, match="amplitude reduction.*physical memory"):
         amplitude_to_symbol(AmplitudeDefinition(never), box, box.matched_grid(), 2)
 
 
-def test_the_difference_series_has_one_home():
-    # whole-grid D^(alpha) multipliers are built only by the series summed in
-    # the x-spectrum
-    callers = set()
+def test_the_x_multipliers_have_one_builder():
+    # every D^(alpha) multiplier, of the one-axis operators and of the series
+    # summed in the x-spectrum alike, comes from symbols.axis_multipliers,
+    # which alone reads the FFT frequencies and alone calls the factors
+    frequencies, factors = set(), set()
     for path in Path(calculus.__file__).parent.glob("*.py"):
-        callers.update(path.name for node in ast.walk(ast.parse(path.read_text()))
-                       if isinstance(node, ast.Call)
-                       and getattr(node.func, "id", None) == "falling_multiplier")
-    assert callers == {"calculus.py"}
+        for scope, node in helpers.scoped(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None)
+                if name == "_fft_frequencies":
+                    frequencies.add((path.name, scope))
+                if name in ("falling_factor", "partial_factor", "_power"):
+                    factors.add((path.name, scope))
+    assert frequencies == {("symbols.py", "axis_multipliers")}
+    assert factors == set()
+
+
+@pytest.mark.parametrize("n, N", [(1, 3), (2, 2), (3, 1)])
+def test_the_x_multipliers_are_grid_shaped(n, N):
+    grid = helpers.box_and_grid(n, N)[1]
+    for factor in (symbols.falling_factor, symbols.partial_factor):
+        for axis, steps in enumerate(symbols.axis_multipliers(grid, 3, factor)):
+            for a, multiplier in enumerate(steps, 1):
+                assert multiplier.shape == grid.shape and multiplier.flags.c_contiguous
+                beta = tuple(a if i == axis else 0 for i in range(n))
+                if factor is symbols.falling_factor:
+                    assert np.array_equal(multiplier, oracles.falling_multiplier(grid, beta))
 
 
 def test_the_x_derivative_has_one_home():

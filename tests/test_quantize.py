@@ -414,10 +414,11 @@ def test_fso_boundedness_matches_per_alpha_references():
     assert rep.values["phase_difference_derivative_sup"] == phase_ref
 
 
-def test_fso_boundedness_holds_at_most_two_and_a_half_sample_arrays():
+def test_fso_boundedness_holds_at_most_one_and_three_quarter_sample_arrays():
     # the gradient separation of 256 probe points, taken one probe at a
-    # time: never the (256, 256, X, n) array of all pairs (about 300 sample
-    # arrays here); the sigma-derivatives and the phase differences walk one
+    # time into one (256 x X) buffer: never the (256, 256, X, n) array of all
+    # pairs (about 300 sample arrays here) nor one probe's (256, X, n)
+    # differences; the sigma-derivatives and the phase differences walk one
     # row block at a time, never a whole-array spectrum or phase
     box, grid = helpers.box_and_grid(2, 12)
     sym = helpers.random_symbol(box, grid, np.random.default_rng(51))
@@ -429,7 +430,23 @@ def test_fso_boundedness_holds_at_most_two_and_a_half_sample_arrays():
         tracemalloc.stop()
     assert rep.values["separation_pairs_subsampled_to"] == 256
     assert rep.values["phase_gradient_separation"] == pytest.approx(2 * np.pi, rel=1e-6)
-    assert peak <= 2.5 * sym.samples.nbytes
+    assert peak <= 1.75 * sym.samples.nbytes
+
+
+def test_a_complex_phase_is_refused_not_truncated():
+    box, grid = helpers.box_and_grid(2, 3)
+    rng = np.random.default_rng(54)
+    sym = helpers.random_symbol(box, grid, rng)
+    phase = PhaseFunction(lambda k, x: _linear_phase()(k, x) + 5j)
+    with pytest.raises(DomainMismatchError, match="phase must be real"):
+        apply_fso(phase, sym, helpers.random_sequence(box, rng))
+    with pytest.raises(DomainMismatchError, match="phase must be real"):
+        fso_boundedness_check(phase, sym)
+    # a complex dtype with no imaginary part is the real phase
+    real = PhaseFunction(lambda k, x: _linear_phase()(k, x) + 0j)
+    f = helpers.random_sequence(box, rng)
+    assert np.array_equal(apply_fso(real, sym, f).values,
+                          apply_fso(PhaseFunction(_linear_phase()), sym, f).values)
 
 
 def test_apply_fso_holds_at_most_one_sample_array_beyond_the_symbol():

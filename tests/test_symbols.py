@@ -156,8 +156,9 @@ def test_physical_memory_is_read_in_one_place():
 
 def test_memory_is_checked_where_a_full_array_is_built():
     # the samples and kappa of a symbol, the character matrix and the
-    # amplitude stencil; the phase of a general-phase operator is read per
-    # row block, so no phase array is checked
+    # amplitude reduction's (K x X) result, its stencil evaluated per row
+    # block; the phase of a general-phase operator is read per row block,
+    # so no phase array is checked
     found = set()
     for path in Path(pdz.__file__).parent.glob("*.py"):
         for scope, node in helpers.scoped(ast.parse(path.read_text())):
