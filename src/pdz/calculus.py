@@ -7,7 +7,11 @@ sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by one pass over the x-spectra
 each gives per row block, :func:`_difference_series`; compose and the
 parametrix take D^(alpha)_x from :func:`pdz.symbols.x_derivatives`.  Every
 D^(alpha) multiplier is built by :func:`pdz.symbols.axis_multipliers`, and
-no pass starts inside a block.
+no pass starts inside a block.  Every per-block temporary (the derivative
+tree, the differences and their products, a series' block sum) lives in the
+:func:`pdz.symbols.scratch` pool of the pass's worker; the adjoint and the
+transpose conjugate or reflect each block inside their x-spectrum pass, and
+the parametrix writes its terms straight into its result.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -24,8 +28,8 @@ from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams, axis_multipliers,
                       check_expansion_order, each_row_block, falling_factor, lattice_difference,
-                      multi_factorial, multi_indices_below, require_invertible, x_derivatives,
-                      x_spectrum)
+                      multi_factorial, multi_indices_below, require_invertible, scratch,
+                      x_derivatives, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -68,8 +72,10 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
 
 
 def _product_term(deriv: np.ndarray, right: np.ndarray, alpha, rows: slice) -> np.ndarray:
-    """(1/alpha!) deriv . Delta^alpha_k right on the block ``rows``, deriv = D^(alpha)_x left."""
-    term = deriv * lattice_difference(right, alpha, rows=rows)
+    """(1/alpha!) Delta^alpha_k right . deriv on the block ``rows``, deriv = D^(alpha)_x left,
+    in the scratch buffer of the difference, the difference the multiply's first operand."""
+    term = lattice_difference(right, alpha, rows=rows)
+    np.multiply(term, deriv, out=term)
     factorial = multi_factorial(alpha)
     if factorial != 1:
         term /= factorial
@@ -89,10 +95,11 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     order = check_expansion_order(order)
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
-    acc = left * right
+    acc = np.empty_like(left)
     multipliers = axis_multipliers(grid, order - 1, falling_factor)
 
     def series(rows):
+        np.multiply(left[rows], right[rows], out=acc[rows])
         for alpha, deriv in x_derivatives(left[rows], grid, order - 1, multipliers):
             if any(alpha):
                 acc[rows] += _product_term(deriv, right, alpha, rows)
@@ -120,7 +127,8 @@ def _difference_series(spectrum, grid, order: int, axes, out: np.ndarray,
 
     def series(rows):
         spec, own = spectrum(rows)
-        acc = spec[own].copy()
+        acc = scratch("series", spec[own].shape)
+        np.copyto(acc, spec[own])
         for alpha, weight in weights:
             term = lattice_difference(spec, alpha, axes, rows=own)
             term *= weight
@@ -134,7 +142,7 @@ def _difference_series(spectrum, grid, order: int, axes, out: np.ndarray,
 
 def _dual_expansion(spec: np.ndarray, sigma: SampledSymbol, order: int) -> SampledSymbol:
     """sum_{|alpha| < order} (1/alpha!) Delta^alpha_k D^(alpha)_x of the samples
-    whose :func:`x_spectrum` is ``spec``, on sigma's box and grid, with its params."""
+    whose x-spectrum is ``spec``, on sigma's box and grid, with its params."""
     order = check_expansion_order(order)
     box, grid = sigma.box, sigma.grid
     spec = spec.reshape(box.shape + grid.shape)
@@ -144,15 +152,24 @@ def _dual_expansion(spec: np.ndarray, sigma: SampledSymbol, order: int) -> Sampl
 
 
 def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
-    """Truncated adjoint symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x conj(sigma)."""
-    return _dual_expansion(x_spectrum(np.conj(sigma.samples), sigma.grid), sigma, order)
+    """Truncated adjoint symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x conj(sigma),
+    each block of samples conjugated inside the :func:`x_spectrum` pass."""
+    return _dual_expansion(x_spectrum(sigma.samples, sigma.grid,
+                                      lambda block, out: np.conj(block, out=out)), sigma, order)
+
+
+def _reflection(grid: TorusGrid):
+    """``prepare(block, out)`` for :func:`x_spectrum`: one gather of a block of
+    samples at the nodes -x, all grid axes at once; its index lives with it."""
+    index = np.ravel_multi_index(-np.indices(grid.shape) % grid.M, grid.shape).ravel()
+    return lambda block, out: block.take(index, axis=1, out=out, mode="clip")
 
 
 def transpose(sigma: SampledSymbol, order: int) -> SampledSymbol:
-    """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x)."""
-    grid = sigma.grid  # one gather of the samples at the nodes -x, all grid axes at once
-    return _dual_expansion(x_spectrum(sigma.samples.take(np.ravel_multi_index(
-        -np.indices(grid.shape) % grid.M, grid.shape).ravel(), axis=1), grid), sigma, order)
+    """Truncated transpose symbol  sum (1/alpha!) Delta^alpha_k D^(alpha)_x sigma(k, -x),
+    each block of samples reflected inside the :func:`x_spectrum` pass."""
+    return _dual_expansion(x_spectrum(sigma.samples, sigma.grid, _reflection(sigma.grid)),
+                           sigma, order)
 
 
 def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGrid,
@@ -176,19 +193,23 @@ def amplitude_to_symbol(amp: AmplitudeDefinition, box: LatticeBox, grid: TorusGr
         k = box.points[rows, None, :]
         vals = np.asarray(amp.evaluator(k[:, None], box.wrap(k + stencil)[:, :, None],
                                         grid.nodes[None, None]), dtype=complex)
-        vals = np.broadcast_to(vals, (len(k), len(stencil), grid.size))
-        return np.fft.fftn(vals.reshape((len(k),) + (order,) * n + grid.shape),
-                           axes=tuple(range(-grid.n, 0))), slice(0, len(k))
+        shape = (len(k),) + (order,) * n + grid.shape
+        vals = np.broadcast_to(vals, (len(k), len(stencil), grid.size)).reshape(shape)
+        return np.fft.fftn(vals, axes=tuple(range(-grid.n, 0)),
+                           out=scratch("stencil", shape)), slice(0, len(k))
     return SampledSymbol(box, grid, _difference_series(
         spectrum, grid, order, range(1, n + 1), np.empty((box.size, grid.size), dtype=complex),
         (0,) * n))
 
 
 def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
-                     m_cut: float | None, keep) -> tuple[SymbolClassParams, float]:
+                     m_cut: float | None, keep=None,
+                     out: np.ndarray | None = None) -> tuple[SymbolClassParams, float]:
     """Check the order and A_0, then run :func:`parametrix`'s recursion on ``a_terms``
-    per block of leading-axis slices, handing each block's ``[B_0 .. B_{order-1}]``
-    to ``keep(rows, b_terms)`` to keep or change; return A_0's class (default mu), min |A_0|."""
+    per block of leading-axis slices, writing each block's ``[B_0 .. B_{order-1}]``
+    into its rows of the (order x box.shape x X) ``out``, or when there is none
+    into a :func:`scratch` buffer, handed to ``keep(rows, b_terms)`` when given
+    to keep or change; return A_0's class (default mu), min |A_0|."""
     order = check_expansion_order(order)
     leading = a_terms[0]
     smallest = require_invertible(leading, mu, m_cut=m_cut)
@@ -199,15 +220,19 @@ def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
     multipliers = axis_multipliers(grid, order - 1, falling_factor)
 
     def recursion(rows):  # B_j's terms reach the B_m, m > j, with the A_l read with halo slices
-        inv_leading = 1.0 / lower[0][rows]
-        b_terms = [inv_leading] + [np.zeros_like(inv_leading) for _ in range(1, order)]
+        leading_rows = lower[0][rows]
+        b_terms = (out[:, rows] if out is not None else
+                   scratch("parametrix", (order,) + leading_rows.shape))
+        inv_leading = np.divide(1.0, leading_rows, out=b_terms[0])
+        b_terms[1:] = 0
         for j in range(order - 1):  # B_j is final: scatter its terms, then finish B_{j+1}
             for gamma, deriv in x_derivatives(b_terms[j], grid, order - 1 - j, multipliers):
                 for m, a_l in enumerate(lower[:order - j - sum(gamma)], j + sum(gamma)):
                     if m > j:  # B_j . A_0 is B_j's own equation
                         b_terms[m] -= _product_term(deriv, a_l, gamma, rows)
             b_terms[j + 1] *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
-        keep(rows, b_terms)
+        if keep is not None:
+            keep(rows, b_terms)
     each_row_block(recursion, len(lower[0]), lower[0][0].size)
     return params, smallest
 
@@ -231,10 +256,7 @@ def parametrix(a_terms: SymbolExpansion, mu: float, order: int,
     leading = a_terms.terms[0]
     stack = np.empty((check_expansion_order(order),) + leading.box.shape + (leading.grid.size,),
                      dtype=complex)
-
-    def keep(rows, b_terms):
-        stack[:, rows] = b_terms
-    params, _ = _parametrix_pass(a_terms.terms, mu, order, m_cut, keep)
+    params, _ = _parametrix_pass(a_terms.terms, mu, order, m_cut, out=stack)
     orders = [-mu - (params.rho - params.delta) * m for m in range(order)]
     return SymbolExpansion([leading.with_samples(out, params=SymbolClassParams(
         mu_m, params.rho, params.delta)) for out, mu_m in zip(stack, orders)], orders)

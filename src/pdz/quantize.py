@@ -233,9 +233,10 @@ def apply_amplitude(amp: AmplitudeDefinition, f: LatticeSequence) -> LatticeSequ
 class PhaseFunction:
     """Real phase phi(k, x); x -> e^{i phi(k, x)} must be 1-periodic per axis.
 
-    ``evaluator(k, x)`` broadcasts like a symbol evaluator and returns real
-    values (a nonzero imaginary part is refused, never dropped); periodicity
-    is witnessed on the grid rather than assumed.
+    ``evaluator(k, x)`` broadcasts like a symbol evaluator and returns real,
+    finite values (a nonzero imaginary part is refused, never dropped, and a
+    NaN or infinity raises :class:`NonFiniteValueError` naming its first
+    (k, x)); periodicity is witnessed on the grid rather than assumed.
     """
 
     evaluator: object
@@ -248,7 +249,13 @@ class PhaseFunction:
         if np.iscomplexobj(vals) and vals.imag.any():
             raise DomainMismatchError(f"phase must be real, got an imaginary part up to "
                                       f"{np.abs(vals.imag).max():.3e}")
-        return np.broadcast_to(vals.real.astype(float), (len(points), grid.size))
+        vals = np.broadcast_to(vals.real.astype(float), (len(points), grid.size))
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            k, x = tuple(int(v) for v in points[i]), tuple(float(v) for v in nodes[j])
+            raise NonFiniteValueError(f"phase non-finite at k={k}, x={x}", where=(k, x))
+        return vals
 
 
 def apply_fso(phase: PhaseFunction, sym: SampledSymbol,

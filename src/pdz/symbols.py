@@ -20,6 +20,11 @@ Conventions fixed here and relied on everywhere else:
   walks all |alpha| <= high of a block as a tree, and the single
   derivatives take one pass over the row blocks with no transform along
   an axis they do not differentiate.
+* A pass over the row blocks (:func:`each_row_block`) gives each worker one
+  :func:`scratch` pool for the pass.  The derivative tree's spectra and
+  nodes and the blocked differences are written into it with ``out=``, so
+  a block allocates nothing its worker's earlier blocks did not; the pool
+  is dropped when the pass returns.
 """
 
 from __future__ import annotations
@@ -57,26 +62,35 @@ def row_blocks(rows: int, width: int):
         yield slice(start, min(start + step, rows))
 
 
+#: The scratch pool of the running pass's worker on this thread, if any.
+_worker = threading.local()
+
+
 def each_row_block(fn, rows: int, width: int) -> None:
     """Call ``fn`` on each slice of :func:`row_blocks` on one thread per CPU
     the process may use, the caller's included (inline for one block or one
     CPU); return when all are done, raising the first exception raised.
     ``fn`` writes only its own rows, so results do not depend on the
-    threads, and starts no pass of its own."""
+    threads, and starts no pass of its own.  Each worker holds one
+    :func:`scratch` pool for the pass, dropped when the pass returns."""
     blocks = list(row_blocks(rows, width))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pending, lock, errors = iter(blocks), threading.Lock(), []
 
     def work():
-        while not errors:
-            with lock:
-                block = next(pending, None)
-            if block is None:
-                return
-            try:
-                fn(block)
-            except BaseException as exc:  # noqa: BLE001 -- re-raised below
-                errors.append(exc)
+        _worker.pool = {}
+        try:
+            while not errors:
+                with lock:
+                    block = next(pending, None)
+                if block is None:
+                    return
+                try:
+                    fn(block)
+                except BaseException as exc:  # noqa: BLE001 -- re-raised below
+                    errors.append(exc)
+        finally:
+            del _worker.pool
 
     pool = [threading.Thread(target=work) for _ in range(min(len(blocks), cpus or 1) - 1)]
     for t in pool:
@@ -86,6 +100,21 @@ def each_row_block(fn, rows: int, width: int) -> None:
         t.join()
     if errors:
         raise errors[0]
+
+
+def scratch(key, shape) -> np.ndarray:
+    """An uninitialized complex array of ``shape``: inside a block of
+    :func:`each_row_block`, a view of the buffer ``key`` of the worker's pool,
+    allocated on first use and grown when a block needs more, so every block
+    of the pass reuses it; else a new array.  One array per key is in use at a
+    time: the next request for ``key`` overwrites it."""
+    pool, size = getattr(_worker, "pool", None), math.prod(shape)
+    if pool is None:
+        return np.empty(shape, dtype=complex)
+    buffer = pool.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = pool[key] = np.empty(size, dtype=complex)
+    return buffer[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +429,31 @@ def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbo
 # difference and derivative operators
 
 
-def _first_difference(values: np.ndarray, axis: int) -> np.ndarray:
-    """``t(k + v_axis) - t(k)`` along a cyclic ``axis`` of ``values``, in one pass."""
-    out, lead = np.empty_like(values), (slice(None),) * axis
+def _first_difference(values: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """``t(k + v_axis) - t(k)`` along a cyclic ``axis`` of ``values``, in one pass,
+    into ``out`` (default a new array)."""
+    out, lead = np.empty_like(values) if out is None else out, (slice(None),) * axis
     head, tail, first, last = (lead + (s,) for s in (slice(1, None), slice(None, -1),
                                                      slice(0, 1), slice(-1, None)))
     np.subtract(values[head], values[tail], out=out[tail])
     np.subtract(values[first], values[last], out=out[last])
+    return out
+
+
+def _leading_difference(values: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] = values[(start + i + 1) % L] - values[(start + i) % L]`` for the
+    leading-axis slices ``start <= start + i < stop - 1``, L the axis length:
+    one subtraction per run of slices that does not wrap, however far."""
+    i = 0
+    while i < len(out):
+        j = (start + i) % len(values)
+        if j == len(values) - 1:  # the wrapped difference
+            np.subtract(values[0], values[j], out=out[i])
+            i += 1
+        else:
+            run = min(len(out) - i, len(values) - 1 - j)
+            np.subtract(values[j + 1:j + 1 + run], values[j:j + run], out=out[i:i + run])
+            i += run
     return out
 
 
@@ -417,20 +464,36 @@ def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.nd
 
     A block of rows reads its slices plus, where the leading axis is
     differenced alpha_0 times, the next alpha_0 slices (wrapped, however
-    far) as a halo.  Each entry goes through the same subtractions in the
+    far) as a halo; the leading axis, when a block differences it, comes
+    first in ``axes``.  Each entry goes through the same subtractions in the
     same order either way, so a block is bit for bit those rows of the whole
     difference.  Returns ``values`` itself when alpha = 0 and ``rows`` is
-    None; a block may be a view of ``values``."""
+    None.  A block is always written to the two :func:`scratch` buffers of
+    the differences, in turn, never a view of ``values``: it is the caller's
+    to change, until its next blocked difference."""
     axes = range(len(alpha)) if axes is None else axes
-    block = values
-    if rows is not None:
-        stop = rows.stop + sum(a for axis, a in zip(axes, alpha) if axis == 0)
-        block = (values[rows.start:stop] if stop <= len(values) else
-                 values.take(np.arange(rows.start, stop) % len(values), axis=0))
-    for axis, a in zip(axes, alpha):
-        for _ in range(a):  # along the leading axis a block's halo shrinks by one slice
-            block = (block[1:] - block[:-1] if axis == 0 and rows is not None
-                     else _first_difference(block, axis))
+    steps = [axis for axis, a in zip(axes, alpha) for _ in range(a)]
+    if rows is None:
+        for axis in steps:
+            values = _first_difference(values, axis)
+        return values
+    halo = steps.count(0)
+    if 0 in steps[halo:]:
+        raise DomainMismatchError(f"a blocked difference takes the leading axis first, "
+                                  f"got axes {tuple(axes)}")
+    if not steps:  # the block as it is, in a buffer of its own
+        block = scratch("difference.0", values[rows].shape)
+        np.copyto(block, values[rows])
+        return block
+    block, start, stop = values, rows.start, rows.stop + halo
+    for turn, axis in enumerate(steps):  # along the leading axis the halo shrinks by one slice
+        out = scratch(f"difference.{turn % 2}",
+                      (stop - start - (axis == 0),) + values.shape[1:])
+        if axis == 0:
+            _leading_difference(block, start, stop, out)
+        else:
+            _first_difference(block[start:stop], axis, out)
+        block, start, stop = out, 0, len(out)
     return block
 
 
@@ -489,33 +552,42 @@ def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, multipliers,
     (..., grid.size) and D^alpha the product of the one-axis operators of
     ``multipliers`` (:func:`axis_multipliers`), depth first from alpha = 0: a
     node whose last nonzero entry is alpha_i is one inverse FFT along grid axis
-    i of its parent's FFT along i times ``multipliers[i][alpha_i - 1]``; the
-    walk holds a node and a spectrum per level."""
+    i of its parent's FFT along i times ``multipliers[i][alpha_i - 1]``.  The
+    walk holds one spectrum and one node per level, each a :func:`scratch`
+    buffer that every transform writes with ``out=``, and takes the last
+    child of a spectrum in the spectrum's own buffer: a node is valid until
+    the walk moves on."""
     alpha = alpha or (0,) * grid.n
     yield alpha, values
-    budget = high - sum(alpha)
+    budget, level = high - sum(alpha), sum(map(bool, alpha))
     if not budget:
         return
+    shape = values.shape[:-1] + grid.shape
     for i in range(axis, grid.n):
         along = i - grid.n
-        spec = np.fft.fft(values.reshape(values.shape[:-1] + grid.shape), axis=along)
-        for a, multiplier in enumerate(multipliers[i][:budget], 1):
-            child = np.fft.ifft(spec * multiplier, axis=along).reshape(values.shape)
-            yield from x_derivatives(child, grid, high, multipliers,
+        spec = np.fft.fft(values.reshape(shape), axis=along,
+                          out=scratch(("spectrum", level), shape))
+        steps = multipliers[i][:budget]
+        for a, multiplier in enumerate(steps, 1):  # the last child takes the spectrum's buffer
+            child = spec if a == len(steps) else scratch(("node", level), shape)
+            np.multiply(spec, multiplier, out=child)
+            np.fft.ifft(child, axis=along, out=child)
+            yield from x_derivatives(child.reshape(values.shape), grid, high, multipliers,
                                      alpha[:i] + (a,) + alpha[i + 1:], i + 1)
-            del child
-        del spec
 
 
-def x_spectrum(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """FFT over the grid variable of ``values`` shaped (..., grid.size), one
-    pass over the row blocks, each written straight into its slice of the
-    result; returns shape (...,) + grid.shape."""
-    rows = values.reshape((-1,) + grid.shape)
-    out, axes = np.empty(rows.shape, dtype=complex), tuple(range(1, grid.n + 1))
+def x_spectrum(values: np.ndarray, grid: TorusGrid, prepare) -> np.ndarray:
+    """FFT over the grid variable of what ``prepare(block, out)`` makes of each
+    row block of ``values`` shaped (..., grid.size), written into ``out`` (a
+    :func:`scratch` buffer) and returned: one pass over the row blocks, each
+    transformed straight into its slice of the result; returns shape (...,) +
+    grid.shape."""
+    rows = values.reshape(-1, grid.size)
+    out, axes = np.empty((len(rows),) + grid.shape, dtype=complex), tuple(range(1, grid.n + 1))
 
     def fill(b):
-        np.fft.fftn(rows[b], axes=axes, out=out[b])
+        block = prepare(rows[b], scratch("x_spectrum", rows[b].shape))
+        np.fft.fftn(block.reshape((-1,) + grid.shape), axes=axes, out=out[b])
     each_row_block(fill, len(rows), grid.size)
     return out.reshape(values.shape[:-1] + grid.shape)
 

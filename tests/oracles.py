@@ -306,7 +306,9 @@ def _serial_falling(values, grid, high):
 
 
 def _serial_term(deriv, right, alpha):
-    term = deriv * lattice_difference(right, alpha)
+    # the difference is the first operand: complex multiplication need not
+    # give the same bits with its operands swapped
+    term = np.multiply(lattice_difference(right, alpha), deriv)
     term /= multi_factorial(alpha)
     return term
 

@@ -491,7 +491,9 @@ def cpus(request, monkeypatch):
 @pytest.mark.parametrize("rows, n, N", helpers.block_cases(
     {1: [(1, 30), (2, 4), (3, 2)], 7: [(1, 30), (2, 4), (3, 2)],
      None: [(1, 160), (2, 8), (3, 3)],
-     3: [(3, 2)]}))  # one leading slice, 25 rows, is nine row blocks
+     3: [(3, 2)]})  # one leading slice, 25 rows, is nine row blocks
+    # the export's size: its last block is under numpy's 256 KiB for eliding a temporary
+    + [pytest.param(None, 2, 12, id="default-blocks-n2-N12")])
 def test_calculus_is_bit_identical_to_the_serial_expansions(monkeypatch, cpus, rows, n, N):
     box, grid = helpers.box_and_grid(n, N)
     helpers.force_block_rows(monkeypatch, rows, grid.size)
@@ -619,6 +621,47 @@ def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
         calls.update(fft=0, ifft=0)
         run()
         assert calls == {"fft": forward * blocks, "ifft": inverse * blocks}
+
+
+def test_the_derivative_trees_transform_into_a_scratch_pool_per_pass(monkeypatch):
+    # n=3 N=4 on one CPU: every one-axis transform of compose and the
+    # parametrix writes with out=, into buffers the pass reuses from block to
+    # block, so one block of all nine leading slices, blocks of three and
+    # one-slice blocks, the default here, take the same number of buffers
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    box, grid = helpers.box_and_grid(3, 4)
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(8))
+    width = box.size // box.M * grid.size
+    assert len(list(symbols.row_blocks(box.M, width))) == box.M
+    buffers, outs = set(), []
+
+    def recorded(fn):
+        def wrapped(*args, **kwargs):
+            out = kwargs.get("out")
+            outs.append(out is not None)
+            while isinstance(getattr(out, "base", None), np.ndarray):
+                out = out.base
+            buffers.add(None if out is None else out.__array_interface__["data"][0])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+    counts = {}
+    for rows in (box.M, 3, 1):
+        helpers.force_block_rows(monkeypatch, rows, width)
+        blocks = len(list(symbols.row_blocks(box.M, width)))
+        for name, run in [("compose", lambda: compose(sigma, tau, 3)),
+                          ("parametrix", lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3))]:
+            buffers.clear()
+            outs.clear()
+            run()
+            assert outs and all(outs), name
+            assert not hasattr(symbols._worker, "pool")  # the pool died with the pass
+            counts.setdefault(name, {})[blocks] = len(buffers)
+    for name, by_blocks in counts.items():
+        assert sorted(by_blocks) == [1, 3, 9], name
+        assert len(set(by_blocks.values())) == 1, (name, by_blocks)
 
 
 @pytest.mark.parametrize("op", CALCULUS_OPS)
@@ -903,3 +946,14 @@ def test_a_blocked_difference_on_the_stencil_axes_needs_no_halo(n, N, order):
     blocks = [slice(i, min(i + 2, box.size)) for i in range(0, box.size, 2)]
     for alpha, rows, got, want in _blocked_differences(values, 6, blocks, range(1, n + 1)):
         assert np.array_equal(_bits(got), _bits(want)), (alpha, rows)
+
+
+def test_a_blocked_difference_takes_the_leading_axis_first():
+    # a block reads its halo slices in its first difference, so a leading
+    # axis that comes later in the axes is refused, not read without halo
+    values = np.arange(3 * 3 * 2, dtype=complex).reshape(3, 3, 2)
+    with pytest.raises(DomainMismatchError, match="leading axis first"):
+        symbols.lattice_difference(values, (1, 1), axes=(1, 0), rows=slice(0, 1))
+    whole = oracles.lattice_difference(values, (1, 1), (0, 1))
+    assert np.array_equal(symbols.lattice_difference(values, (1, 1), (0, 1), rows=slice(2, 3)),
+                          whole[2:3])

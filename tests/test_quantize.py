@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pdz import (AmplitudeDefinition, DomainMismatchError, LatticeBox,
-                 LatticeSequence, OperatorMatrix, PhaseFunction, ResourceLimitError,
-                 SymbolDefinition, TorusFunction, amplitude_to_symbol, apply,
+                 LatticeSequence, NonFiniteValueError, OperatorMatrix, PhaseFunction,
+                 ResourceLimitError, SymbolDefinition, TorusFunction, amplitude_to_symbol, apply,
                  apply_amplitude, apply_fso, apply_toroidal, constant_symbol,
                  fso_boundedness_check, kernel, kernel_apply, link_defect, matrix, sample,
                  sample_toroidal, symbol_from_operator, symbols, toroidal_from_lattice)
@@ -447,6 +447,22 @@ def test_a_complex_phase_is_refused_not_truncated():
     f = helpers.random_sequence(box, rng)
     assert np.array_equal(apply_fso(real, sym, f).values,
                           apply_fso(PhaseFunction(_linear_phase()), sym, f).values)
+
+
+def test_a_non_finite_phase_is_refused_with_its_first_witness():
+    # a NaN phase once read as bounded: fso_boundedness_check's running max
+    # dropped it, and apply_fso named no (k, x)
+    box, grid = helpers.box_and_grid(1, 3)
+    rng = np.random.default_rng(55)
+    sym = helpers.random_symbol(box, grid, rng)
+    phase = PhaseFunction(lambda k, x: np.where(k[..., 0] == 1, np.nan,
+                                                _linear_phase()(k, x)))
+    for run in (lambda: apply_fso(phase, sym, helpers.random_sequence(box, rng)),
+                lambda: fso_boundedness_check(phase, sym)):
+        with pytest.raises(NonFiniteValueError,
+                           match=r"phase non-finite at k=\(1,\), x=\(0.0,\)") as err:
+            run()
+        assert err.value.where == ((1,), (0.0,))
 
 
 def test_apply_fso_holds_at_most_one_sample_array_beyond_the_symbol():
