@@ -5,13 +5,16 @@ expansions, and the parametrix recursion for elliptic symbols.
 The adjoint, the transpose and the amplitude reduction are one series,
 sum (1/alpha!) Delta^alpha D^(alpha)_x, summed by one pass over the x-spectra
 each gives per row block, :func:`_difference_series`; compose and the
-parametrix take D^(alpha)_x from :func:`pdz.symbols.x_derivatives`.  Every
-D^(alpha) multiplier is built by :func:`pdz.symbols.axis_multipliers`, and
-no pass starts inside a block.  Every per-block temporary (the derivative
-tree, the differences and their products, a series' block sum) lives in the
+parametrix take D^(alpha)_x from :func:`pdz.symbols.x_derivatives`, with the
+one-axis operators of :func:`pdz.symbols.axis_operators` (circulant products
+on short grid axes, FFT round trips on long ones).  Every D^(alpha)
+multiplier is built by :func:`pdz.symbols.axis_multipliers`, and no pass
+starts inside a block.  Every per-block temporary (the derivative tree, the
+differences and their products, a series' block sum) lives in the
 :func:`pdz.symbols.scratch` pool of the pass's worker; the adjoint and the
 transpose conjugate or reflect each block inside their x-spectrum pass, and
-the parametrix writes its terms straight into its result.
+the parametrix writes its terms straight into its result and keeps each
+difference Delta^gamma A_l that a later B_j reads again.
 
 All expansions are finite truncations evaluated on the cyclic model; claims
 of asymptotic accuracy are probed elsewhere as decay of residual orders,
@@ -27,9 +30,9 @@ import numpy as np
 from .errors import DomainMismatchError
 from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams, axis_multipliers,
-                      check_expansion_order, each_row_block, falling_factor, lattice_difference,
-                      multi_factorial, multi_indices_below, require_invertible, scratch,
-                      x_derivatives, x_spectrum)
+                      axis_operators, check_expansion_order, each_row_block, falling_factor,
+                      lattice_difference, multi_factorial, multi_indices_below,
+                      require_invertible, scratch, x_derivatives, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -71,15 +74,16 @@ def partial_sum(expansion: SymbolExpansion, j: int) -> SampledSymbol:
     return head.with_samples(acc, params=head.params)
 
 
-def _product_term(deriv: np.ndarray, right: np.ndarray, alpha, rows: slice) -> np.ndarray:
-    """(1/alpha!) Delta^alpha_k right . deriv on the block ``rows``, deriv = D^(alpha)_x left,
-    in the scratch buffer of the difference, the difference the multiply's first operand."""
-    term = lattice_difference(right, alpha, rows=rows)
-    np.multiply(term, deriv, out=term)
+def _product_term(deriv: np.ndarray, diff: np.ndarray, alpha, out=None) -> np.ndarray:
+    """(1/alpha!) diff . deriv on a block, diff = Delta^alpha_k of the right factor and
+    deriv = D^(alpha)_x of the left one, written into ``out`` (default diff's own
+    buffer), the difference the multiply's first operand."""
+    out = diff if out is None else out
+    np.multiply(diff, deriv, out=out)
     factorial = multi_factorial(alpha)
     if factorial != 1:
-        term /= factorial
-    return term
+        out /= factorial
+    return out
 
 
 def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymbol:
@@ -96,13 +100,14 @@ def compose(sigma: SampledSymbol, tau: SampledSymbol, order: int) -> SampledSymb
     box, grid = sigma.box, sigma.grid
     left, right = (s.samples.reshape(box.shape + (grid.size,)) for s in (sigma, tau))
     acc = np.empty_like(left)
-    multipliers = axis_multipliers(grid, order - 1, falling_factor)
+    operators = axis_operators(grid, order - 1, falling_factor)
 
     def series(rows):
         np.multiply(left[rows], right[rows], out=acc[rows])
-        for alpha, deriv in x_derivatives(left[rows], grid, order - 1, multipliers):
+        for alpha, deriv in x_derivatives(left[rows], grid, order - 1, operators):
             if any(alpha):
-                acc[rows] += _product_term(deriv, right, alpha, rows)
+                acc[rows] += _product_term(deriv, lattice_difference(right, alpha, rows=rows),
+                                           alpha)
     each_row_block(series, len(acc), acc[0].size)
     params = None
     if sigma.params is not None and tau.params is not None:
@@ -217,7 +222,21 @@ def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
     params.validate_for_calculus()
     grid = leading.grid
     lower = [t.samples.reshape(leading.box.shape + (grid.size,)) for t in a_terms]
-    multipliers = axis_multipliers(grid, order - 1, falling_factor)
+    operators = axis_operators(grid, order - 1, falling_factor)
+
+    def term(deriv, a_l, gamma, l: int, rows, kept: dict):
+        """The product term of D^(gamma) B_j and Delta^gamma A_l on the block: A_l's
+        own rows at gamma = 0; a difference that a later B_j reads again
+        (|gamma| + l <= order - 2) kept for the block in the pool by (gamma, l);
+        else the blocked difference, whose buffer takes the term."""
+        if not any(gamma):
+            return _product_term(deriv, a_l[rows], gamma, scratch("term", deriv.shape))
+        if sum(gamma) + l > order - 2:
+            return _product_term(deriv, lattice_difference(a_l, gamma, rows=rows), gamma)
+        if (gamma, l) not in kept:
+            kept[gamma, l] = lattice_difference(a_l, gamma, rows=rows,
+                                                out=scratch(("kept", gamma, l), deriv.shape))
+        return _product_term(deriv, kept[gamma, l], gamma, scratch("term", deriv.shape))
 
     def recursion(rows):  # B_j's terms reach the B_m, m > j, with the A_l read with halo slices
         leading_rows = lower[0][rows]
@@ -225,11 +244,12 @@ def _parametrix_pass(a_terms: list[SampledSymbol], mu: float, order: int,
                    scratch("parametrix", (order,) + leading_rows.shape))
         inv_leading = np.divide(1.0, leading_rows, out=b_terms[0])
         b_terms[1:] = 0
+        kept = {}
         for j in range(order - 1):  # B_j is final: scatter its terms, then finish B_{j+1}
-            for gamma, deriv in x_derivatives(b_terms[j], grid, order - 1 - j, multipliers):
-                for m, a_l in enumerate(lower[:order - j - sum(gamma)], j + sum(gamma)):
-                    if m > j:  # B_j . A_0 is B_j's own equation
-                        b_terms[m] -= _product_term(deriv, a_l, gamma, rows)
+            for gamma, deriv in x_derivatives(b_terms[j], grid, order - 1 - j, operators):
+                for l, a_l in enumerate(lower[:order - j - sum(gamma)]):
+                    if any(gamma) or l:  # B_j . A_0 is B_j's own equation
+                        b_terms[j + sum(gamma) + l] -= term(deriv, a_l, gamma, l, rows, kept)
             b_terms[j + 1] *= inv_leading  # B_m = (-1/A_0) sum ..., the sign taken in the sum
         if keep is not None:
             keep(rows, b_terms)

@@ -30,7 +30,7 @@ from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
                     character_matrix, require_matched)
 from .report import DiagnosticsReport
-from .symbols import (AmplitudeDefinition, SampledSymbol, axis_multipliers, lattice_difference,
+from .symbols import (AmplitudeDefinition, SampledSymbol, axis_operators, lattice_difference,
                       partial_factor, row_blocks, x_derivatives)
 
 
@@ -324,10 +324,10 @@ def fso_boundedness_check(phase: PhaseFunction, sym: SampledSymbol) -> Diagnosti
     n = grid.n
     rep = DiagnosticsReport("fso_boundedness")
 
-    multipliers = axis_multipliers(grid, 2 * n + 1, partial_factor)
+    operators = axis_operators(grid, 2 * n + 1, partial_factor)
     sigma_max = 0.0
     for _, block in sym.blocks():
-        for _, deriv in x_derivatives(block, grid, 2 * n + 1, multipliers):
+        for _, deriv in x_derivatives(block, grid, 2 * n + 1, operators):
             sigma_max = max(sigma_max, float(np.abs(deriv).max()))
     rep.add_value("sigma_derivative_sup", sigma_max)
 

@@ -15,16 +15,19 @@ Conventions fixed here and relied on everywhere else:
   trigonometric polynomials of degree < l; that exactness is what makes
   finite expansions in the calculus module terminate.
 * Every x-derivative (D^beta, D^(beta), d^alpha/dx^alpha) is a product of
-  one-axis operators, each one FFT along its grid axis, a multiplier from
-  :func:`axis_multipliers`, and one inverse FFT: :func:`x_derivatives`
-  walks all |alpha| <= high of a block as a tree, and the single
-  derivatives take one pass over the row blocks with no transform along
-  an axis they do not differentiate.
+  one-axis operators from :func:`axis_operators`, each built from a
+  multiplier of :func:`axis_multipliers`.  On a grid axis of at most
+  :data:`CIRCULANT_AXIS_MAX` points an operator is the dense circulant
+  F^-1 diag(m) F, applied as one stacked matrix product along the axis;
+  on a longer axis it is one FFT along the axis, the multiplier and one
+  inverse FFT.  :func:`x_derivatives` walks all |alpha| <= high of a block
+  as a tree, and the single derivatives take one pass over the row blocks
+  with nothing applied along an axis they do not differentiate.
 * A pass over the row blocks (:func:`each_row_block`) gives each worker one
-  :func:`scratch` pool for the pass.  The derivative tree's spectra and
-  nodes and the blocked differences are written into it with ``out=``, so
-  a block allocates nothing its worker's earlier blocks did not; the pool
-  is dropped when the pass returns.
+  :func:`scratch` pool for the pass.  The derivative tree's nodes (and, on
+  long axes, its spectra) and the blocked differences are written into it
+  with ``out=``, so a block allocates nothing its worker's earlier blocks
+  did not; the pool is dropped when the pass returns.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ ZERO_THRESHOLD = 1e-10
 #: Target size of one row block in the passes over (K x X) sample arrays, so
 #: that no pass allocates a second array of the samples' size.
 ROW_BLOCK_BYTES = 1 << 20
+
+#: Longest grid axis whose one-axis operators are applied as dense M x M
+#: circulant products; on longer axes FFT, multiplier and inverse FFT are
+#: the faster (README "Conventions": the crossover measured with compose).
+CIRCULANT_AXIS_MAX = 39
+
+#: Most multiply-adds M*M*s of one matrix product within a stacked
+#: circulant product.  numpy's OpenBLAS ran (40 x 40) @ (40 x 40) on the
+#: calling thread and started its own threads for (41 x 41) @ (41 x 41),
+#: which made compose at n=2 M=41 four times slower inside a pass's workers.
+_SERIAL_PRODUCT = 1 << 16
 
 
 def row_blocks(rows: int, width: int):
@@ -351,16 +365,24 @@ class SampledSymbol:
 
     @property
     def samples(self) -> np.ndarray:
-        """The (K x X) samples, built on first read if they fit in physical memory."""
+        """The (K x X) samples, built by :meth:`gathered` on first read and kept."""
         if self._samples is None:
             with self._lock:
                 if self._samples is None:
-                    require_memory("symbol samples", self.box.size, self.grid.size)
-                    values = np.empty((self.box.size, self.grid.size), dtype=complex)
-                    for rows, block in self.blocks():
-                        values[rows] = block
-                    self._samples = values
+                    self._samples = self.gathered()
         return self._samples
+
+    def gathered(self) -> np.ndarray:
+        """The (K x X) samples: the stored or kept array when there is one, else
+        gathered from :meth:`blocks`, if it fits in physical memory, into a new
+        array that is not kept, so a definition-backed symbol stays unbuilt."""
+        if self._samples is not None:
+            return self._samples
+        require_memory("symbol samples", self.box.size, self.grid.size)
+        values = np.empty((self.box.size, self.grid.size), dtype=complex)
+        for rows, block in self.blocks():
+            values[rows] = block
+        return values
 
     def with_samples(self, samples: np.ndarray, params=None) -> "SampledSymbol":
         return SampledSymbol(self.box, self.grid, samples,
@@ -457,7 +479,8 @@ def _leading_difference(values: np.ndarray, start: int, stop: int, out: np.ndarr
     return out
 
 
-def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.ndarray:
+def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
     of alpha; default the leading ones): iterated first differences with
     cyclic wrap, on the slice ``rows`` of the leading axis (default all).
@@ -469,8 +492,9 @@ def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.nd
     same order either way, so a block is bit for bit those rows of the whole
     difference.  Returns ``values`` itself when alpha = 0 and ``rows`` is
     None.  A block is always written to the two :func:`scratch` buffers of
-    the differences, in turn, never a view of ``values``: it is the caller's
-    to change, until its next blocked difference."""
+    the differences, in turn, its last step into ``out`` when given, never a
+    view of ``values``: it is the caller's to change, until its next blocked
+    difference."""
     axes = range(len(alpha)) if axes is None else axes
     steps = [axis for axis, a in zip(axes, alpha) for _ in range(a)]
     if rows is None:
@@ -482,26 +506,28 @@ def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None) -> np.nd
         raise DomainMismatchError(f"a blocked difference takes the leading axis first, "
                                   f"got axes {tuple(axes)}")
     if not steps:  # the block as it is, in a buffer of its own
-        block = scratch("difference.0", values[rows].shape)
+        block = scratch("difference.0", values[rows].shape) if out is None else out
         np.copyto(block, values[rows])
         return block
     block, start, stop = values, rows.start, rows.stop + halo
     for turn, axis in enumerate(steps):  # along the leading axis the halo shrinks by one slice
-        out = scratch(f"difference.{turn % 2}",
-                      (stop - start - (axis == 0),) + values.shape[1:])
+        shape = (stop - start - (axis == 0),) + values.shape[1:]
+        into = (out if out is not None and turn == len(steps) - 1 else
+                scratch(f"difference.{turn % 2}", shape))
         if axis == 0:
-            _leading_difference(block, start, stop, out)
+            _leading_difference(block, start, stop, into)
         else:
-            _first_difference(block[start:stop], axis, out)
-        block, start, stop = out, 0, len(out)
+            _first_difference(block[start:stop], axis, into)
+        block, start, stop = into, 0, len(into)
     return block
 
 
 def forward_difference(sym: SampledSymbol, alpha) -> SampledSymbol:
     """Delta^alpha in the lattice variable, iterated first differences with
-    cyclic wrap at the box edge."""
+    cyclic wrap at the box edge; a definition-backed ``sym`` is read by
+    :meth:`SampledSymbol.gathered` and keeps no samples."""
     alpha = check_multi_index(alpha, sym.box.n)
-    shaped = sym.samples.reshape(sym.box.shape + (sym.grid.size,))
+    shaped = sym.gathered().reshape(sym.box.shape + (sym.grid.size,))
     out = lattice_difference(shaped, alpha)
     return SampledSymbol(sym.box, sym.grid, out.reshape(sym.box.size, sym.grid.size))
 
@@ -541,39 +567,99 @@ def axis_multipliers(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray
     return [[factor(freqs, a)[index[i]] for a in range(1, high + 1)] for i in range(grid.n)]
 
 
-def _axis_derivative(values: np.ndarray, axis: int, multiplier: np.ndarray) -> np.ndarray:
-    """One FFT of ``values`` along ``axis``, times ``multiplier``, and back."""
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * multiplier, axis=axis)
+def _circulant(grid: TorusGrid) -> bool:
+    """Whether the one-axis operators of ``grid`` are dense circulant products."""
+    return grid.M <= CIRCULANT_AXIS_MAX
 
 
-def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, multipliers,
+def axis_operators(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray]]:
+    """Per grid axis i, the one-axis operators with multiplier ``factor(l, a)``,
+    1 <= a <= high, as :func:`x_derivatives` and :func:`_axis_derivative` take
+    them: on an axis of at most :data:`CIRCULANT_AXIS_MAX` points the M x M
+    circulant F^-1 diag(m) F, whose first column is the inverse FFT of the
+    multiplier line m (the same matrix on every axis), else the grid-shaped
+    multipliers of :func:`axis_multipliers`."""
+    multipliers = axis_multipliers(grid, high, factor)
+    if not _circulant(grid):
+        return multipliers
+    lag = np.subtract.outer(np.arange(grid.M), np.arange(grid.M)) % grid.M
+    lines = (m.reshape(grid.M, -1)[:, 0] for m in multipliers[0])
+    return [[np.fft.ifft(line)[lag] for line in lines]] * grid.n
+
+
+def _circulant_product(values: np.ndarray, grid: TorusGrid, i: int, operator: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
+    """The circulant ``operator`` along grid axis i of ``values`` (..., grid.size or
+    grid.shape), written into ``out`` (C-contiguous, of values' size) by one
+    stacked ``np.matmul``.  Each of its products takes s lines of the axis, s a
+    power of M set by M, n and i alone, so a block's entries are bit for bit
+    those of the whole array, and is at most :data:`_SERIAL_PRODUCT`
+    multiply-adds, so none starts BLAS threads."""
+    M, after = grid.M, grid.M ** (grid.n - 1 - i)
+    lines = after if after > 1 else M ** (grid.n - 1)
+    while lines > 1 and M * M * lines > _SERIAL_PRODUCT:
+        lines //= M
+    if after > 1:  # operator @ (M x s) slabs, s of the trailing entries at a time
+        shape = (-1, M, after // lines, lines)
+        np.matmul(operator, values.reshape(shape).transpose(0, 2, 1, 3),
+                  out=out.reshape(shape).transpose(0, 2, 1, 3))
+    else:  # the last axis: (s x M) runs of consecutive lines @ operator^T
+        np.matmul(values.reshape(-1, lines, M), operator.T, out=out.reshape(-1, lines, M))
+    return out
+
+
+def _axis_derivative(values: np.ndarray, grid: TorusGrid, i: int, operator) -> np.ndarray:
+    """The one-axis ``operator`` of :func:`axis_operators` along grid axis i of
+    ``values`` (..., grid.shape), into a new array: one circulant product, or
+    one FFT along the axis, times the multiplier, and back."""
+    if _circulant(grid):
+        return _circulant_product(values, grid, i, operator,
+                                  np.empty(values.shape, dtype=complex))
+    along = i - grid.n
+    return np.fft.ifft(np.fft.fft(values, axis=along) * operator, axis=along)
+
+
+def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, operators,
                   alpha=(), axis=0):
     """``(alpha, D^alpha values)`` for each |alpha| <= high, ``values`` shaped
-    (..., grid.size) and D^alpha the product of the one-axis operators of
-    ``multipliers`` (:func:`axis_multipliers`), depth first from alpha = 0: a
-    node whose last nonzero entry is alpha_i is one inverse FFT along grid axis
-    i of its parent's FFT along i times ``multipliers[i][alpha_i - 1]``.  The
-    walk holds one spectrum and one node per level, each a :func:`scratch`
-    buffer that every transform writes with ``out=``, and takes the last
-    child of a spectrum in the spectrum's own buffer: a node is valid until
-    the walk moves on."""
+    (..., grid.size) and D^alpha the product of the one-axis ``operators``
+    (:func:`axis_operators`), depth first from alpha = 0: a node whose last
+    nonzero entry is alpha_i is its parent with alpha_i = 0 under
+    ``operators[i][alpha_i - 1]`` along grid axis i.  On a short axis that is
+    one circulant product of the parent, written into the node buffer of its
+    level; on a long one, one inverse FFT along i of the parent's FFT along i
+    times the multiplier, the walk holding one spectrum and one node per level
+    and taking the last child of a spectrum in the spectrum's own buffer.
+    Every buffer is a :func:`scratch` buffer written with ``out=``: a node is
+    valid until the walk moves on."""
     alpha = alpha or (0,) * grid.n
     yield alpha, values
     budget, level = high - sum(alpha), sum(map(bool, alpha))
     if not budget:
         return
-    shape = values.shape[:-1] + grid.shape
     for i in range(axis, grid.n):
-        along = i - grid.n
-        spec = np.fft.fft(values.reshape(shape), axis=along,
-                          out=scratch(("spectrum", level), shape))
-        steps = multipliers[i][:budget]
-        for a, multiplier in enumerate(steps, 1):  # the last child takes the spectrum's buffer
-            child = spec if a == len(steps) else scratch(("node", level), shape)
-            np.multiply(spec, multiplier, out=child)
-            np.fft.ifft(child, axis=along, out=child)
-            yield from x_derivatives(child.reshape(values.shape), grid, high, multipliers,
+        steps = operators[i][:budget]
+        if _circulant(grid):
+            children = (_circulant_product(values, grid, i, operator,
+                                           scratch(("node", level), values.shape))
+                        for operator in steps)
+        else:
+            children = _spectral_children(values, grid, i, steps, level)
+        for a, child in enumerate(children, 1):
+            yield from x_derivatives(child.reshape(values.shape), grid, high, operators,
                                      alpha[:i] + (a,) + alpha[i + 1:], i + 1)
+
+
+def _spectral_children(values, grid: TorusGrid, i: int, multipliers, level: int):
+    """The children of ``values`` along grid axis i in :func:`x_derivatives`, one
+    at a time: one FFT along i, then per multiplier one product and one inverse
+    FFT, the last child in the spectrum's buffer."""
+    shape, along = values.shape[:-1] + grid.shape, i - grid.n
+    spec = np.fft.fft(values.reshape(shape), axis=along, out=scratch(("spectrum", level), shape))
+    for a, multiplier in enumerate(multipliers, 1):
+        child = spec if a == len(multipliers) else scratch(("node", level), shape)
+        np.multiply(spec, multiplier, out=child)
+        yield np.fft.ifft(child, axis=along, out=child)
 
 
 def x_spectrum(values: np.ndarray, grid: TorusGrid, prepare) -> np.ndarray:
@@ -595,18 +681,18 @@ def x_spectrum(values: np.ndarray, grid: TorusGrid, prepare) -> np.ndarray:
 def _x_derivative(sym: SampledSymbol, beta, factor) -> SampledSymbol:
     """The product over grid axes i with beta_i > 0 of the one-axis operators
     with multiplier ``factor(l, beta_i)``, one pass over the row blocks: one
-    FFT and one inverse FFT along each such axis, none at beta = 0."""
+    operator of :func:`axis_operators` along each such axis, none at beta = 0."""
     grid = sym.grid
     beta = check_multi_index(beta, grid.n)
-    multipliers = axis_multipliers(grid, max(beta), factor)
-    samples = sym.samples
+    operators = axis_operators(grid, max(beta), factor)
+    samples = sym.gathered()
     out = np.empty_like(samples)
 
     def fill(rows):
         block = samples[rows].reshape((-1,) + grid.shape)
         for i, b in enumerate(beta):
             if b:
-                block = _axis_derivative(block, i - grid.n, multipliers[i][b - 1])
+                block = _axis_derivative(block, grid, i, operators[i][b - 1])
         out[rows] = block.reshape(-1, grid.size)
     each_row_block(fill, len(out), grid.size)
     return SampledSymbol(sym.box, grid, out)
@@ -838,7 +924,7 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
     coefficients: dict[tuple[int, ...], complex] = {}
     remainders: dict[tuple[int, ...], np.ndarray] = {}
     denom = np.exp(2j * np.pi * np.arange(M) / M) - 1.0
-    frequencies = [steps[0] for steps in axis_multipliers(grid, 1, _power)]
+    frequencies = [steps[0] for steps in axis_operators(grid, 1, _power)]
 
     def expand(values: np.ndarray, axis: int, prefix: tuple[int, ...], budget: int) -> None:
         if axis == n:
@@ -856,7 +942,7 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
             g0 = np.take(g, [0], axis=axis)
             with np.errstate(divide="ignore", invalid="ignore"):
                 nxt = (g - g0) / d
-            deriv = _axis_derivative(g, axis, frequencies[axis])
+            deriv = _axis_derivative(g, grid, axis, frequencies[axis])
             nxt[tuple(sl)] = np.take(deriv, 0, axis=axis)
             g = nxt
         remainders[prefix + (budget,) + (0,) * (n - axis - 1)] = g.copy()

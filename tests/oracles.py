@@ -8,6 +8,7 @@ library's row-blocked transforms.
 
 import numpy as np
 
+from pdz import symbols
 from pdz.symbols import multi_factorial, multi_indices_below, multi_indices_of_degree, x_reflect
 
 
@@ -286,22 +287,50 @@ def _tree_path(alpha):
     return [(i, a) for i, a in enumerate(alpha) if a]
 
 
+def _serial_circulant(grid, a):
+    """The M x M matrix of D^(a) along one axis: the circulant whose column k
+    is the inverse FFT of the multiplier l (l-1) ... (l-a+1), cycled by k."""
+    freqs = np.rint(np.fft.fftfreq(grid.M) * grid.M).astype(int)
+    column = np.fft.ifft(falling_factorial(freqs, a))
+    return column[(np.arange(grid.M)[:, None] - np.arange(grid.M)) % grid.M]
+
+
+def _serial_along(values, matrix, grid, i):
+    """``matrix`` along grid axis i of ``values`` (..., grid.size) by numpy's
+    stacked matmul, each product taking s lines of the axis as the library
+    stacks them (s a power of M, M*M*s at most ``symbols._SERIAL_PRODUCT``),
+    so the entries come out bit for bit."""
+    M, after = grid.M, grid.M ** (grid.n - 1 - i)
+    lines = after if after > 1 else M ** (grid.n - 1)
+    while lines > 1 and M * M * lines > symbols._SERIAL_PRODUCT:
+        lines //= M
+    if after > 1:
+        slabs = values.reshape(-1, M, after // lines, lines).transpose(0, 2, 1, 3)
+        return np.matmul(matrix, slabs).transpose(0, 2, 1, 3).reshape(values.shape)
+    return np.matmul(values.reshape(-1, lines, M), matrix.T).reshape(values.shape)
+
+
 def _serial_falling(values, grid, high):
     """``(alpha, D^(alpha)_x values)`` for |alpha| <= high on the whole array:
-    alpha with last nonzero entry alpha_i is numpy's one-axis inverse FFT along
-    grid axis i of the one-axis FFT of its parent (alpha_i set to 0) times the
-    multiplier of D^(alpha_i e_i), in depth-first order."""
+    alpha with last nonzero entry alpha_i is its parent (alpha_i set to 0)
+    under D^(alpha_i) along grid axis i, in depth-first order.  On a grid of
+    at most ``symbols.CIRCULANT_AXIS_MAX`` points per axis that is the
+    circulant of :func:`_serial_circulant`; else numpy's one-axis inverse FFT
+    of the parent's one-axis FFT times the multiplier."""
     n, shape = grid.n, values.shape[:-1] + grid.shape
     nodes, spectra = {(0,) * n: values.reshape(shape)}, {}
     for alpha in sorted(multi_indices_below(n, high + 1), key=_tree_path):
         if any(alpha):
-            i = _tree_path(alpha)[-1][0]
+            i, a = _tree_path(alpha)[-1]
             parent = alpha[:i] + (0,) + alpha[i + 1:]
-            step = tuple(a if axis == i else 0 for axis, a in enumerate(alpha))
-            if (parent, i) not in spectra:
-                spectra[parent, i] = np.fft.fft(nodes[parent], axis=i - n)
-            nodes[alpha] = np.fft.ifft(spectra[parent, i] * falling_multiplier(grid, step),
-                                       axis=i - n)
+            step = tuple(a if axis == i else 0 for axis in range(n))
+            if grid.M <= symbols.CIRCULANT_AXIS_MAX:
+                nodes[alpha] = _serial_along(nodes[parent], _serial_circulant(grid, a), grid, i)
+            else:
+                if (parent, i) not in spectra:
+                    spectra[parent, i] = np.fft.fft(nodes[parent], axis=i - n)
+                nodes[alpha] = np.fft.ifft(spectra[parent, i] * falling_multiplier(grid, step),
+                                           axis=i - n)
         yield alpha, nodes[alpha].reshape(values.shape)
 
 

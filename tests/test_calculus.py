@@ -217,8 +217,14 @@ def _relative_error(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
+# N of the box whose grid axes (2N + 1 points) are the longest on the
+# circulant route; at N + 1 they take the FFT route
+_SHORT_AXIS_N = symbols.CIRCULANT_AXIS_MAX // 2
+
+
 @pytest.mark.parametrize("n, N, order, j", [(1, 40, 5, 0), (2, 6, 4, 0), (2, 6, 4, 1),
-                                            (3, 4, 3, 0), (3, 4, 3, 2), (1, 2048, 3, 0)])
+                                            (3, 4, 3, 0), (3, 4, 3, 2), (1, 2048, 3, 0),
+                                            (2, _SHORT_AXIS_N, 3, 1), (2, _SHORT_AXIS_N + 1, 3, 1)])
 def test_weighted_shifts_match_their_closed_form_truncations(n, N, order, j):
     # the series of a(k) e^{-+2 pi i x_j} does not end, and its truncations
     # have closed forms at any K: (1, 2048) is K = 4097, above the dense cap
@@ -549,10 +555,11 @@ def test_an_exception_in_one_row_block_reaches_the_caller(monkeypatch, cpus, op)
     box, grid = helpers.box_and_grid(2, 4)
     helpers.force_block_rows(monkeypatch, 7, grid.size)
     run = _calculus_runs(box, grid, np.random.default_rng(5))[op]
+    assert grid.M <= symbols.CIRCULANT_AXIS_MAX
     if op in ("adjoint", "transpose", "amplitude_to_symbol"):  # one ifftn per block
         monkeypatch.setattr(np.fft, "ifftn", _fail_third(np.fft.ifftn))
-    else:  # one one-axis ifft per block and derivative
-        monkeypatch.setattr(np.fft, "ifft", _fail_third(np.fft.ifft))
+    else:  # one circulant product per block and derivative
+        monkeypatch.setattr(np, "matmul", _fail_third(np.matmul))
     threads = threading.active_count()
     with pytest.raises(ArithmeticError, match="third block"):
         run()
@@ -591,31 +598,39 @@ def test_calculus_agrees_with_the_n_axis_expansions(n, N):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
-    # n=3, order 3, per row block: compose takes 6 forward and 9 inverse
-    # one-axis transforms (one per |alpha| = 1, 2), the parametrix 6 + 9 for
-    # B_0 and 3 + 3 for B_1; no n-axis transform is taken
+def _counted(calls, name, fn):
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("an n-axis transform was taken")
+
+
+def _one_slice_blocks(monkeypatch, box, grid):
+    """One CPU, one leading-axis slice per row block; the number of blocks."""
     monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
-    box, grid = helpers.box_and_grid(3, 2)
     helpers.force_block_rows(monkeypatch, box.size // box.M, grid.size)
     blocks = len(list(symbols.row_blocks(box.M, box.size // box.M * grid.size)))
     assert blocks == box.M
+    return blocks
+
+
+def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
+    # n=3, order 3, per row block on the FFT route: compose takes 6 forward
+    # and 9 inverse one-axis transforms (one per |alpha| = 1, 2), the
+    # parametrix 6 + 9 for B_0 and 3 + 3 for B_1; no n-axis transform is taken
+    monkeypatch.setattr(symbols, "CIRCULANT_AXIS_MAX", 0)
+    box, grid = helpers.box_and_grid(3, 2)
+    blocks = _one_slice_blocks(monkeypatch, box, grid)
     sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(7))
     calls = {"fft": 0, "ifft": 0}
-
-    def counted(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    def refused(*args, **kwargs):
-        raise AssertionError("an n-axis transform was taken")
-
     for name in calls:
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        monkeypatch.setattr(np.fft, name, _counted(calls, name, getattr(np.fft, name)))
     for name in ("fftn", "ifftn"):
-        monkeypatch.setattr(np.fft, name, refused)
+        monkeypatch.setattr(np.fft, name, _refused)
     for run, forward, inverse in [(lambda: compose(sigma, tau, 3), 6, 9),
                                   (lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3), 9, 12)]:
         calls.update(fft=0, ifft=0)
@@ -623,12 +638,35 @@ def test_the_derivative_trees_take_one_axis_transforms(monkeypatch):
         assert calls == {"fft": forward * blocks, "ifft": inverse * blocks}
 
 
-def test_the_derivative_trees_transform_into_a_scratch_pool_per_pass(monkeypatch):
-    # n=3 N=4 on one CPU: every one-axis transform of compose and the
-    # parametrix writes with out=, into buffers the pass reuses from block to
-    # block, so one block of all nine leading slices, blocks of three and
-    # one-slice blocks, the default here, take the same number of buffers
+def test_the_derivative_trees_take_one_circulant_product_per_node(monkeypatch):
+    # the same on the circulant route: one stacked product per node, 9 per
+    # block for compose and 9 + 3 for the parametrix; the one-axis inverse
+    # FFTs are the two operators' first columns, built once per call
+    box, grid = helpers.box_and_grid(3, 2)
+    monkeypatch.setattr(symbols, "CIRCULANT_AXIS_MAX", grid.M)
+    blocks = _one_slice_blocks(monkeypatch, box, grid)
+    sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(7))
+    calls = {"fft": 0, "ifft": 0, "matmul": 0}
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, _counted(calls, name, getattr(np.fft, name)))
+    monkeypatch.setattr(np, "matmul", _counted(calls, "matmul", np.matmul))
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, _refused)
+    for run, nodes in [(lambda: compose(sigma, tau, 3), 9),
+                       (lambda: parametrix(SymbolExpansion(a_terms), 2.0, 3), 12)]:
+        calls.update(fft=0, ifft=0, matmul=0)
+        run()
+        assert calls == {"fft": 0, "ifft": 2, "matmul": nodes * blocks}
+
+
+def _check_pool_per_pass(monkeypatch, bound, module, names):
+    """n=3 N=4 on one CPU, grid axes of at most ``bound`` points circulant:
+    every call of the ``module`` functions ``names`` in compose and the
+    parametrix writes with out=, into buffers the pass reuses from block to
+    block, so one block of all nine leading slices, blocks of three and
+    one-slice blocks, the default here, take the same number of buffers."""
     monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(symbols, "CIRCULANT_AXIS_MAX", bound)
     box, grid = helpers.box_and_grid(3, 4)
     sigma, tau, a_terms = _calculus_inputs(box, grid, np.random.default_rng(8))
     width = box.size // box.M * grid.size
@@ -645,8 +683,8 @@ def test_the_derivative_trees_transform_into_a_scratch_pool_per_pass(monkeypatch
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, recorded(getattr(np.fft, name)))
+    for name in names:
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
     counts = {}
     for rows in (box.M, 3, 1):
         helpers.force_block_rows(monkeypatch, rows, width)
@@ -662,6 +700,16 @@ def test_the_derivative_trees_transform_into_a_scratch_pool_per_pass(monkeypatch
     for name, by_blocks in counts.items():
         assert sorted(by_blocks) == [1, 3, 9], name
         assert len(set(by_blocks.values())) == 1, (name, by_blocks)
+
+
+def test_the_derivative_trees_transform_into_a_scratch_pool_per_pass(monkeypatch):
+    # the one-axis transforms of the FFT route
+    _check_pool_per_pass(monkeypatch, 0, np.fft, ("fft", "ifft"))
+
+
+def test_the_circulant_trees_multiply_into_a_scratch_pool_per_pass(monkeypatch):
+    # the stacked products of the circulant route
+    _check_pool_per_pass(monkeypatch, 9, np, ("matmul",))
 
 
 @pytest.mark.parametrize("op", CALCULUS_OPS)
@@ -872,17 +920,23 @@ def test_the_x_multipliers_are_grid_shaped(n, N):
 
 
 def test_the_x_derivative_has_one_home():
-    # every D^beta, D^(beta) and d^alpha/dx^alpha is a product of one-axis
-    # operators taken in symbols.py; the only other one-axis transforms are
-    # those of apply's dense path
-    found = set()
+    # every D^beta, D^(beta) and d^alpha/dx^alpha is a product of the one-axis
+    # operators of symbols.axis_operators, taken in symbols.py: the circulant
+    # products in one helper, the one-axis transforms in the FFT route's
+    # helpers; the only other one-axis transforms are those of apply's dense
+    # path, and no other code multiplies by np.matmul
+    found = {}
     for path in Path(calculus.__file__).parent.glob("*.py"):
         for scope, node in helpers.scoped(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft",
-                                                                         "np.fft.ifft"):
-                found.add((path.name, scope))
-    assert found == {("symbols.py", "x_derivatives"), ("symbols.py", "_axis_derivative"),
-                     ("quantize.py", "apply")}
+                                                                         "np.fft.ifft",
+                                                                         "np.matmul"):
+                found.setdefault(ast.unparse(node.func), set()).add((path.name, scope))
+    assert found == {
+        "np.fft.fft": {("symbols.py", "_spectral_children"), ("symbols.py", "_axis_derivative")},
+        "np.fft.ifft": {("symbols.py", "axis_operators"), ("symbols.py", "_spectral_children"),
+                        ("symbols.py", "_axis_derivative"), ("quantize.py", "apply")},
+        "np.matmul": {("symbols.py", "_circulant_product")}}
 
 
 def test_the_lattice_difference_has_one_home():

@@ -165,7 +165,7 @@ def test_memory_is_checked_where_a_full_array_is_built():
             if (isinstance(node, ast.Call)
                     and ast.unparse(node.func).split(".")[-1] == "require_memory"):
                 found.add((path.name, scope))
-    assert found == {("symbols.py", "SampledSymbol.samples"),
+    assert found == {("symbols.py", "SampledSymbol.gathered"),
                      ("symbols.py", "SampledSymbol.kappa"),
                      ("grids.py", "character_matrix"),
                      ("calculus.py", "amplitude_to_symbol")}
@@ -341,11 +341,8 @@ def test_x_derivatives_agree_with_the_n_axis_round_trip(n, N, betas):
         assert np.array_equal(derivative(sym, (0,) * n).samples, sym.samples)
 
 
-def test_a_single_derivative_transforms_only_the_axes_it_differentiates(monkeypatch):
-    # one FFT and one inverse FFT along each axis with beta_i > 0, per row block
-    box, grid = helpers.box_and_grid(3, 2)
-    assert len(list(pdz.symbols.row_blocks(box.size, grid.size))) == 1
-    sym = helpers.random_symbol(box, grid, np.random.default_rng(8))
+def _recorded_calls(monkeypatch):
+    """The names of the numpy FFT and matmul calls made from here on, in order."""
     calls = []
 
     def counted(name, fn):
@@ -356,10 +353,83 @@ def test_a_single_derivative_transforms_only_the_axes_it_differentiates(monkeypa
 
     for name in ("fft", "ifft", "fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    for beta, want in [((2, 0, 1), ["fft", "ifft"] * 2), ((0, 0, 0), [])]:
+    monkeypatch.setattr(np, "matmul", counted("matmul", np.matmul))
+    return calls
+
+
+def _single_derivative_calls(monkeypatch, bound):
+    """The FFT and matmul calls of falling_derivative at beta = (2, 0, 1) and
+    at beta = 0 on one row block, grid axes of at most ``bound`` points
+    circulant: nothing is applied along an axis with beta_i = 0."""
+    monkeypatch.setattr(pdz.symbols, "CIRCULANT_AXIS_MAX", bound)
+    box, grid = helpers.box_and_grid(3, 2)
+    assert len(list(pdz.symbols.row_blocks(box.size, grid.size))) == 1
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(8))
+    calls = _recorded_calls(monkeypatch)
+    taken = []
+    for beta in [(2, 0, 1), (0, 0, 0)]:
         calls.clear()
         falling_derivative(sym, beta)
-        assert calls == want
+        taken.append(list(calls))
+    return taken
+
+
+def test_a_single_derivative_transforms_only_the_axes_it_differentiates(monkeypatch):
+    # one FFT and one inverse FFT along each axis with beta_i > 0
+    assert _single_derivative_calls(monkeypatch, 0) == [["fft", "ifft"] * 2, []]
+
+
+def test_a_single_derivative_multiplies_only_along_the_axes_it_differentiates(monkeypatch):
+    # the two operators' first columns, then one circulant product per axis
+    assert _single_derivative_calls(monkeypatch, 5) == [["ifft"] * 2 + ["matmul"] * 2, []]
+
+
+FACTORS = {"power": pdz.symbols._power, "falling": pdz.symbols.falling_factor,
+           "partial": pdz.symbols.partial_factor}
+
+
+@pytest.mark.parametrize("lines", ["default", "one"], ids=["default-products", "one-line-products"])
+@pytest.mark.parametrize("factor", FACTORS)
+@pytest.mark.parametrize("n, N", [(1, 6), (2, 3), (3, 2)])
+def test_the_circulant_and_fft_routes_agree(monkeypatch, n, N, factor, lines):
+    # every node of the derivative tree up to high = 7, and a single mixed
+    # derivative, taken by circulant products and by FFT, multiplier and
+    # inverse FFT; the products stacked as they come, or one line of the
+    # axis each, as on axes too long for the products to stay serial
+    if lines == "one":
+        monkeypatch.setattr(pdz.symbols, "_SERIAL_PRODUCT", 1)
+    box, grid = helpers.box_and_grid(n, N)
+    values = helpers.random_symbol(box, grid, np.random.default_rng(70 + n)).samples[:5]
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(80 + n))
+    beta = (3, 1, 2)[:n]
+    taken = {}
+    for route, bound in [("circulant", grid.M), ("fft", grid.M - 1)]:
+        monkeypatch.setattr(pdz.symbols, "CIRCULANT_AXIS_MAX", bound)
+        operators = pdz.symbols.axis_operators(grid, 7, FACTORS[factor])
+        nodes = {alpha: node.copy() for alpha, node in
+                 pdz.symbols.x_derivatives(values, grid, 7, operators)}
+        taken[route] = nodes, pdz.symbols._x_derivative(sym, beta, FACTORS[factor]).samples
+    (circulant, single), (fft, want_single) = taken["circulant"], taken["fft"]
+    assert sorted(circulant) == sorted(fft) == sorted(multi_indices_below(n, 8))
+    for alpha, want in fft.items():
+        assert np.abs(circulant[alpha] - want).max() <= 1e-13 * np.abs(want).max(), alpha
+    assert np.abs(single - want_single).max() <= 1e-13 * np.abs(want_single).max()
+
+
+@pytest.mark.parametrize("bound", [None, 5 ** 3, 1], ids=["default", "m-lines", "one-line"])
+def test_a_circulant_tree_on_a_block_is_bit_identical_to_the_whole_one(monkeypatch, bound):
+    # each product of a stacked circulant product takes a number of lines set
+    # by M, n and the axis alone, so a block's nodes are those rows of the
+    # whole array's, however many lines one product takes
+    if bound is not None:
+        monkeypatch.setattr(pdz.symbols, "_SERIAL_PRODUCT", bound)
+    box, grid = helpers.box_and_grid(3, 2)
+    values = helpers.random_symbol(box, grid, np.random.default_rng(9)).samples
+    operators = pdz.symbols.axis_operators(grid, 3, pdz.symbols.falling_factor)
+    whole = {alpha: node.copy()
+             for alpha, node in pdz.symbols.x_derivatives(values, grid, 3, operators)}
+    for alpha, node in pdz.symbols.x_derivatives(values[7:19], grid, 3, operators):
+        assert np.array_equal(node, whole[alpha][7:19]), alpha
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +456,27 @@ def test_seminorm_of_weight_is_one():
     sym = helpers.weight_symbol(box, grid, 1.0)
     got = seminorm_estimate(sym, (0,), (0,), SymbolClassParams(1.0))
     assert got == pytest.approx(1.0, rel=1e-12)
+
+
+def test_seminorm_reads_a_definition_without_keeping_its_samples():
+    # the differences and derivatives of a definition-backed symbol read its
+    # rows into their own array; the symbol keeps streaming
+    box, grid = helpers.box_and_grid(2, 8)
+    params = SymbolClassParams(2.0)
+    definition = SymbolDefinition(
+        lambda k, x: (1.0 + (k**2).sum(axis=-1)) * (2.0 + np.exp(2j * np.pi * x[..., 0])),
+        params=params)
+    sym = sample(definition, box, grid)
+    stored = sample(definition, box, grid)
+    stored.samples
+    for alpha, beta in [((0, 0), (0, 0)), ((1, 0), (1, 0)), ((2, 1), (0, 2))]:
+        assert (seminorm_estimate(sym, alpha, beta, params)
+                == seminorm_estimate(stored, alpha, beta, params))
+        assert np.array_equal(forward_difference(sym, alpha).samples,
+                              forward_difference(stored, alpha).samples)
+        assert np.array_equal(falling_derivative(sym, beta).samples,
+                              falling_derivative(stored, beta).samples)
+    assert sym._samples is None
 
 
 def test_seminorm_monotone_and_stable_under_refinement():
