@@ -16,7 +16,7 @@ from .errors import DomainMismatchError
 from .grids import LatticeBox, LatticeSequence
 from .quantize import _summation_blocks, apply, matrix
 from .report import DiagnosticsReport
-from .symbols import SampledSymbol, SymbolDefinition, _block_first, _first, sample
+from .symbols import SampledSymbol, SymbolDefinition, _block_first, _first, column_floor, sample
 
 
 @dataclass(frozen=True)
@@ -136,14 +136,18 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
     row_weights = (1.0 + box.norms) ** (-mu)
+    band = sym.kappa_columns()
     best = [[] for _ in n_ts]
-    for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
-        dist = box.norms[table]  # cyclic distance |k - m|
-        near, magnitude, spread = dist <= box.N, np.abs(block), 1.0 + dist
-        for n_t, found in zip(n_ts, best):
-            weights = row_weights[rows, None] * spread ** (2 * n_t)
-            masked = np.where(near, magnitude * weights, 0.0)
-            found.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
+    if band is None:
+        for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
+            dist = box.norms[table]  # cyclic distance |k - m|
+            near, magnitude, spread = dist <= box.N, np.abs(block), 1.0 + dist
+            for n_t, found in zip(n_ts, best):
+                weights = row_weights[rows, None] * spread ** (2 * n_t)
+                masked = np.where(near, magnitude * weights, 0.0)
+                found.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
+    else:
+        _band_decay(box, band, row_weights, n_ts, best)
     reports = []
     for n_t, found in zip(n_ts, best):
         constant, i, j = _first(np.argmax, found)
@@ -154,6 +158,39 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
         rep.add_value("witness_m", [int(v) for v in box.points[j]])
         reports.append(rep)
     return reports
+
+
+def _band_decay(box: LatticeBox, band, row_weights: np.ndarray, n_ts, best) -> None:
+    """The decay fit's pass over the columns of kappa that can hold a maximum
+    (kappa(k, l) = K(k, m) with l = k - m), for the ``(bound, read)`` of
+    :meth:`SampledSymbol.kappa_columns`: each n_t's bound on a column is its
+    kappa bound times max_k w(k) and (1+|l|)^(2 n_t) over |l| <= N.  The
+    columns whose bound reaches a lower bound of the maximum
+    (:func:`~pdz.symbols.column_floor`) are read, ties included, and each
+    block's first maximum in (k, m) order is appended to ``best`` as the
+    full pass appends it."""
+    bound, read = band
+    near, spread = box.norms <= box.N, 1.0 + box.norms
+
+    def values(rows, block, columns, n_t):
+        weights = row_weights[rows, None] * spread[columns] ** (2 * n_t)
+        return np.where(near[columns], np.abs(block) * weights, 0.0)
+
+    reach = np.zeros(box.size, dtype=bool)
+    for n_t in n_ts:
+        bounds = bound * row_weights.max() * spread ** (2 * n_t) * near
+        floor = column_floor(bounds, read,
+                             lambda rows, block, columns: values(rows, block, columns, n_t).max(),
+                             lambda b, floor: b < floor)
+        reach |= bounds >= floor
+    columns = np.flatnonzero(reach)
+    for rows, block in read(columns):
+        for n_t, found in zip(n_ts, best):
+            masked = values(rows, block, columns, n_t)
+            i, j = np.nonzero(masked == masked.max())  # in (k, l) order
+            k = rows.start + i[0]
+            m = box.index_of(box.points[k] - box.points[columns[j[i == i[0]]]])
+            found.append((masked[i[0], j[0]], k, int(m.min())))
 
 
 def _probe_sequences(box: LatticeBox, n_random: int, seed: int) -> list[LatticeSequence]:

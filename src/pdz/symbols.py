@@ -56,6 +56,10 @@ ZERO_THRESHOLD = 1e-10
 #: that no pass allocates a second array of the samples' size.
 ROW_BLOCK_BYTES = 1 << 20
 
+#: Relative margin on the column bounds of :meth:`SampledSymbol.kappa_columns`,
+#: far above the rounding of a sum of at most 16 products (about 4e-15).
+KAPPA_BOUND_MARGIN = 1e-12
+
 #: Longest grid axis whose one-axis operators are applied as dense M x M
 #: circulant products; on longer axes FFT, multiplier and inverse FFT are
 #: the faster (README "Conventions": the crossover measured with compose).
@@ -303,6 +307,15 @@ class SampledSymbol:
         for rows in slices:
             yield rows, stored[rows] if stored is not None else self._evaluate(rows)
 
+    def block(self, rows: slice) -> np.ndarray:
+        """``samples[rows]`` as :meth:`blocks` gives it, built alone: a pass
+        on the workers of :func:`each_row_block` reads a streamed symbol so."""
+        if self._samples is not None:
+            return self._samples[rows]
+        if self.separated() is not None:
+            return next(self._factor_blocks([rows]))[1]
+        return self._evaluate(rows)
+
     def _factor_blocks(self, slices):
         """``(rows, sum_t A[t, rows] B[t])`` over ``slices``, checked finite:
         the terms whose A_t is 1 at every k summed unmultiplied, as
@@ -395,17 +408,53 @@ class SampledSymbol:
         kept, and :meth:`kappa`'s array is never read."""
         K, shape = self.box.size, self.grid.shape
         axes = tuple(range(1, self.grid.n + 1))
-        parts = self.separated()
-        if parts is not None:  # kappa[rows] = A[:, rows]^T beta, beta_t the row transform of B_t
-            A, B = parts
-            beta = np.fft.ifftn(B.reshape((-1,) + shape), axes=axes)
-            beta = np.fft.fftshift(beta, axes=axes).reshape(-1, K)
+        if self.separated() is not None:  # kappa[rows] = A[:, rows]^T beta
+            A, beta = self._row_transforms()
             for rows in row_blocks(K, K):
                 yield rows, A[:, rows].T @ beta
             return
         for rows, block in self.blocks():
             block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
             yield rows, np.fft.fftshift(block, axes=axes).reshape(-1, K)
+
+    def _row_transforms(self):
+        """``(A, beta)``: the :meth:`separated` factors A and the row
+        transforms beta_t of their B_t, (T x K) with l in box order."""
+        A, B = self.separated()
+        axes = tuple(range(1, self.grid.n + 1))
+        beta = np.fft.ifftn(B.reshape((-1,) + self.grid.shape), axes=axes)
+        return A, np.fft.fftshift(beta, axes=axes).reshape(-1, self.box.size)
+
+    def kappa_columns(self):
+        """``(bound, read)`` from the :meth:`separated` form, None without one.
+        ``bound[l]`` bounds column l of kappa: sum_t max_k |A_t(k)| |beta_t(l)|,
+        raised by :data:`KAPPA_BOUND_MARGIN`.  ``read(columns)`` yields
+        ``(rows, kappa[rows][:, columns])`` for ascending ``columns`` over the
+        row blocks of :meth:`kappa_blocks`, each entry the bits it gives.
+
+        BLAS rounds an entry of a product by where its column falls in the
+        kernel's tiles (at most 8 columns, counted from the first, the last
+        tile partial).  So ``read`` multiplies whole tiles of 8, the first one
+        always and the partial one last, which puts each column at its place
+        in the full product; a one-row block, a matrix-vector product whose
+        bits depend on its length, takes the full product."""
+        if self.separated() is None:
+            return None
+        A, beta = self._row_transforms()
+        bound = (np.abs(A).max(axis=1) @ np.abs(beta)) * (1.0 + KAPPA_BOUND_MARGIN)
+        K = self.box.size
+
+        def read(columns):
+            tiles = np.union1d(np.asarray(columns) // 8, [0])
+            tiled = (tiles[:, None] * 8 + np.arange(8)).ravel()
+            tiled = tiled[tiled < K]
+            part, at = beta[:, tiled], np.searchsorted(tiled, columns)
+            for rows in row_blocks(K, K):
+                if rows.stop - rows.start == 1:
+                    yield rows, (A[:, rows].T @ beta)[:, columns]
+                else:
+                    yield rows, (A[:, rows].T @ part)[:, at]
+        return bound, read
 
     def kappa(self) -> np.ndarray:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
@@ -433,6 +482,24 @@ class SampledSymbol:
         for rows, block in self.blocks():
             out[rows] = np.abs(block).max(axis=1)
         return out
+
+
+def column_floor(bound: np.ndarray, read, measure, stop) -> float:
+    """The largest ``measure(rows, block, columns)`` over the columns that
+    ``read`` (of :meth:`SampledSymbol.kappa_columns`) gives in decreasing
+    ``bound``, in rounds of 8, 16, 32, ... columns, until ``stop(b, floor)``
+    holds for the bound b of the next column or no column is left.  With
+    ``bound`` bounding each column's measure, no column left unread can
+    exceed the floor unless ``stop`` lets it."""
+    order = np.argsort(bound, kind="stable")[::-1]
+    floor, done = -np.inf, 0
+    while done < len(order):
+        columns = np.sort(order[done:2 * done + 8])
+        done = 2 * done + 8
+        floor = max([floor] + [measure(rows, block, columns) for rows, block in read(columns)])
+        if done < len(order) and stop(bound[order[done]], floor):
+            break
+    return floor
 
 
 def sample(definition: SymbolDefinition, box: LatticeBox, grid: TorusGrid) -> SampledSymbol:

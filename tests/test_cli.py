@@ -702,27 +702,37 @@ def test_diagnose_decay_runs_above_the_dense_cap(tmp_path, capsys, monkeypatch):
     assert "kernel_decay_nt=1:" in text and "kernel_decay_nt=2:" in text
 
 
-def test_diagnose_decay_makes_one_kernel_pass_for_every_exponent(tmp_path, capsys,
-                                                                  monkeypatch):
-    passes = []
-    kappa_blocks = SampledSymbol.kappa_blocks
+@pytest.mark.parametrize("expr,full_passes,band_reads", [
+    ("1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2)", 0, 1),
+    ("1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2 + cos(2*pi*x_1))", 1, 0),
+], ids=["separated", "non-separable"])
+def test_diagnose_decay_makes_one_kernel_pass_for_every_exponent(tmp_path, capsys, monkeypatch,
+                                                                  expr, full_passes, band_reads):
+    # a separated symbol reads the columns that can hold a maximum, never all of kappa
+    passes, reads = [], []
+    kappa_blocks, kappa_columns = SampledSymbol.kappa_blocks, SampledSymbol.kappa_columns
 
     def counted(sym):
         passes.append(sym)
         return kappa_blocks(sym)
 
+    def counted_columns(sym):
+        band = kappa_columns(sym)
+        reads.extend([] if band is None else [sym])
+        return band
+
     monkeypatch.setattr(SampledSymbol, "kappa_blocks", counted)
+    monkeypatch.setattr(SampledSymbol, "kappa_columns", counted_columns)
     job = {
         "box": {"n": 1, "N": 8},
-        "symbols": [{"name": "E", "kind": "expression",
-                     "params": {"expr": "1.5 + exp(2*pi*i*x_1)/(1 + abs_k**2)"}}],
+        "symbols": [{"name": "E", "kind": "expression", "params": {"expr": expr}}],
         "diagnose": {"symbol": "E", "n_t": [1, 2, 3]},
     }
     (tmp_path / "job.json").write_text(json.dumps(job))
     assert main(["diagnose", "--config", str(tmp_path / "job.json"), "--decay"]) == 0
     text = capsys.readouterr().out
     assert all(f"kernel_decay_nt={n_t}:" in text for n_t in (1, 2, 3))
-    assert len(passes) == 1
+    assert (len(passes), len(reads)) == (full_passes, band_reads)
 
 
 def test_diagnose_seed_override_is_deterministic(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from pdz import Kernel, LatticeBox, LatticeSequence, SymbolExpansion
 from pdz import io as pdzio
+from pdz import symbols
 from pdz.errors import ConfigError, DomainMismatchError
 
 import helpers
@@ -110,6 +111,50 @@ def test_zero_kernel_csv_is_the_header_alone(n, N, block_rows):
     text = pdzio.kernel_to_csv(ker)
     assert text == header + ",re,im\n"
     assert text == oracles.kernel_csv(ker, pdzio.KERNEL_CSV_RELATIVE_THRESHOLD)
+
+
+# ---------------------------------------------------------------------------
+# the %.17g text built with numpy
+
+#: Values whose text numpy's digits could get wrong: 1e23 (below the power of
+#: ten it prints as), both ends of [1e16, 1e17), the ends of the double
+#: range, short decimals, the ends of the fixed form, -0.0, exact rounding
+#: ties, values next to the exponent range taken with numpy, non-finite ones.
+EDGES = np.array([1e23, 1e16, 1e17, 9.999999999999999e16, 5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, 1e-5, 1e-4, 9.9999999999999995e-5, -0.0,
+                  2.0**-25, 3 * 2.0**-25, 1e-280, 9.9999999999999999e279, 1e280,
+                  123456789012345678.0, 12345678901234567.0, 0.5, 100.0,
+                  np.inf, -np.inf, np.nan])
+
+
+def _percent_lines(floats) -> str:
+    return "".join(f"{'%.17g' % re},{'%.17g' % im}\n"
+                   for re, im in np.reshape(floats, (-1, 2)).tolist())
+
+
+def test_float_text_is_the_percent_text_of_random_bit_patterns():
+    rng = np.random.default_rng(29)
+    patterns = rng.integers(0, 2**64, size=2**20, dtype=np.uint64, endpoint=False)
+    floats = np.concatenate([patterns.view(float), EDGES, -EDGES, rng.standard_normal(2**16)])
+    values = floats.view(complex)  # the bits of each pair, non-finite ones too
+    text = pdzio._lines(np.zeros((len(values), 0), dtype=np.uint8), values).decode("ascii")
+    assert text == _percent_lines(floats)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_writers_give_the_same_bytes_on_any_number_of_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(symbols.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    box, grid = helpers.box_and_grid(2, 5)
+    sym = _symbol(box, grid, 5)
+    helpers.force_block_rows(monkeypatch, 3, grid.size)  # 41 blocks
+    assert pdzio.symbol_to_csv(sym) == oracles.symbol_csv(sym)
+    expansion = SymbolExpansion([sym, _symbol(box, grid, 6)], [0.0, -1.0])
+    assert pdzio.expansion_to_csv(expansion) == oracles.expansion_csv(expansion)
+    f = LatticeSequence(box, sym.samples[:, 0].copy())
+    helpers.force_block_rows(monkeypatch, 2, 1)
+    assert pdzio.sequence_to_csv(f) == oracles.sequence_csv(f)
+    ker = Kernel(box, sym.samples[:, :box.size].copy())
+    assert pdzio.kernel_to_csv(ker) == oracles.kernel_csv(ker, pdzio.KERNEL_CSV_RELATIVE_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,71 @@ def test_lp_omega_and_compactness_tail_read_kappa_in_row_blocks(monkeypatch, kin
                    for r in symbols.row_blocks(box.size, box.size))
 
 
+#: Separated expressions for the kernel band: three bands, one band over a
+#: constant, and one whose factors cancel (one x-factor taken with
+#: coefficients of sum 0), so that the bound keeps columns where kappa is
+#: only rounding and those columns must be read.
+BAND = {
+    "three-bands": "1.1*(1 + abs_k) + 0.8*exp(2*pi*i*x_1) + 0.3*k_{n}*exp(-2*pi*i*x_{n})",
+    "ties": "3 + exp(2*pi*i*x_1)",
+    "cancelling": "(2 + abs_k)*cos(2*pi*x_{n}) - (1 + abs_k)*cos(2*pi*x_{n})"
+                  " - cos(2*pi*x_{n}) + 1",
+}
+
+
+def _band_reads(monkeypatch):
+    """The columns each ``read`` of :meth:`SampledSymbol.kappa_columns` asks for."""
+    reads, kappa_columns = [], SampledSymbol.kappa_columns
+
+    def recorded(sym):
+        bound, read = kappa_columns(sym)
+        return bound, lambda columns: (reads.append(np.asarray(columns)), read(columns))[1]
+    monkeypatch.setattr(SampledSymbol, "kappa_columns", recorded)
+    return reads
+
+
+def _without_band(monkeypatch):
+    monkeypatch.setattr(SampledSymbol, "kappa_columns", lambda sym: None)
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))
+@pytest.mark.parametrize("expr", BAND.values(), ids=BAND.keys())
+def test_kernel_csv_reads_the_band_with_the_bytes_of_the_full_pass(monkeypatch, expr, rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, box.size)
+    sym = sample(_definition(expr, n), box, grid)
+    assert sym.separated() is not None
+    reads = _band_reads(monkeypatch)
+    text = pdzio.kernel_to_csv(sym)
+    columns = reads[-1]
+    assert len(columns) < box.size / 4
+    if expr == BAND["cancelling"]:  # the x-factor's two columns are read and write nothing
+        axis = np.eye(n, dtype=int)[-1]
+        assert set(box.index_of(np.array([axis, -axis]))) <= set(columns.tolist())
+        written = {ln.rsplit(",", 2)[0].split(",", n)[n] for ln in text.splitlines()[1:]}
+        assert written == {",".join(["0"] * n)}
+    _without_band(monkeypatch)
+    assert text == pdzio.kernel_to_csv(sym)
+    assert sym._samples is None and sym._kappa is None
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases({None: [(1, 150), (2, 9)],
+                                                          1: [(1, 8), (2, 8)],
+                                                          2: [(1, 8), (2, 8)]}))
+@pytest.mark.parametrize("mu", [0.5, -1.0])
+@pytest.mark.parametrize("expr", BAND.values(), ids=BAND.keys())
+def test_decay_fit_reads_the_band_with_the_values_of_the_full_pass(monkeypatch, expr, mu,
+                                                                   rows, n, N):
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, box.size)
+    sym = sample(_definition(expr, n, mu), box, grid)
+    reads = _band_reads(monkeypatch)
+    got = [rep.values for rep in analysis.kernel_decay_fits(sym, [0, 1, 2, 3])]
+    assert reads and all(len(columns) < box.size for columns in reads)
+    _without_band(monkeypatch)
+    assert got == [rep.values for rep in analysis.kernel_decay_fits(sym, [0, 1, 2, 3])]
+
+
 @pytest.mark.parametrize("rows,n,N", helpers.block_cases({1: [(1, 8), (2, 8)], 2: [(1, 8), (2, 8)]}))
 def test_separated_kernel_decay_fit_equals_the_dense_oracle(monkeypatch, rows, n, N):
     helpers.force_block_rows(monkeypatch, rows, (2 * N + 1) ** n)
