@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError
+from .errors import DomainMismatchError, NonFiniteValueError
 from .grids import LatticeBox, LatticeSequence
-from .quantize import _summation_blocks, apply, matrix
+from .quantize import apply, matrix
 from .report import DiagnosticsReport
-from .symbols import SampledSymbol, SymbolDefinition, _block_first, _first, column_floor, sample
+from .symbols import SampledSymbol, SymbolDefinition, _first, column_floor, sample
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,26 @@ def lp_norm(f: LatticeSequence, p: float) -> float:
     return _p_sum(np.abs(f.values), p)
 
 
+def _finite_sum(what: str, terms):
+    """``sum(terms)``, or :class:`NonFiniteValueError` when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(terms)
+    if not np.isfinite(total):
+        raise NonFiniteValueError(f"{what} is non-finite: its sum over the samples overflows")
+    return total
+
+
 def hs_norm(sym: SampledSymbol) -> float:
     """Quadrature L^2 norm of the symbol over box x grid; coincides with the
     Frobenius norm of the dense operator matrix; one pass over the row blocks."""
-    return float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for _, b in sym.blocks()) * sym.grid.weight))
+    squares = (np.sum(np.abs(b) ** 2) for _, b in sym.blocks())
+    return float(np.sqrt(_finite_sum("hs_norm", squares) * sym.grid.weight))
 
 
 def trace(sym: SampledSymbol) -> complex:
     """sum_k (1/M^n) sum_j sigma(k, x_j): the matrix trace, and (within dense
     eigensolver accuracy) the eigenvalue sum; one pass over the row blocks."""
-    return complex(sum(np.sum(block) for _, block in sym.blocks()) * sym.grid.weight)
+    return complex(_finite_sum("trace", (np.sum(b) for _, b in sym.blocks())) * sym.grid.weight)
 
 
 def _row_lq_norms(sym: SampledSymbol, q: float) -> np.ndarray:
@@ -119,11 +129,14 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
 
         |K(k, m)| <= C (1+|k|)^{mu} (1+|k-m|)^{-2 n_t},
 
-    over pairs with cyclic distance |k-m| <= N, one report per n_t from one
-    pass over the kernel's row blocks.  The declared order mu is taken from
+    over pairs with cyclic distance |k-m| <= N, one report per n_t, witnessed
+    by the first maximum in (k, m) order.  The declared order mu is taken from
     the symbol's metadata (0 when absent); stability of the constant under
     box refinement is the associated property, checked by callers across
-    sizes.
+    sizes.  With l = k - m, one pass over the row blocks of kappa(k, l)
+    weighs them by (1+|k|)^(-mu) (1+|l|)^(2 n_t) [|l| <= N]: all columns, or
+    for a separated symbol those whose bound reaches a lower bound of the
+    maximum (:func:`~pdz.symbols.column_floor`), ties included.
     """
     n_ts = list(n_ts)
     if not n_ts:
@@ -136,18 +149,36 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
     box = sym.box
     mu = sym.params.mu if sym.params is not None else 0.0
     row_weights = (1.0 + box.norms) ** (-mu)
+    near, spread = box.norms <= box.N, {n_t: (1.0 + box.norms) ** (2 * n_t) for n_t in n_ts}
+
+    def values(rows, magnitude, columns, n_t):
+        weights = row_weights[rows, None] * spread[n_t][columns]
+        return np.where(near[columns], magnitude * weights, 0.0)
+
     band = sym.kappa_columns()
-    best = [[] for _ in n_ts]
     if band is None:
-        for rows, table, block in _summation_blocks(box, sym.kappa_blocks()):
-            dist = box.norms[table]  # cyclic distance |k - m|
-            near, magnitude, spread = dist <= box.N, np.abs(block), 1.0 + dist
-            for n_t, found in zip(n_ts, best):
-                weights = row_weights[rows, None] * spread ** (2 * n_t)
-                masked = np.where(near, magnitude * weights, 0.0)
-                found.append(_block_first(np.argmax, masked, range(rows.start, rows.stop)))
+        columns, blocks = np.arange(box.size), sym.kappa_blocks()
     else:
-        _band_decay(box, band, row_weights, n_ts, best)
+        bound, read = band
+        reach = np.zeros(box.size, dtype=bool)
+        for n_t in n_ts:  # each n_t's bound on a column: its kappa bound times the weights
+            bounds = np.where(near, bound * row_weights.max() * spread[n_t], 0.0)
+            floor = column_floor(bounds, read,
+                                 lambda rows, block, columns: values(rows, np.abs(block),
+                                                                     columns, n_t).max(),
+                                 lambda b, floor: b < floor)
+            reach |= bounds >= floor
+        columns = np.flatnonzero(reach)
+        blocks = read(columns)
+    best = [[] for _ in n_ts]
+    for rows, block in blocks:
+        magnitude = np.abs(block)
+        for n_t, found in zip(n_ts, best):
+            masked = values(rows, magnitude, columns, n_t)
+            i = int(np.argmax(masked)) // masked.shape[1]  # the first row holding the maximum
+            ties = columns[masked[i] == masked[i].max()]
+            m = box.index_of(box.points[rows.start + i] - box.points[ties])
+            found.append((masked[i].max(), rows.start + i, int(m.min())))
     reports = []
     for n_t, found in zip(n_ts, best):
         constant, i, j = _first(np.argmax, found)
@@ -158,39 +189,6 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
         rep.add_value("witness_m", [int(v) for v in box.points[j]])
         reports.append(rep)
     return reports
-
-
-def _band_decay(box: LatticeBox, band, row_weights: np.ndarray, n_ts, best) -> None:
-    """The decay fit's pass over the columns of kappa that can hold a maximum
-    (kappa(k, l) = K(k, m) with l = k - m), for the ``(bound, read)`` of
-    :meth:`SampledSymbol.kappa_columns`: each n_t's bound on a column is its
-    kappa bound times max_k w(k) and (1+|l|)^(2 n_t) over |l| <= N.  The
-    columns whose bound reaches a lower bound of the maximum
-    (:func:`~pdz.symbols.column_floor`) are read, ties included, and each
-    block's first maximum in (k, m) order is appended to ``best`` as the
-    full pass appends it."""
-    bound, read = band
-    near, spread = box.norms <= box.N, 1.0 + box.norms
-
-    def values(rows, block, columns, n_t):
-        weights = row_weights[rows, None] * spread[columns] ** (2 * n_t)
-        return np.where(near[columns], np.abs(block) * weights, 0.0)
-
-    reach = np.zeros(box.size, dtype=bool)
-    for n_t in n_ts:
-        bounds = bound * row_weights.max() * spread ** (2 * n_t) * near
-        floor = column_floor(bounds, read,
-                             lambda rows, block, columns: values(rows, block, columns, n_t).max(),
-                             lambda b, floor: b < floor)
-        reach |= bounds >= floor
-    columns = np.flatnonzero(reach)
-    for rows, block in read(columns):
-        for n_t, found in zip(n_ts, best):
-            masked = values(rows, block, columns, n_t)
-            i, j = np.nonzero(masked == masked.max())  # in (k, l) order
-            k = rows.start + i[0]
-            m = box.index_of(box.points[k] - box.points[columns[j[i == i[0]]]])
-            found.append((masked[i[0], j[0]], k, int(m.min())))
 
 
 def _probe_sequences(box: LatticeBox, n_random: int, seed: int) -> list[LatticeSequence]:

@@ -32,7 +32,7 @@ from .grids import LatticeBox, TorusGrid, require_matched, require_memory
 from .symbols import (AmplitudeDefinition, SampledSymbol, SymbolClassParams, axis_multipliers,
                       axis_operators, check_expansion_order, each_row_block, falling_factor,
                       lattice_difference, multi_factorial, multi_indices_below,
-                      require_invertible, scratch, x_derivatives, x_spectrum)
+                      reflected_nodes, require_invertible, scratch, x_derivatives, x_spectrum)
 
 
 def _require_same_domain(a: SampledSymbol, b: SampledSymbol) -> None:
@@ -165,8 +165,9 @@ def adjoint(sigma: SampledSymbol, order: int) -> SampledSymbol:
 
 def _reflection(grid: TorusGrid):
     """``prepare(block, out)`` for :func:`x_spectrum`: one gather of a block of
-    samples at the nodes -x, all grid axes at once; its index lives with it."""
-    index = np.ravel_multi_index(-np.indices(grid.shape) % grid.M, grid.shape).ravel()
+    samples at the nodes -x (:func:`~pdz.symbols.reflected_nodes`), its index
+    living with it."""
+    index = reflected_nodes(grid)
     return lambda block, out: block.take(index, axis=1, out=out, mode="clip")
 
 

@@ -10,7 +10,9 @@ provided (FFT application, kernel summation, dense matrix) so each can serve
 as an oracle for the others.  A symbol given as a finite sum
 sum_t a_t(k) b_t(x) (:meth:`SampledSymbol.separated`) is applied and
 transformed through its T factors instead; array-backed symbols keep the
-dense path, the oracle for that one.  Also here: amplitude operators
+dense path, the oracle for that one.  The (k, m) difference table serves
+the dense realizations alone; the decay fit and the kernel CSV read
+kappa(k, l), l = k - m, as it comes.  Also here: amplitude operators
 (their reduction to symbols is a calculus expansion, in :mod:`pdz.calculus`),
 operators with a general phase, the dual quantization on the torus, and the
 conjugation identity tying the two quantizations together.  A general phase
@@ -49,9 +51,9 @@ def _difference_table(box: LatticeBox, rows: slice) -> np.ndarray:
     """table[i, j] = box index of points[rows][i] - points[j], wrapped
     cyclically: the ``rows`` slice of the (K x K) difference table, built one
     axis (lexicographic digit (p_i - p_j + N) mod M) at a time.  The dense
-    ops take it one row block at a time, so no (K x K) index table is built
-    and the dense solve holds only the matrix and its LU copy, about 0.55 GB
-    at K = 4096."""
+    realizations alone read it, one row block at a time, so no (K x K) index
+    table is built and the dense solve holds only the matrix and its LU copy,
+    about 0.55 GB at K = 4096."""
     table = np.zeros((rows.stop - rows.start, box.size), dtype=np.intp)
     for mine, c in zip(box.points[rows].T, box.points.T):
         table *= box.M
@@ -59,21 +61,13 @@ def _difference_table(box: LatticeBox, rows: slice) -> np.ndarray:
     return table
 
 
-def _summation_blocks(box: LatticeBox, kappa_blocks):
-    """Yield ``(rows, table, K[rows])`` for each ``(rows, kappa[rows])`` of
-    ``kappa_blocks``: the difference table of the rows and the summation
-    kernel K(k, m) = kappa(k, k - m) gathered through it."""
-    for rows, block in kappa_blocks:
-        table = _difference_table(box, rows)
-        yield rows, table, np.take_along_axis(block, table, axis=1)
-
-
 def _summation_matrix(box: LatticeBox, kappa_blocks, what: str) -> np.ndarray:
-    """The dense (K x K) summation kernel, filled one row block at a time."""
+    """The dense (K x K) summation kernel K(k, m) = kappa(k, k - m), each row
+    block of ``kappa_blocks`` gathered through its difference table."""
     _require_dense(box, what)
     out = np.empty((box.size, box.size), dtype=complex)
-    for rows, _, block in _summation_blocks(box, kappa_blocks):
-        out[rows] = block
+    for rows, block in kappa_blocks:
+        out[rows] = np.take_along_axis(block, _difference_table(box, rows), axis=1)
     return out
 
 

@@ -7,7 +7,7 @@ Conventions fixed here and relied on everywhere else:
   with cyclic wrap at the box edge (the spectral and pointwise definitions
   then agree exactly on the cyclic model).  It has one home,
   :func:`lattice_difference`, which every difference in the package calls,
-  on the whole array or on a block of leading-axis slices.
+  on every leading-axis slice or a block of them, by one path.
 * ``D^(beta)`` is the falling-factorial derivative: per axis,
   ``D^(l) = D (D-1) ... (D-l+1)`` with ``D = (1/2 pi i) d/dx`` and
   ``D^(0) = I``.  On a character ``e^{2 pi i d x}`` it acts by
@@ -20,9 +20,10 @@ Conventions fixed here and relied on everywhere else:
   :data:`CIRCULANT_AXIS_MAX` points an operator is the dense circulant
   F^-1 diag(m) F, applied as one stacked matrix product along the axis;
   on a longer axis it is one FFT along the axis, the multiplier and one
-  inverse FFT.  :func:`x_derivatives` walks all |alpha| <= high of a block
-  as a tree, and the single derivatives take one pass over the row blocks
-  with nothing applied along an axis they do not differentiate.
+  inverse FFT, both in :func:`_along`.  :func:`x_derivatives` walks all
+  |alpha| <= high of a block as a tree, and the single derivatives take one
+  pass over the row blocks with nothing applied along an axis they do not
+  differentiate.
 * A pass over the row blocks (:func:`each_row_block`) gives each worker one
   :func:`scratch` pool for the pass.  The derivative tree's nodes (and, on
   long axes, its spectra) and the blocked differences are written into it
@@ -255,7 +256,7 @@ class SampledSymbol:
     Rows run over box points (lexicographic), columns over grid nodes
     (C order).  A symbol is backed by the stored (K x X) array or by a
     :class:`SymbolDefinition`, whose factors (:meth:`separated`) are
-    evaluated at construction; :meth:`blocks` builds the row blocks of the
+    evaluated at construction; :meth:`block` builds a row block of the
     latter from those factors, or from the evaluator when there are none,
     each pass evaluating the rows it reads.  The (K x X) ``samples`` and the
     row Fourier coefficients kappa(k, l) are each computed once on first
@@ -263,7 +264,7 @@ class SampledSymbol:
     """
 
     __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa",
-                 "_separated", "_lock")
+                 "_separated", "_factors", "_lock")
 
     def __init__(self, box: LatticeBox, grid: TorusGrid,
                  samples: np.ndarray | SymbolDefinition,
@@ -276,74 +277,58 @@ class SampledSymbol:
         self._lock = threading.Lock()
         if isinstance(samples, SymbolDefinition):
             self._samples, self._definition = None, samples
-            self._separated = self._factor_arrays(samples.separated)
+            self._separated, self._factors = self._factor_arrays(samples.separated)
             return
         samples = np.asarray(samples, dtype=complex)
         if samples.size != box.size * grid.size:
             raise DomainMismatchError(f"symbol samples have {samples.size} entries, "
                                       f"box x grid has {box.size} x {grid.size}")
         self._samples = samples.reshape(box.size, grid.size)
-        self._definition = self._separated = None
+        self._definition = self._separated = self._factors = None
         for rows, block in self.blocks():
             self._require_finite(rows, block)
 
-    def _require_finite(self, rows: slice, block: np.ndarray) -> None:
+    def _require_finite(self, rows: slice, block: np.ndarray, columns=None) -> np.ndarray:
+        """``block``, the rows ``rows`` of the samples or, given the ``columns``
+        of kappa it holds, of kappa, when it is finite; else
+        :class:`NonFiniteValueError` naming its first (k, x) or (k, l)."""
         finite = np.isfinite(block)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
+        if finite.all():
+            return block
+        i, j = np.argwhere(~finite)[0]
+        if columns is None:
             k, x = _witness(self.box, self.grid, rows.start + i, j)
-            raise NonFiniteValueError(
-                f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
+            raise NonFiniteValueError(f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
+        k, l = (tuple(int(v) for v in self.box.points[p]) for p in (rows.start + i, columns[j]))
+        raise NonFiniteValueError(f"row transform kappa non-finite at k={k}, l={l}", where=(k, l))
 
     def blocks(self):
-        """Yield ``(rows, samples[rows])`` over the row blocks of
-        :func:`row_blocks`: slices of the stored array when there is one,
-        else built from the factors of :meth:`separated`, else the
-        definition's evaluator on the rows; built blocks are checked finite."""
-        slices, stored = row_blocks(self.box.size, self.grid.size), self._samples
-        if stored is None and self.separated() is not None:
-            yield from self._factor_blocks(slices)
-            return
-        for rows in slices:
-            yield rows, stored[rows] if stored is not None else self._evaluate(rows)
+        """Yield ``(rows, self.block(rows))`` over the row blocks of :func:`row_blocks`."""
+        for rows in row_blocks(self.box.size, self.grid.size):
+            yield rows, self.block(rows)
 
     def block(self, rows: slice) -> np.ndarray:
-        """``samples[rows]`` as :meth:`blocks` gives it, built alone: a pass
-        on the workers of :func:`each_row_block` reads a streamed symbol so."""
+        """``samples[rows]``: a slice of the stored array when there is one, else
+        built from the factors of :meth:`separated`, sum_t A[t, rows] B[t] (the
+        terms whose A_t is 1 at every k summed unmultiplied, as
+        :func:`pdz.quantize.apply` sums them, the others by one product), else
+        the definition's evaluator on the rows; a built block is checked finite."""
         if self._samples is not None:
             return self._samples[rows]
-        if self.separated() is not None:
-            return next(self._factor_blocks([rows]))[1]
-        return self._evaluate(rows)
-
-    def _factor_blocks(self, slices):
-        """``(rows, sum_t A[t, rows] B[t])`` over ``slices``, checked finite:
-        the terms whose A_t is 1 at every k summed unmultiplied, as
-        :func:`pdz.quantize.apply` sums them, the others by one product."""
-        A, B = self.separated()
-        ones = (A == 1).all(axis=1)
-        # reduce, not sum(axis=0): one term comes back as it is, -0.0 included
-        plain = reduce(np.add, B[ones]) if ones.any() else None
-        A, B = A[~ones], B[~ones]
-        for rows in slices:
-            block = (A[:, rows].T @ B if len(A) else
-                     np.repeat(plain[None], rows.stop - rows.start, axis=0))
+        shape = (rows.stop - rows.start, self.grid.size)
+        if self._factors is not None:
+            A, B, plain = self._factors
+            block = A[:, rows].T @ B if len(A) else np.repeat(plain[None], shape[0], axis=0)
             if len(A) and plain is not None:
                 block += plain
-            self._require_finite(rows, block)
-            yield rows, block
-
-    def _evaluate(self, rows: slice) -> np.ndarray:
-        """The definition on the box points ``rows`` x the grid, checked finite."""
-        X = self.grid.size
-        block = np.asarray(self._definition.evaluator(self.box.points[rows, None, :],
-                                                      self.grid.nodes[None, :, :]),
-                           dtype=complex)
-        if block.shape != (rows.stop - rows.start, X):  # broadcast like an assignment
-            value, block = block, np.empty((rows.stop - rows.start, X), dtype=complex)
-            block[...] = value
-        self._require_finite(rows, block)
-        return block
+        else:
+            block = np.asarray(self._definition.evaluator(self.box.points[rows, None, :],
+                                                          self.grid.nodes[None, :, :]),
+                               dtype=complex)
+            if block.shape != shape:  # broadcast like an assignment
+                value, block = block, np.empty(shape, dtype=complex)
+                block[...] = value
+        return self._require_finite(rows, block)
 
     def separated(self):
         """``(A, B)`` with sigma(k_i, x_j) = sum_t A[t, i] B[t, j], the
@@ -355,8 +340,12 @@ class SampledSymbol:
         return self._separated
 
     def _factor_arrays(self, pairs):
+        """``(separated, factors)``: the ``(A, B)`` of :meth:`separated` and what
+        :meth:`block` reads of them, ``(A', B', plain)`` with ``plain`` the sum of
+        the B_t whose A_t is 1 at every k (None without one) and A', B' the other
+        terms; ``(None, None)`` without a finite separated form."""
         if not pairs:
-            return None
+            return None, None
         K, X = self.box.size, self.grid.size
         A = np.empty((len(pairs), K), dtype=complex)
         B = np.empty((len(pairs), X), dtype=complex)
@@ -365,16 +354,20 @@ class SampledSymbol:
             B[t] = np.broadcast_to(x_fn(self.grid.nodes[None, :, :]), (1, X))[0]
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.sum(np.abs(A).max(axis=1) * np.abs(B).max(axis=1))
-        return (A, B) if np.isfinite(bound) else None
+        if not np.isfinite(bound):
+            return None, None
+        ones = (A == 1).all(axis=1)
+        # reduce, not sum(axis=0): one term comes back as it is, -0.0 included
+        plain = reduce(np.add, B[ones]) if ones.any() else None
+        return (A, B), (A[~ones], B[~ones], plain)
 
     def constant_row(self) -> np.ndarray | None:
-        """Row 0 of sigma, built from the factors as :meth:`blocks` builds
-        it, when every A_t of :meth:`separated` is the same at all k; else
-        None.  No pass over the rows."""
+        """Row 0 of sigma as :meth:`block` builds it, when every A_t of
+        :meth:`separated` is the same at all k; else None.  No pass over the rows."""
         parts = self.separated()
         if parts is None or not (parts[0] == parts[0][:, :1]).all():
             return None
-        return next(self._factor_blocks([slice(0, 1)]))[1][0]
+        return self.block(slice(0, 1))[0]
 
     @property
     def samples(self) -> np.ndarray:
@@ -403,34 +396,30 @@ class SampledSymbol:
 
     def kappa_blocks(self):
         """Yield ``(rows, kappa[rows])`` over the same row blocks as
-        :meth:`blocks`: from the :meth:`separated` form, T transforms of X
-        points in all, else transforms of the sample blocks; none of them
-        kept, and :meth:`kappa`'s array is never read."""
-        K, shape = self.box.size, self.grid.shape
-        axes = tuple(range(1, self.grid.n + 1))
-        if self.separated() is not None:  # kappa[rows] = A[:, rows]^T beta
-            A, beta = self._row_transforms()
-            for rows in row_blocks(K, K):
-                yield rows, A[:, rows].T @ beta
+        :meth:`blocks`: from the :meth:`separated` form, every column of
+        :meth:`kappa_columns`, else transforms of the sample blocks; none of
+        them kept, and :meth:`kappa`'s array is never read.  A transform that
+        overflows raises :class:`NonFiniteValueError` at its first (k, l)."""
+        K, shape, every = self.box.size, self.grid.shape, range(self.box.size)
+        if self.separated() is not None:
+            yield from self._band()[1](every)
             return
-        for rows, block in self.blocks():
-            block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
-            yield rows, np.fft.fftshift(block, axes=axes).reshape(-1, K)
-
-    def _row_transforms(self):
-        """``(A, beta)``: the :meth:`separated` factors A and the row
-        transforms beta_t of their B_t, (T x K) with l in box order."""
-        A, B = self.separated()
         axes = tuple(range(1, self.grid.n + 1))
-        beta = np.fft.ifftn(B.reshape((-1,) + self.grid.shape), axes=axes)
-        return A, np.fft.fftshift(beta, axes=axes).reshape(-1, self.box.size)
+        for rows, block in self.blocks():
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
+            block = np.fft.fftshift(block, axes=axes).reshape(-1, K)
+            yield rows, self._require_finite(rows, block, every)
 
     def kappa_columns(self):
         """``(bound, read)`` from the :meth:`separated` form, None without one.
-        ``bound[l]`` bounds column l of kappa: sum_t max_k |A_t(k)| |beta_t(l)|,
-        raised by :data:`KAPPA_BOUND_MARGIN`.  ``read(columns)`` yields
-        ``(rows, kappa[rows][:, columns])`` for ascending ``columns`` over the
-        row blocks of :meth:`kappa_blocks`, each entry the bits it gives.
+        With beta_t the row transform of B_t, kappa[rows] = A[:, rows]^T beta
+        and ``bound[l]`` bounds column l of kappa: sum_t max_k |A_t(k)|
+        |beta_t(l)|, raised by :data:`KAPPA_BOUND_MARGIN`.  ``read(columns)``
+        yields ``(rows, kappa[rows][:, columns])`` for ascending ``columns`` over
+        the row blocks of :meth:`kappa_blocks`, each entry the bits of the full
+        product, and raises as :meth:`kappa_blocks` does.  The decay fit and
+        the kernel CSV read a band so, chosen by :func:`column_floor`.
 
         BLAS rounds an entry of a product by where its column falls in the
         kernel's tiles (at most 8 columns, counted from the first, the last
@@ -438,22 +427,29 @@ class SampledSymbol:
         always and the partial one last, which puts each column at its place
         in the full product; a one-row block, a matrix-vector product whose
         bits depend on its length, takes the full product."""
-        if self.separated() is None:
-            return None
-        A, beta = self._row_transforms()
-        bound = (np.abs(A).max(axis=1) @ np.abs(beta)) * (1.0 + KAPPA_BOUND_MARGIN)
-        K = self.box.size
+        return None if self.separated() is None else self._band()
+
+    def _band(self):
+        """:meth:`kappa_columns` of a symbol with a separated form."""
+        (A, B), K = self.separated(), self.box.size
+        axes = tuple(range(1, self.grid.n + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta = np.fft.ifftn(B.reshape((-1,) + self.grid.shape), axes=axes)
+            beta = np.fft.fftshift(beta, axes=axes).reshape(-1, K)
+            bound = (np.abs(A).max(axis=1) @ np.abs(beta)) * (1.0 + KAPPA_BOUND_MARGIN)
 
         def read(columns):
             tiles = np.union1d(np.asarray(columns) // 8, [0])
             tiled = (tiles[:, None] * 8 + np.arange(8)).ravel()
             tiled = tiled[tiled < K]
             part, at = beta[:, tiled], np.searchsorted(tiled, columns)
+            if len(tiled) == len(columns):  # every column: no gather
+                at = slice(None)
             for rows in row_blocks(K, K):
-                if rows.stop - rows.start == 1:
-                    yield rows, (A[:, rows].T @ beta)[:, columns]
-                else:
-                    yield rows, (A[:, rows].T @ part)[:, at]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block = ((A[:, rows].T @ beta)[:, columns] if rows.stop - rows.start == 1
+                             else (A[:, rows].T @ part)[:, at])
+                yield rows, self._require_finite(rows, block, columns)
         return bound, read
 
     def kappa(self) -> np.ndarray:
@@ -490,7 +486,8 @@ def column_floor(bound: np.ndarray, read, measure, stop) -> float:
     ``bound``, in rounds of 8, 16, 32, ... columns, until ``stop(b, floor)``
     holds for the bound b of the next column or no column is left.  With
     ``bound`` bounding each column's measure, no column left unread can
-    exceed the floor unless ``stop`` lets it."""
+    exceed the floor unless ``stop`` lets it.  The kernel CSV and the decay
+    fit choose the band of a separated symbol so."""
     order = np.argsort(bound, kind="stable")[::-1]
     floor, done = -np.inf, 0
     while done < len(order):
@@ -518,56 +515,41 @@ def constant_symbol(box: LatticeBox, grid: TorusGrid, value=1.0) -> SampledSymbo
 # difference and derivative operators
 
 
-def _first_difference(values: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """``t(k + v_axis) - t(k)`` along a cyclic ``axis`` of ``values``, in one pass,
-    into ``out`` (default a new array)."""
-    out, lead = np.empty_like(values) if out is None else out, (slice(None),) * axis
-    head, tail, first, last = (lead + (s,) for s in (slice(1, None), slice(None, -1),
-                                                     slice(0, 1), slice(-1, None)))
-    np.subtract(values[head], values[tail], out=out[tail])
-    np.subtract(values[first], values[last], out=out[last])
-    return out
-
-
-def _leading_difference(values: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """``out[i] = values[(start + i + 1) % L] - values[(start + i) % L]`` for the
-    leading-axis slices ``start <= start + i < stop - 1``, L the axis length:
-    one subtraction per run of slices that does not wrap, however far."""
+def _first_difference(values: np.ndarray, axis: int, out: np.ndarray,
+                      start: int = 0) -> None:
+    """``out[i] = values[(start + i + 1) % L] - values[(start + i) % L]`` along a
+    cyclic ``axis`` of length L, for every i along that axis of ``out``: one
+    subtraction per run of slices that does not wrap, however far."""
+    lead, length, count = (slice(None),) * axis, values.shape[axis], out.shape[axis]
     i = 0
-    while i < len(out):
-        j = (start + i) % len(values)
-        if j == len(values) - 1:  # the wrapped difference
-            np.subtract(values[0], values[j], out=out[i])
-            i += 1
-        else:
-            run = min(len(out) - i, len(values) - 1 - j)
-            np.subtract(values[j + 1:j + 1 + run], values[j:j + run], out=out[i:i + run])
-            i += run
-    return out
+    while i < count:
+        j = (start + i) % length
+        run = 1 if j == length - 1 else min(count - i, length - 1 - j)
+        ahead = slice(0, 1) if j == length - 1 else slice(j + 1, j + 1 + run)  # wrapped: slice 0
+        np.subtract(values[lead + (ahead,)], values[lead + (slice(j, j + run),)],
+                    out=out[lead + (slice(i, i + run),)])
+        i += run
 
 
 def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Delta^alpha on an array whose lattice axes are ``axes`` (one per entry
-    of alpha; default the leading ones): iterated first differences with
-    cyclic wrap, on the slice ``rows`` of the leading axis (default all).
+    of alpha; default the leading ones, the leading axis first): iterated
+    first differences with cyclic wrap, on the slice ``rows`` of the leading
+    axis (default every slice).
 
-    A block of rows reads its slices plus, where the leading axis is
-    differenced alpha_0 times, the next alpha_0 slices (wrapped, however
-    far) as a halo; the leading axis, when a block differences it, comes
-    first in ``axes``.  Each entry goes through the same subtractions in the
-    same order either way, so a block is bit for bit those rows of the whole
-    difference.  Returns ``values`` itself when alpha = 0 and ``rows`` is
-    None.  A block is always written to the two :func:`scratch` buffers of
-    the differences, in turn, its last step into ``out`` when given, never a
-    view of ``values``: it is the caller's to change, until its next blocked
-    difference."""
+    The slices read their halo: where the leading axis is differenced
+    alpha_0 times, the next alpha_0 slices (wrapped, however far); the
+    leading axis, when differenced, comes first in ``axes``.  Each entry goes
+    through the same subtractions in the same order whatever the slices, so
+    a block is bit for bit those rows of the difference of every slice.  The
+    result is written to the two :func:`scratch` buffers of the differences,
+    in turn, its last step into ``out`` when given, never a view of
+    ``values``: it is the caller's to change, until its next difference in
+    the same pass."""
     axes = range(len(alpha)) if axes is None else axes
+    rows = slice(0, len(values)) if rows is None else rows
     steps = [axis for axis, a in zip(axes, alpha) for _ in range(a)]
-    if rows is None:
-        for axis in steps:
-            values = _first_difference(values, axis)
-        return values
     halo = steps.count(0)
     if 0 in steps[halo:]:
         raise DomainMismatchError(f"a blocked difference takes the leading axis first, "
@@ -582,7 +564,7 @@ def lattice_difference(values: np.ndarray, alpha, axes=None, rows=None,
         into = (out if out is not None and turn == len(steps) - 1 else
                 scratch(f"difference.{turn % 2}", shape))
         if axis == 0:
-            _leading_difference(block, start, stop, into)
+            _first_difference(block, 0, into, start)
         else:
             _first_difference(block[start:stop], axis, into)
         block, start, stop = into, 0, len(into)
@@ -641,11 +623,11 @@ def _circulant(grid: TorusGrid) -> bool:
 
 def axis_operators(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray]]:
     """Per grid axis i, the one-axis operators with multiplier ``factor(l, a)``,
-    1 <= a <= high, as :func:`x_derivatives` and :func:`_axis_derivative` take
-    them: on an axis of at most :data:`CIRCULANT_AXIS_MAX` points the M x M
-    circulant F^-1 diag(m) F, whose first column is the inverse FFT of the
-    multiplier line m (the same matrix on every axis), else the grid-shaped
-    multipliers of :func:`axis_multipliers`."""
+    1 <= a <= high, as :func:`_along` takes them: on an axis of at most
+    :data:`CIRCULANT_AXIS_MAX` points the M x M circulant F^-1 diag(m) F,
+    whose first column is the inverse FFT of the multiplier line m (the same
+    matrix on every axis), else the grid-shaped multipliers of
+    :func:`axis_multipliers`."""
     multipliers = axis_multipliers(grid, high, factor)
     if not _circulant(grid):
         return multipliers
@@ -675,15 +657,25 @@ def _circulant_product(values: np.ndarray, grid: TorusGrid, i: int, operator: np
     return out
 
 
-def _axis_derivative(values: np.ndarray, grid: TorusGrid, i: int, operator) -> np.ndarray:
-    """The one-axis ``operator`` of :func:`axis_operators` along grid axis i of
-    ``values`` (..., grid.shape), into a new array: one circulant product, or
-    one FFT along the axis, times the multiplier, and back."""
+def _along(values: np.ndarray, grid: TorusGrid, i: int, operators, level: int):
+    """Each of the one-axis ``operators`` (of :func:`axis_operators`) along grid
+    axis i of ``values`` (..., grid.size or grid.shape), in turn, shaped (-1,) +
+    grid.shape in the :func:`scratch` buffers of ``level``: on a short axis one
+    circulant product per operator; on a long one, one FFT along the axis, then
+    per operator one product and one inverse FFT, the last written into the
+    spectrum's buffer.  Each is valid until the next is asked for."""
+    values = values.reshape((-1,) + grid.shape)
     if _circulant(grid):
-        return _circulant_product(values, grid, i, operator,
-                                  np.empty(values.shape, dtype=complex))
+        for operator in operators:
+            yield _circulant_product(values, grid, i, operator,
+                                     scratch(("node", level), values.shape))
+        return
     along = i - grid.n
-    return np.fft.ifft(np.fft.fft(values, axis=along) * operator, axis=along)
+    spec = np.fft.fft(values, axis=along, out=scratch(("spectrum", level), values.shape))
+    for a, operator in enumerate(operators, 1):
+        child = spec if a == len(operators) else scratch(("node", level), spec.shape)
+        np.multiply(spec, operator, out=child)
+        yield np.fft.ifft(child, axis=along, out=child)
 
 
 def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, operators,
@@ -692,11 +684,9 @@ def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, operators,
     (..., grid.size) and D^alpha the product of the one-axis ``operators``
     (:func:`axis_operators`), depth first from alpha = 0: a node whose last
     nonzero entry is alpha_i is its parent with alpha_i = 0 under
-    ``operators[i][alpha_i - 1]`` along grid axis i.  On a short axis that is
-    one circulant product of the parent, written into the node buffer of its
-    level; on a long one, one inverse FFT along i of the parent's FFT along i
-    times the multiplier, the walk holding one spectrum and one node per level
-    and taking the last child of a spectrum in the spectrum's own buffer.
+    ``operators[i][alpha_i - 1]`` along grid axis i, the children of a parent
+    along axis i taken by one :func:`_along` into the buffers of their level,
+    so the walk holds one node (and on long axes one spectrum) per level.
     Every buffer is a :func:`scratch` buffer written with ``out=``: a node is
     valid until the walk moves on."""
     alpha = alpha or (0,) * grid.n
@@ -705,28 +695,9 @@ def x_derivatives(values: np.ndarray, grid: TorusGrid, high: int, operators,
     if not budget:
         return
     for i in range(axis, grid.n):
-        steps = operators[i][:budget]
-        if _circulant(grid):
-            children = (_circulant_product(values, grid, i, operator,
-                                           scratch(("node", level), values.shape))
-                        for operator in steps)
-        else:
-            children = _spectral_children(values, grid, i, steps, level)
-        for a, child in enumerate(children, 1):
+        for a, child in enumerate(_along(values, grid, i, operators[i][:budget], level), 1):
             yield from x_derivatives(child.reshape(values.shape), grid, high, operators,
                                      alpha[:i] + (a,) + alpha[i + 1:], i + 1)
-
-
-def _spectral_children(values, grid: TorusGrid, i: int, multipliers, level: int):
-    """The children of ``values`` along grid axis i in :func:`x_derivatives`, one
-    at a time: one FFT along i, then per multiplier one product and one inverse
-    FFT, the last child in the spectrum's buffer."""
-    shape, along = values.shape[:-1] + grid.shape, i - grid.n
-    spec = np.fft.fft(values.reshape(shape), axis=along, out=scratch(("spectrum", level), shape))
-    for a, multiplier in enumerate(multipliers, 1):
-        child = spec if a == len(multipliers) else scratch(("node", level), shape)
-        np.multiply(spec, multiplier, out=child)
-        yield np.fft.ifft(child, axis=along, out=child)
 
 
 def x_spectrum(values: np.ndarray, grid: TorusGrid, prepare) -> np.ndarray:
@@ -748,7 +719,7 @@ def x_spectrum(values: np.ndarray, grid: TorusGrid, prepare) -> np.ndarray:
 def _x_derivative(sym: SampledSymbol, beta, factor) -> SampledSymbol:
     """The product over grid axes i with beta_i > 0 of the one-axis operators
     with multiplier ``factor(l, beta_i)``, one pass over the row blocks: one
-    operator of :func:`axis_operators` along each such axis, none at beta = 0."""
+    :func:`_along` each such axis, at a level of its own, none at beta = 0."""
     grid = sym.grid
     beta = check_multi_index(beta, grid.n)
     operators = axis_operators(grid, max(beta), factor)
@@ -756,10 +727,10 @@ def _x_derivative(sym: SampledSymbol, beta, factor) -> SampledSymbol:
     out = np.empty_like(samples)
 
     def fill(rows):
-        block = samples[rows].reshape((-1,) + grid.shape)
+        block = samples[rows]
         for i, b in enumerate(beta):
             if b:
-                block = _axis_derivative(block, grid, i, operators[i][b - 1])
+                block = next(_along(block, grid, i, operators[i][b - 1:b], i))
         out[rows] = block.reshape(-1, grid.size)
     each_row_block(fill, len(out), grid.size)
     return SampledSymbol(sym.box, grid, out)
@@ -791,14 +762,14 @@ def partial_x_derivative(sym: SampledSymbol, alpha) -> SampledSymbol:
     return _x_derivative(sym, alpha, partial_factor)
 
 
+def reflected_nodes(grid: TorusGrid) -> np.ndarray:
+    """The C-order index of the node -x (cyclically) for each node x of ``grid``."""
+    return np.ravel_multi_index(-np.indices(grid.shape) % grid.M, grid.shape).ravel()
+
+
 def x_reflect(sym: SampledSymbol) -> SampledSymbol:
     """Samples of sigma(k, -x), the reflection acting cyclically on grid nodes."""
-    grid = sym.grid
-    shaped = sym.samples.reshape((sym.box.size,) + grid.shape)
-    idx = (-np.arange(grid.M)) % grid.M
-    for i in range(grid.n):
-        shaped = np.take(shaped, idx, axis=i + 1)
-    return sym.with_samples(shaped.reshape(sym.box.size, grid.size))
+    return sym.with_samples(sym.samples.take(reflected_nodes(sym.grid), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -991,26 +962,20 @@ def periodic_taylor(h: TorusFunction, n_order: int) -> PeriodicTaylor:
     coefficients: dict[tuple[int, ...], complex] = {}
     remainders: dict[tuple[int, ...], np.ndarray] = {}
     denom = np.exp(2j * np.pi * np.arange(M) / M) - 1.0
-    frequencies = [steps[0] for steps in axis_operators(grid, 1, _power)]
+    operators = axis_operators(grid, 1, _power)
 
     def expand(values: np.ndarray, axis: int, prefix: tuple[int, ...], budget: int) -> None:
         if axis == n:
             coefficients[prefix] = complex(values.flat[0]) * multi_factorial(prefix)
             return
-        dshape = [1] * n
-        dshape[axis] = M
-        d = denom.reshape(dshape)
-        g = values
-        sl = [slice(None)] * n
-        sl[axis] = 0
+        d = denom.reshape((M,) + (1,) * (n - 1 - axis))  # along the axis
+        at_zero, g = (slice(None),) * axis + (slice(0, 1),), values
         for a in range(budget):
-            coeff_fn = np.broadcast_to(np.take(g, [0], axis=axis), grid.shape).copy()
-            expand(coeff_fn, axis + 1, prefix + (a,), budget - a)
-            g0 = np.take(g, [0], axis=axis)
+            g0 = g[at_zero]
+            expand(np.broadcast_to(g0, grid.shape).copy(), axis + 1, prefix + (a,), budget - a)
             with np.errstate(divide="ignore", invalid="ignore"):
                 nxt = (g - g0) / d
-            deriv = _axis_derivative(g, grid, axis, frequencies[axis])
-            nxt[tuple(sl)] = np.take(deriv, 0, axis=axis)
+            nxt[at_zero] = next(_along(g, grid, axis, operators[axis], 0))[(0,) + at_zero]
             g = nxt
         remainders[prefix + (budget,) + (0,) * (n - axis - 1)] = g.copy()
 

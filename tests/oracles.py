@@ -147,9 +147,10 @@ def kernel_csv(ker, threshold):
 # dense ops through the full (K x K) difference table, all rows at once
 
 
-def difference_table(box):
-    """table[i, j] = box index of points[i] - points[j], wrapped cyclically."""
-    return box.index_of(box.points[:, None, :] - box.points[None, :, :])
+def difference_table(box, rows=slice(None)):
+    """table[i, j] = box index of points[i] - points[j], wrapped cyclically,
+    for the rows ``rows`` (default all)."""
+    return box.index_of(box.points[rows, None, :] - box.points[None, :, :])
 
 
 def summation_matrix(kappa, box):
@@ -162,14 +163,30 @@ def kernel_apply(kappa, f_values, box):
     return (kappa * f_values[difference_table(box)]).sum(axis=1)
 
 
+def kernel_decays(kappa, box, pairs):
+    """{(mu, n_t): (constant, row, column)} of the first maximum of
+    |K(k, m)| (1+|k|)^-mu (1+|k-m|)^(2 n_t) over |k - m| <= N, for each of
+    ``pairs``.  ``kappa`` is the (K x K) array, or its ``(rows, kappa[rows])``
+    blocks in row order, each gathered into K(k, m) through its rows of the
+    full table."""
+    blocks = [(slice(0, box.size), kappa)] if isinstance(kappa, np.ndarray) else kappa
+    best = {}
+    for rows, block in blocks:
+        table = difference_table(box, rows)
+        dist = box.norms[table]
+        magnitude = np.abs(block[np.arange(len(block))[:, None], table])
+        for mu, n_t in pairs:
+            weights = ((1.0 + box.norms) ** (-mu))[rows, None] * (1.0 + dist) ** (2 * n_t)
+            masked = np.where(dist <= box.N, magnitude * weights, 0.0)
+            i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
+            if (mu, n_t) not in best or masked[i, j] > best[mu, n_t][0]:
+                best[mu, n_t] = float(masked[i, j]), rows.start + int(i), int(j)
+    return best
+
+
 def kernel_decay(kappa, box, mu, n_t):
-    """(constant, row, column) of the first maximum of
-    |K(k, m)| (1+|k|)^-mu (1+|k-m|)^(2 n_t) over |k - m| <= N."""
-    dist = box.norms[difference_table(box)]
-    weights = ((1.0 + box.norms) ** (-mu))[:, None] * (1.0 + dist) ** (2 * n_t)
-    masked = np.where(dist <= box.N, np.abs(summation_matrix(kappa, box)) * weights, 0.0)
-    i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    return float(masked[i, j]), int(i), int(j)
+    """:func:`kernel_decays` of the one pair (mu, n_t)."""
+    return kernel_decays(kappa, box, [(mu, n_t)])[mu, n_t]
 
 
 def ellipticity(samples, box, mu, m_cut):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from pdz import (DomainMismatchError, LatticeBox, LatticeSequence, SampledSymbol,
-                 SymbolDefinition, WeightedNormParams, apply,
-                 compactness_tail, constant_symbol, hs_norm, kernel,
-                 kernel_decay_fit, lp_bound_report, lp_bound_reports, lp_norm, matrix,
-                 mikhlin_uniformity, operator_norm_power, schatten_report,
-                 schatten_reports, trace, weighted_norm)
+from pdz import (DomainMismatchError, LatticeBox, LatticeSequence, NonFiniteValueError,
+                 SampledSymbol, SymbolClassParams, SymbolDefinition, WeightedNormParams,
+                 apply, compactness_tail, constant_symbol, hs_norm, kernel,
+                 kernel_decay_fit, kernel_decay_fits, lp_bound_report, lp_bound_reports,
+                 lp_norm, matrix, mikhlin_uniformity, operator_norm_power, quantize, sample,
+                 schatten_report, schatten_reports, trace, weighted_norm)
 
 import helpers
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +198,60 @@ def test_kernel_decay_blows_up_for_rough_symbols():
         sym = SampledSymbol(box, grid, rng.standard_normal((box.size, grid.size)) + 0j)
         constants.append(kernel_decay_fit(sym, 3).values["constant"])
     assert constants[1] >= 4.0 * constants[0]
+
+
+def _non_separable(k, x):
+    """1.5 + e^{2 pi i x_1} / (2 + |k|^2 + cos(2 pi x_1)): no separated form."""
+    kf = np.asarray(k, dtype=float)
+    return 1.5 + np.exp(2j * np.pi * x[..., 0]) / (2.0 + (kf**2).sum(axis=-1)
+                                                    + np.cos(2 * np.pi * x[..., 0]))
+
+
+@pytest.mark.parametrize("rows,n,N", helpers.block_cases({None: [(1, 40), (2, 8), (3, 8)],
+                                                          1: [(1, 8), (2, 8)],
+                                                          2: [(1, 8)]}))
+def test_kernel_decay_scores_kappa_without_the_difference_table(monkeypatch, rows, n, N):
+    # K(k, m) = kappa(k, l) with l = k - m: the fit reads kappa's columns as
+    # they come, never gathering them into (k, m) order, and finds the
+    # oracle's constant and first maximum in (k, m) order
+    def refused(box, rows):
+        raise AssertionError("the decay fit built a difference table")
+
+    box, grid = helpers.box_and_grid(n, N)
+    helpers.force_block_rows(monkeypatch, rows, box.size)
+    monkeypatch.setattr(quantize, "_difference_table", refused)
+    symbols = {mu: sample(SymbolDefinition(_non_separable, SymbolClassParams(mu)), box, grid)
+               for mu in (0.5, -1.0)}
+    n_ts = (0, 1, 2, 3)
+    want = oracles.kernel_decays(symbols[0.5].kappa_blocks(), box,
+                                 [(mu, n_t) for mu in symbols for n_t in n_ts])
+    for mu, sym in symbols.items():
+        assert sym.separated() is None
+        for n_t, rep in zip(n_ts, kernel_decay_fits(sym, n_ts)):
+            constant, i, j = want[mu, n_t]
+            assert rep.values["constant"] == constant, (mu, n_t)
+            assert rep.values["witness_k"] == [int(v) for v in box.points[i]], (mu, n_t)
+            assert rep.values["witness_m"] == [int(v) for v in box.points[j]], (mu, n_t)
+
+
+@pytest.mark.parametrize("reader", [
+    lambda sym: kernel_decay_fits(sym, [0, 1, 2, 3]), lambda sym: sym.kappa(), matrix,
+    lambda sym: lp_bound_reports(sym, [1.0]), lambda sym: compactness_tail(sym, 2), hs_norm],
+    ids=["decay", "kappa", "matrix", "lp", "compactness", "hs"])
+def test_an_overflowing_row_transform_raises_where_it_overflows(reader):
+    # samples of +-1.5e308: finite, but their transforms and squares are not
+    box, grid = helpers.box_and_grid(1, 8)
+    values = 1.5e308 * (-1.0) ** np.arange(box.size * grid.size).reshape(box.size, grid.size)
+    with pytest.raises(NonFiniteValueError, match="non-finite") as caught:
+        reader(SampledSymbol(box, grid, values + 0j))
+    if reader is not hs_norm:
+        assert caught.value.where == ((-8,), (-8,))
+
+
+def test_an_overflowing_trace_raises():
+    box, grid = helpers.box_and_grid(1, 8)
+    with pytest.raises(NonFiniteValueError, match="trace is non-finite"):
+        trace(constant_symbol(box, grid, 1.5e308))
 
 
 def test_kernel_decay_preconditions():

@@ -921,22 +921,25 @@ def test_the_x_multipliers_are_grid_shaped(n, N):
 
 def test_the_x_derivative_has_one_home():
     # every D^beta, D^(beta) and d^alpha/dx^alpha is a product of the one-axis
-    # operators of symbols.axis_operators, taken in symbols.py: the circulant
-    # products in one helper, the one-axis transforms in the FFT route's
-    # helpers; the only other one-axis transforms are those of apply's dense
-    # path, and no other code multiplies by np.matmul
+    # operators of symbols.axis_operators, taken in symbols.py by one helper,
+    # symbols._along: the circulant products through _circulant_product, the
+    # one-axis transforms itself; the only other one-axis transforms are those
+    # of apply's dense path, no other code multiplies by np.matmul, and only
+    # axis_operators and _along ask which route an axis takes
     found = {}
     for path in Path(calculus.__file__).parent.glob("*.py"):
         for scope, node in helpers.scoped(ast.parse(path.read_text())):
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.fft.fft",
                                                                          "np.fft.ifft",
-                                                                         "np.matmul"):
+                                                                         "np.matmul",
+                                                                         "_circulant"):
                 found.setdefault(ast.unparse(node.func), set()).add((path.name, scope))
     assert found == {
-        "np.fft.fft": {("symbols.py", "_spectral_children"), ("symbols.py", "_axis_derivative")},
-        "np.fft.ifft": {("symbols.py", "axis_operators"), ("symbols.py", "_spectral_children"),
-                        ("symbols.py", "_axis_derivative"), ("quantize.py", "apply")},
-        "np.matmul": {("symbols.py", "_circulant_product")}}
+        "np.fft.fft": {("symbols.py", "_along")},
+        "np.fft.ifft": {("symbols.py", "axis_operators"), ("symbols.py", "_along"),
+                        ("quantize.py", "apply")},
+        "np.matmul": {("symbols.py", "_circulant_product")},
+        "_circulant": {("symbols.py", "axis_operators"), ("symbols.py", "_along")}}
 
 
 def test_the_lattice_difference_has_one_home():

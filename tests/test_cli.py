@@ -45,6 +45,24 @@ def test_apply_matches_bundled_golden_bytes(workdir, capsys):
     assert out.read_bytes() == (workdir / "example3_apply_golden.csv").read_bytes()
 
 
+#: The flags of the diagnose golden files of ``kappa_job.json``.
+KAPPA_DIAGNOSE = ["--hs", "--trace", "--schatten", "--decay", "--lp"]
+
+
+@pytest.mark.parametrize("symbol", ["banded", "mixed"])
+def test_kappa_outputs_match_bundled_golden_bytes(tmp_path, symbol):
+    # the kernel CSV and the diagnostics of a three-band separated symbol and
+    # of a non-separable one, each read through its own kappa path
+    job = json.loads((DATA / "kappa_job.json").read_text())
+    job["kernel"]["symbol"] = job["diagnose"]["symbol"] = symbol
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    config = ["--config", str(tmp_path / "job.json"), "--out"]
+    for argv, golden in [(["kernel"], f"kappa_{symbol}_kernel_golden.csv"),
+                         (["diagnose"] + KAPPA_DIAGNOSE, f"kappa_{symbol}_diagnose_golden.txt")]:
+        assert main(argv + config + [str(tmp_path / golden)]) == 0
+        assert (tmp_path / golden).read_bytes() == (DATA / golden).read_bytes(), golden
+
+
 def test_golden_file_agrees_with_dense_oracle(workdir):
     cfg = load_config(_job_path(workdir))
     sym = sample(cfg.symbol("T"), cfg.box, cfg.box.matched_grid())
@@ -429,6 +447,28 @@ def test_non_finite_constant_expression_exits_3(tmp_path, capsys, expr):
     assert main(["kernel", "--config", _expression_job(tmp_path, expr)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: symbol samples non-finite") and "Warning" not in err
+
+
+@pytest.mark.parametrize("argv", [["kernel"], ["diagnose", "--decay", "--hs"],
+                                  ["diagnose", "--decay"], ["diagnose", "--trace"],
+                                  ["diagnose", "--lp"], ["diagnose", "--schatten"]],
+                         ids=lambda argv: "-".join(argv))
+@pytest.mark.parametrize("n, expr", [
+    (1, "1.5e308 + 0*x_1"),
+    (2, "1.5e308*exp(2*pi*i*(8*x_1 + 8*x_2))*(1 + 0*k_1)"),  # overflows in a far column
+], ids=["constant", "corner"])
+def test_non_finite_row_transform_exits_3(tmp_path, capsys, n, expr, argv):
+    # finite samples whose row transform (and |sigma|^2, and the trace's sum)
+    # overflow: an error naming where, never an empty or infinite result, and
+    # no numpy warning
+    job = {"box": {"n": n, "N": 8}, "kernel": {"symbol": "S"}, "diagnose": {"symbol": "S"},
+           "symbols": [{"name": "S", "kind": "expression", "params": {"expr": expr}}]}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    assert main(argv + ["--config", str(tmp_path / "job.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+    assert "Warning" not in captured.err
 
 
 @pytest.mark.parametrize("expr, literal", [("True + x_1", "True"), ("x_1 * False", "False")])

@@ -432,6 +432,23 @@ def test_a_circulant_tree_on_a_block_is_bit_identical_to_the_whole_one(monkeypat
         assert np.array_equal(node, whole[alpha][7:19]), alpha
 
 
+@pytest.mark.parametrize("n, N", [(1, 20), (2, 20)])
+def test_a_single_derivative_on_the_fft_route_is_its_tree_node(n, N):
+    # M = 41 takes the FFT route on every axis: a single derivative and the
+    # derivative tree take each axis through the same one-axis helper, so
+    # their results agree bit for bit
+    box, grid = helpers.box_and_grid(n, N)
+    assert grid.M > pdz.symbols.CIRCULANT_AXIS_MAX
+    sym = helpers.random_symbol(box, grid, np.random.default_rng(90 + n))
+    rows = slice(box.size // 2 - 20, box.size // 2 + 20)
+    for derivative, factor in [(falling_derivative, pdz.symbols.falling_factor),
+                               (partial_x_derivative, pdz.symbols.partial_factor)]:
+        operators = pdz.symbols.axis_operators(grid, 3, factor)
+        for alpha, node in pdz.symbols.x_derivatives(sym.samples[rows], grid, 3, operators):
+            got = derivative(sym, alpha).samples[rows]
+            assert np.array_equal(got.view(np.uint64), node.view(np.uint64)), alpha
+
+
 # ---------------------------------------------------------------------------
 # seminorms, orders, ellipticity
 
