@@ -155,21 +155,20 @@ def kernel_decay_fits(sym: SampledSymbol, n_ts) -> list[DiagnosticsReport]:
         weights = row_weights[rows, None] * spread[n_t][columns]
         return np.where(near[columns], magnitude * weights, 0.0)
 
-    band = sym.kappa_columns()
-    if band is None:
+    bound = sym.kappa_bound()
+    if bound is None:
         columns, blocks = np.arange(box.size), sym.kappa_blocks()
     else:
-        bound, read = band
         reach = np.zeros(box.size, dtype=bool)
         for n_t in n_ts:  # each n_t's bound on a column: its kappa bound times the weights
             bounds = np.where(near, bound * row_weights.max() * spread[n_t], 0.0)
-            floor = column_floor(bounds, read,
+            floor = column_floor(bounds, sym.kappa_blocks,
                                  lambda rows, block, columns: values(rows, np.abs(block),
                                                                      columns, n_t).max(),
                                  lambda b, floor: b < floor)
             reach |= bounds >= floor
         columns = np.flatnonzero(reach)
-        blocks = read(columns)
+        blocks = sym.kappa_blocks(columns)
     best = [[] for _ in n_ts]
     for rows, block in blocks:
         magnitude = np.abs(block)

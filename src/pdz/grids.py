@@ -88,6 +88,10 @@ class LatticeBox:
         """Reduce integer vectors to the balanced representative in {-N..N}^n."""
         return (np.asarray(k) + self.N) % self.M - self.N
 
+    def point(self, i: int) -> tuple[int, ...]:
+        """Box point ``i`` as a tuple of Python ints, as errors and reports carry it."""
+        return tuple(int(v) for v in self.points[i])
+
     def index_of(self, k: np.ndarray) -> np.ndarray:
         """Flat lexicographic index of box points (wrapped cyclically)."""
         k = self.wrap(np.asarray(k))
@@ -165,6 +169,10 @@ class TorusGrid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
+    def node(self, j: int) -> tuple[float, ...]:
+        """Grid node ``j`` as a tuple of Python floats, as errors and reports carry it."""
+        return tuple(float(v) for v in self.nodes[j])
+
     def quadrature(self, values: np.ndarray) -> complex:
         """Uniform-weight quadrature of node samples (realizes the torus integral)."""
         return complex(np.sum(values) * self.weight)
@@ -177,10 +185,16 @@ def require_matched(box: LatticeBox, grid: TorusGrid) -> None:
         )
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))
-        raise NonFiniteValueError(f"{what} contains non-finite entries", where=bad[:1])
+def require_finite(values: np.ndarray, what: str, witness: dict) -> np.ndarray:
+    """``values`` if all finite, else :class:`NonFiniteValueError` "<what>
+    non-finite at k=..., x=..." at the first non-finite entry: ``witness`` maps
+    each axis' label to the point of an index; ``where`` holds those points."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values
+    points = tuple(point(int(i)) for point, i in zip(witness.values(), np.argwhere(~finite)[0]))
+    named = ", ".join(f"{label}={p}" for label, p in zip(witness, points))
+    raise NonFiniteValueError(f"{what} non-finite at {named}", where=points)
 
 
 class LatticeSequence:
@@ -194,7 +208,7 @@ class LatticeSequence:
             raise DomainMismatchError(
                 f"sequence has {values.size} entries, box has {box.size} points"
             )
-        _check_finite(values, "lattice sequence")
+        require_finite(values, "lattice sequence", {"k": box.point})
         self.box = box
         self.values = values
 
@@ -235,7 +249,7 @@ class TorusFunction:
             raise DomainMismatchError(
                 f"function has {values.size} samples, grid has {grid.size} nodes"
             )
-        _check_finite(values, "torus function")
+        require_finite(values, "torus function", {"x": grid.node})
         self.grid = grid
         self.values = values
 

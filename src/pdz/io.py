@@ -1,30 +1,23 @@
-"""Delimited and binary serialization of the package's data objects.
+"""Delimited serialization of the package's data objects.
 
 All CSV output is deterministic: fixed lexicographic row order, floats
 printed as ``'%.17g' % v`` prints them (round-trip exact for doubles).  The
 text of each block of rows is built with numpy (:func:`_lines`) on the
-workers of :func:`~pdz.symbols.each_row_block`.  The dense-matrix dump is
-raw little-endian complex doubles behind a 16-byte header: the magic bytes
-``PDZM``, then n, M, and a reserved zero word as unsigned 32-bit
-little-endian integers.
+workers of :func:`~pdz.symbols.each_row_block`.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from .calculus import SymbolExpansion
-from .errors import ConfigError, DomainMismatchError
+from .errors import ConfigError
 from .grids import LatticeBox, LatticeSequence
-from .quantize import Kernel, OperatorMatrix
+from .quantize import Kernel
 from .symbols import SampledSymbol, column_floor, each_row_block
-
-MATRIX_MAGIC = b"PDZM"
-_HEADER = struct.Struct("<4sIII")
 
 #: Kernel CSV drops entries below this relative threshold (sparse output).
 KERNEL_CSV_RELATIVE_THRESHOLD = 1e-14
@@ -348,18 +341,19 @@ def expansion_to_csv(expansion: SymbolExpansion) -> str:
 def _kernel_pass(source: Kernel | SampledSymbol):
     """``(columns, blocks)``: the columns of kappa that the kernel CSV reads
     and ``(rows, kappa[rows][:, columns])`` over its row blocks.  A symbol
-    with separated factors reads the columns whose bound exceeds the cutoff
-    of a lower bound of the peak (:func:`~pdz.symbols.column_floor`); the
+    with separated factors reads the columns whose
+    :meth:`~pdz.symbols.SampledSymbol.kappa_bound` exceeds the cutoff of a
+    lower bound of the peak (:func:`~pdz.symbols.column_floor`); the
     others can neither pass the cutoff nor hold the peak.  Every other
     source reads all columns."""
-    band = source.kappa_columns() if isinstance(source, SampledSymbol) else None
-    if band is None:
+    bound = source.kappa_bound() if isinstance(source, SampledSymbol) else None
+    if bound is None:
         return np.arange(source.box.size), source.kappa_blocks()
-    bound, read = band
-    floor = column_floor(bound, read, lambda rows, block, columns: float(np.abs(block).max()),
+    floor = column_floor(bound, source.kappa_blocks,
+                         lambda rows, block, columns: float(np.abs(block).max()),
                          lambda b, peak: b <= KERNEL_CSV_RELATIVE_THRESHOLD * peak)
     columns = np.flatnonzero(bound > KERNEL_CSV_RELATIVE_THRESHOLD * floor)
-    return columns, read(columns)
+    return columns, source.kappa_blocks(columns)
 
 
 def kernel_to_csv(source: Kernel | SampledSymbol) -> str:
@@ -390,30 +384,3 @@ def kernel_to_csv(source: Kernel | SampledSymbol) -> str:
         return np.concatenate([points[i], points[j]], axis=1), values[entries]
     return _csv(_int_columns("k", box.n) + _int_columns("l", box.n) + ["re", "im"],
                 _blocks_text(len(flat), 1, block))
-
-
-def write_matrix_binary(op: OperatorMatrix, path) -> None:
-    header = _HEADER.pack(MATRIX_MAGIC, op.box.n, op.box.M, 0)
-    data = np.ascontiguousarray(op.values, dtype="<c16").tobytes()
-    Path(path).write_bytes(header + data)
-
-
-def read_matrix_binary(path) -> OperatorMatrix:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read matrix dump {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
-        raise ConfigError(f"{path}: too short for a matrix dump")
-    magic, n, M, _reserved = _HEADER.unpack_from(blob)
-    if magic != MATRIX_MAGIC:
-        raise ConfigError(f"{path}: bad magic {magic!r}")
-    if M % 2 == 0 or M < 3:
-        raise DomainMismatchError(f"{path}: stored M={M} is not odd and >= 3")
-    box = LatticeBox(int(n), (int(M) - 1) // 2)
-    expected = box.size**2 * 16
-    payload = blob[_HEADER.size:]
-    if len(payload) != expected:
-        raise ConfigError(f"{path}: payload {len(payload)} bytes, expected {expected}")
-    values = np.frombuffer(payload, dtype="<c16").reshape(box.size, box.size)
-    return OperatorMatrix(box, values.astype(complex))

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonFiniteValueError, ResourceLimitError
+from .errors import DomainMismatchError, ResourceLimitError
 from .grids import (LatticeBox, LatticeSequence, TorusFunction, TorusGrid,
-                    character_matrix, require_matched)
+                    character_matrix, require_finite, require_matched)
 from .report import DiagnosticsReport
 from .symbols import (AmplitudeDefinition, SampledSymbol, axis_operators, lattice_difference,
                       partial_factor, row_blocks, x_derivatives)
@@ -165,8 +165,7 @@ class OperatorMatrix:
             raise DomainMismatchError(
                 f"matrix shape {self.values.shape} does not match box size {self.box.size}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise NonFiniteValueError("operator matrix contains non-finite entries")
+        require_finite(self.values, "operator matrix", {"k": self.box.point, "m": self.box.point})
 
     def matvec(self, f: LatticeSequence) -> LatticeSequence:
         if f.box != self.box:
@@ -244,12 +243,8 @@ class PhaseFunction:
             raise DomainMismatchError(f"phase must be real, got an imaginary part up to "
                                       f"{np.abs(vals.imag).max():.3e}")
         vals = np.broadcast_to(vals.real.astype(float), (len(points), grid.size))
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            k, x = tuple(int(v) for v in points[i]), tuple(float(v) for v in nodes[j])
-            raise NonFiniteValueError(f"phase non-finite at k={k}, x={x}", where=(k, x))
-        return vals
+        return require_finite(vals, "phase", {"k": lambda i: tuple(int(v) for v in points[i]),
+                                              "x": lambda j: tuple(float(v) for v in nodes[j])})
 
 
 def apply_fso(phase: PhaseFunction, sym: SampledSymbol,

@@ -122,7 +122,7 @@ def _divide(sym: SampledSymbol, scan, g: LatticeSequence, s_values) -> SolveRepo
     j = int(np.argmin(np.abs(row)))
     smallest = float(np.abs(row[j]))
     if smallest <= ZERO_THRESHOLD:
-        node = tuple(float(v) for v in sym.grid.nodes[j])
+        node = sym.grid.node(j)
         raise SingularSymbolError(
             f"symbol vanishes on the grid at node x={node}", witness=node)
     warnings = _conditioning(smallest, "solution")
@@ -269,7 +269,7 @@ def solve_krylov(sym: SampledSymbol, mu: float, g: LatticeSequence, max_iter: in
     mean = _mean_symbol(sym)
     zero = np.abs(mean) <= ZERO_THRESHOLD
     if zero.any():
-        k = tuple(int(v) for v in sym.box.points[int(np.argmax(zero))])
+        k = sym.box.point(int(np.argmax(zero)))
         raise DomainMismatchError(
             f"the mean of the symbol over the grid vanishes at k={k}; "
             "the krylov preconditioner divides by it")

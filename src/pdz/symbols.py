@@ -16,11 +16,11 @@ Conventions fixed here and relied on everywhere else:
   finite expansions in the calculus module terminate.
 * Every x-derivative (D^beta, D^(beta), d^alpha/dx^alpha) is a product of
   one-axis operators from :func:`axis_operators`, each built from a
-  multiplier of :func:`axis_multipliers`.  On a grid axis of at most
-  :data:`CIRCULANT_AXIS_MAX` points an operator is the dense circulant
+  multiplier of :func:`axis_multipliers`.  At n > 1, on grid axes of at
+  most :data:`CIRCULANT_AXIS_MAX` points, an operator is the dense circulant
   F^-1 diag(m) F, applied as one stacked matrix product along the axis;
-  on a longer axis it is one FFT along the axis, the multiplier and one
-  inverse FFT, both in :func:`_along`.  :func:`x_derivatives` walks all
+  else it is one FFT along the axis, the multiplier and one inverse FFT,
+  both in :func:`_along`.  :func:`x_derivatives` walks all
   |alpha| <= high of a block as a tree, and the single derivatives take one
   pass over the row blocks with nothing applied along an axis they do not
   differentiate.
@@ -42,8 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainMismatchError, NonFiniteValueError, NotEllipticError, SingularSymbolError
-from .grids import LatticeBox, TorusFunction, TorusGrid, require_matched, require_memory
+from .errors import DomainMismatchError, NotEllipticError, SingularSymbolError
+from .grids import (LatticeBox, TorusFunction, TorusGrid, require_finite, require_matched,
+                    require_memory)
 
 #: Largest total expansion order supported by the multi-index machinery.
 ORDER_CAP = 12
@@ -57,13 +58,13 @@ ZERO_THRESHOLD = 1e-10
 #: that no pass allocates a second array of the samples' size.
 ROW_BLOCK_BYTES = 1 << 20
 
-#: Relative margin on the column bounds of :meth:`SampledSymbol.kappa_columns`,
+#: Relative margin on the column bounds of :meth:`SampledSymbol.kappa_bound`,
 #: far above the rounding of a sum of at most 16 products (about 4e-15).
 KAPPA_BOUND_MARGIN = 1e-12
 
 #: Longest grid axis whose one-axis operators are applied as dense M x M
-#: circulant products; on longer axes FFT, multiplier and inverse FFT are
-#: the faster (README "Conventions": the crossover measured with compose).
+#: circulant products at n > 1; on longer axes, and at n = 1, FFT, multiplier
+#: and inverse FFT are the faster (README "Conventions", measured with compose).
 CIRCULANT_AXIS_MAX = 39
 
 #: Most multiply-adds M*M*s of one matrix product within a stacked
@@ -242,12 +243,13 @@ class AmplitudeDefinition:
 # sampled symbols
 
 
-def _witness(box: LatticeBox, grid: TorusGrid, row, node) -> tuple[tuple, tuple]:
-    """``(k, x)``: the box point of ``row`` as a tuple of Python ints and the
-    grid node ``node`` as a tuple of Python floats, as errors and reports
-    print and carry them."""
-    return (tuple(int(v) for v in box.points[row]),
-            tuple(float(v) for v in grid.nodes[node]))
+def _row_transform(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(1/M^n) sum_j e^{2 pi i l.x_j} v(x_j) for each row v of ``values`` (...,
+    grid.size), l in box order; an overflow is left to :func:`require_finite`."""
+    axes = tuple(range(1, grid.n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.fft.ifftn(values.reshape((-1,) + grid.shape), axes=axes)
+    return np.fft.fftshift(out, axes=axes).reshape(-1, grid.size)
 
 
 class SampledSymbol:
@@ -264,7 +266,7 @@ class SampledSymbol:
     """
 
     __slots__ = ("box", "grid", "params", "_samples", "_definition", "_kappa",
-                 "_separated", "_factors", "_lock")
+                 "_separated", "_factors", "_beta", "_lock")
 
     def __init__(self, box: LatticeBox, grid: TorusGrid,
                  samples: np.ndarray | SymbolDefinition,
@@ -273,7 +275,7 @@ class SampledSymbol:
         self.box = box
         self.grid = grid
         self.params = params
-        self._kappa = None
+        self._kappa = self._beta = None
         self._lock = threading.Lock()
         if isinstance(samples, SymbolDefinition):
             self._samples, self._definition = None, samples
@@ -289,18 +291,13 @@ class SampledSymbol:
             self._require_finite(rows, block)
 
     def _require_finite(self, rows: slice, block: np.ndarray, columns=None) -> np.ndarray:
-        """``block``, the rows ``rows`` of the samples or, given the ``columns``
-        of kappa it holds, of kappa, when it is finite; else
-        :class:`NonFiniteValueError` naming its first (k, x) or (k, l)."""
-        finite = np.isfinite(block)
-        if finite.all():
-            return block
-        i, j = np.argwhere(~finite)[0]
+        """:func:`require_finite` of ``block``, the rows ``rows`` of the samples
+        or, given the ``columns`` of kappa it holds, of kappa."""
+        witness = {"k": lambda i: self.box.point(rows.start + i)}
         if columns is None:
-            k, x = _witness(self.box, self.grid, rows.start + i, j)
-            raise NonFiniteValueError(f"symbol samples non-finite at k={k}, x={x}", where=(k, x))
-        k, l = (tuple(int(v) for v in self.box.points[p]) for p in (rows.start + i, columns[j]))
-        raise NonFiniteValueError(f"row transform kappa non-finite at k={k}, l={l}", where=(k, l))
+            return require_finite(block, "symbol samples", witness | {"x": self.grid.node})
+        return require_finite(block, "row transform kappa",
+                              witness | {"l": lambda j: self.box.point(columns[j])})
 
     def blocks(self):
         """Yield ``(rows, self.block(rows))`` over the row blocks of :func:`row_blocks`."""
@@ -394,63 +391,59 @@ class SampledSymbol:
         return SampledSymbol(self.box, self.grid, samples,
                              params if params is not None else self.params)
 
-    def kappa_blocks(self):
-        """Yield ``(rows, kappa[rows])`` over the same row blocks as
-        :meth:`blocks`: from the :meth:`separated` form, every column of
-        :meth:`kappa_columns`, else transforms of the sample blocks; none of
-        them kept, and :meth:`kappa`'s array is never read.  A transform that
-        overflows raises :class:`NonFiniteValueError` at its first (k, l)."""
-        K, shape, every = self.box.size, self.grid.shape, range(self.box.size)
-        if self.separated() is not None:
-            yield from self._band()[1](every)
-            return
-        axes = tuple(range(1, self.grid.n + 1))
-        for rows, block in self.blocks():
-            with np.errstate(over="ignore", invalid="ignore"):
-                block = np.fft.ifftn(block.reshape((-1,) + shape), axes=axes)
-            block = np.fft.fftshift(block, axes=axes).reshape(-1, K)
-            yield rows, self._require_finite(rows, block, every)
-
-    def kappa_columns(self):
-        """``(bound, read)`` from the :meth:`separated` form, None without one.
-        With beta_t the row transform of B_t, kappa[rows] = A[:, rows]^T beta
-        and ``bound[l]`` bounds column l of kappa: sum_t max_k |A_t(k)|
-        |beta_t(l)|, raised by :data:`KAPPA_BOUND_MARGIN`.  ``read(columns)``
-        yields ``(rows, kappa[rows][:, columns])`` for ascending ``columns`` over
-        the row blocks of :meth:`kappa_blocks`, each entry the bits of the full
-        product, and raises as :meth:`kappa_blocks` does.  The decay fit and
-        the kernel CSV read a band so, chosen by :func:`column_floor`.
+    def kappa_blocks(self, columns=None):
+        """Yield ``(rows, kappa[rows][:, columns])``, every column by default
+        and ``columns`` ascending, over the row blocks of :meth:`blocks`; none
+        of them kept, and :meth:`kappa`'s array is never read.  With the
+        :meth:`separated` form, kappa[rows] = A[:, rows]^T beta, beta_t the row
+        transform of B_t (computed once per symbol); else the transforms of
+        the sample blocks.  A transform that overflows raises
+        :class:`NonFiniteValueError` at its first (k, l).
 
         BLAS rounds an entry of a product by where its column falls in the
         kernel's tiles (at most 8 columns, counted from the first, the last
-        tile partial).  So ``read`` multiplies whole tiles of 8, the first one
-        always and the partial one last, which puts each column at its place
-        in the full product; a one-row block, a matrix-vector product whose
-        bits depend on its length, takes the full product."""
-        return None if self.separated() is None else self._band()
-
-    def _band(self):
-        """:meth:`kappa_columns` of a symbol with a separated form."""
-        (A, B), K = self.separated(), self.box.size
-        axes = tuple(range(1, self.grid.n + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = np.fft.ifftn(B.reshape((-1,) + self.grid.shape), axes=axes)
-            beta = np.fft.fftshift(beta, axes=axes).reshape(-1, K)
-            bound = (np.abs(A).max(axis=1) @ np.abs(beta)) * (1.0 + KAPPA_BOUND_MARGIN)
-
-        def read(columns):
-            tiles = np.union1d(np.asarray(columns) // 8, [0])
-            tiled = (tiles[:, None] * 8 + np.arange(8)).ravel()
-            tiled = tiled[tiled < K]
-            part, at = beta[:, tiled], np.searchsorted(tiled, columns)
-            if len(tiled) == len(columns):  # every column: no gather
-                at = slice(None)
-            for rows in row_blocks(K, K):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    block = ((A[:, rows].T @ beta)[:, columns] if rows.stop - rows.start == 1
-                             else (A[:, rows].T @ part)[:, at])
+        tile partial).  So the separated form multiplies whole tiles of 8, the
+        first one always and the partial one last, which puts each column at
+        its place in the full product and gives a band the bits of the full
+        pass; a one-row block, a matrix-vector product whose bits depend on
+        its length, takes the full product."""
+        K, every = self.box.size, columns is None
+        columns = np.arange(K) if every else np.asarray(columns)
+        if self.separated() is None:
+            for rows, block in self.blocks():
+                block = _row_transform(block, self.grid)[:, slice(None) if every else columns]
                 yield rows, self._require_finite(rows, block, columns)
-        return bound, read
+            return
+        A, beta = self.separated()[0], self._x_transforms()
+        tiles = np.union1d(columns // 8, [0])
+        tiled = (tiles[:, None] * 8 + np.arange(8)).ravel()
+        tiled = tiled[tiled < K]
+        part, at = beta[:, tiled], np.searchsorted(tiled, columns)
+        if len(tiled) == len(columns):  # every column: no gather
+            at = slice(None)
+        for rows in row_blocks(K, K):
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = ((A[:, rows].T @ beta)[:, columns] if rows.stop - rows.start == 1
+                         else (A[:, rows].T @ part)[:, at])
+            yield rows, self._require_finite(rows, block, columns)
+
+    def _x_transforms(self) -> np.ndarray:
+        """beta, the row transforms of the B_t of :meth:`separated`, kept on first
+        use (two threads racing compute the same array)."""
+        if self._beta is None:
+            self._beta = _row_transform(self.separated()[1], self.grid)
+        return self._beta
+
+    def kappa_bound(self) -> np.ndarray | None:
+        """Per column l of kappa a bound on |kappa(k, l)| over k, from the
+        :meth:`separated` form: sum_t max_k |A_t(k)| |beta_t(l)|, raised by
+        :data:`KAPPA_BOUND_MARGIN`; None without it.  The decay fit and the
+        kernel CSV read the band of it that :func:`column_floor` chooses."""
+        if self.separated() is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ((np.abs(self.separated()[0]).max(axis=1) @ np.abs(self._x_transforms()))
+                    * (1.0 + KAPPA_BOUND_MARGIN))
 
     def kappa(self) -> np.ndarray:
         """Row transform kappa(k, l) = (1/M^n) sum_j e^{2 pi i l.x_j} sigma(k, x_j).
@@ -482,7 +475,7 @@ class SampledSymbol:
 
 def column_floor(bound: np.ndarray, read, measure, stop) -> float:
     """The largest ``measure(rows, block, columns)`` over the columns that
-    ``read`` (of :meth:`SampledSymbol.kappa_columns`) gives in decreasing
+    ``read`` (:meth:`SampledSymbol.kappa_blocks`) gives in decreasing
     ``bound``, in rounds of 8, 16, 32, ... columns, until ``stop(b, floor)``
     holds for the bound b of the next column or no column is left.  With
     ``bound`` bounding each column's measure, no column left unread can
@@ -618,16 +611,15 @@ def axis_multipliers(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray
 
 def _circulant(grid: TorusGrid) -> bool:
     """Whether the one-axis operators of ``grid`` are dense circulant products."""
-    return grid.M <= CIRCULANT_AXIS_MAX
+    return grid.n > 1 and grid.M <= CIRCULANT_AXIS_MAX
 
 
 def axis_operators(grid: TorusGrid, high: int, factor) -> list[list[np.ndarray]]:
     """Per grid axis i, the one-axis operators with multiplier ``factor(l, a)``,
-    1 <= a <= high, as :func:`_along` takes them: on an axis of at most
-    :data:`CIRCULANT_AXIS_MAX` points the M x M circulant F^-1 diag(m) F,
-    whose first column is the inverse FFT of the multiplier line m (the same
-    matrix on every axis), else the grid-shaped multipliers of
-    :func:`axis_multipliers`."""
+    1 <= a <= high, as :func:`_along` takes them: where :func:`_circulant`
+    holds, the M x M circulant F^-1 diag(m) F, whose first column is the
+    inverse FFT of the multiplier line m (the same matrix on every axis),
+    else the grid-shaped multipliers of :func:`axis_multipliers`."""
     multipliers = axis_multipliers(grid, high, factor)
     if not _circulant(grid):
         return multipliers
@@ -870,7 +862,7 @@ def _minima(sym: SampledSymbol, mu: float, m_cut: float | None):
                                          rows.start + keep))
     constant, k_index, node = _first(np.argmin, weighted)
     constant = float(constant)
-    witness_k, witness_x = _witness(sym.box, sym.grid, k_index, node)
+    witness_k, witness_x = sym.box.point(k_index), sym.grid.node(node)
     report = EllipticityReport(ok=constant > ZERO_THRESHOLD, constant=constant,
                                witness_k=witness_k, witness_x=witness_x, mu=mu,
                                cutoff=float(m_cut), threshold=ZERO_THRESHOLD)
@@ -904,7 +896,7 @@ def require_invertible(sym: SampledSymbol, mu: float, m_cut: float | None = None
             constant=ell.constant,
         )
     if smallest <= ZERO_THRESHOLD:
-        k, x = _witness(sym.box, sym.grid, i, j)
+        k, x = sym.box.point(i), sym.grid.node(j)
         raise SingularSymbolError(f"symbol vanishes on the box at k={k}, x={x}",
                                   witness=(k, x))
     return float(smallest)

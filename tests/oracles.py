@@ -331,7 +331,7 @@ def _serial_falling(values, grid, high):
     """``(alpha, D^(alpha)_x values)`` for |alpha| <= high on the whole array:
     alpha with last nonzero entry alpha_i is its parent (alpha_i set to 0)
     under D^(alpha_i) along grid axis i, in depth-first order.  On a grid of
-    at most ``symbols.CIRCULANT_AXIS_MAX`` points per axis that is the
+    n > 1 axes of at most ``symbols.CIRCULANT_AXIS_MAX`` points that is the
     circulant of :func:`_serial_circulant`; else numpy's one-axis inverse FFT
     of the parent's one-axis FFT times the multiplier."""
     n, shape = grid.n, values.shape[:-1] + grid.shape
@@ -341,7 +341,7 @@ def _serial_falling(values, grid, high):
             i, a = _tree_path(alpha)[-1]
             parent = alpha[:i] + (0,) + alpha[i + 1:]
             step = tuple(a if axis == i else 0 for axis in range(n))
-            if grid.M <= symbols.CIRCULANT_AXIS_MAX:
+            if n > 1 and grid.M <= symbols.CIRCULANT_AXIS_MAX:
                 nodes[alpha] = _serial_along(nodes[parent], _serial_circulant(grid, a), grid, i)
             else:
                 if (parent, i) not in spectra:

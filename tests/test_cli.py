@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdz import (LatticeBox, LatticeSequence, OperatorMatrix, SampledSymbol,
-                 SymbolExpansion, matrix, parametrix)
+from pdz import (LatticeBox, LatticeSequence, SampledSymbol, SymbolExpansion, matrix,
+                 parametrix)
 from pdz.cli import main
 from pdz.config import compile_expression, load_config
-from pdz.errors import ConfigError, NonFiniteValueError
-from pdz.io import (read_matrix_binary, read_sequence_csv, write_matrix_binary,
-                    write_sequence_csv)
+from pdz.errors import ConfigError
+from pdz.io import read_sequence_csv, write_sequence_csv
 from pdz.symbols import sample
 
 import helpers
@@ -43,6 +42,15 @@ def test_apply_matches_bundled_golden_bytes(workdir, capsys):
     out = workdir / "out.csv"
     assert main(["apply", "--config", _job_path(workdir), "--out", str(out)]) == 0
     assert out.read_bytes() == (workdir / "example3_apply_golden.csv").read_bytes()
+
+
+def test_multiplier_solve_matches_bundled_golden_bytes(workdir, capsys):
+    # method auto takes the exact-multiplier route: FFTs and one division, no
+    # BLAS product, so the bytes do not depend on the BLAS build
+    out = workdir / "out.csv"
+    assert main(["solve", "--config", _job_path(workdir), "--out", str(out)]) == 0
+    assert "method: exact-multiplier" in capsys.readouterr().out
+    assert out.read_bytes() == (DATA / "example3_solve_golden.csv").read_bytes()
 
 
 #: The flags of the diagnose golden files of ``kappa_job.json``.
@@ -210,6 +218,16 @@ def test_solve_without_out_writes_csv_to_stdout_and_report_to_stderr(workdir, ca
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+
+def test_non_finite_input_exits_3_naming_its_point(workdir, capsys):
+    g = workdir / "example3_g.csv"
+    lines = g.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("-13,"))
+    lines[at] = "-13,nan," + lines[at].split(",", 2)[2]
+    g.write_text("".join(lines))
+    assert main(["apply", "--config", _job_path(workdir)]) == 3
+    assert capsys.readouterr().err == "error: lattice sequence non-finite at k=(-13,)\n"
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):
@@ -383,30 +401,6 @@ def test_sequence_csv_rejects_missing_rows(tmp_path):
     (tmp_path / "f.csv").write_text("k_1,re,im\n0,1,0\n")
     with pytest.raises(ConfigError, match="missing"):
         read_sequence_csv(tmp_path / "f.csv", box)
-
-
-def test_matrix_binary_round_trip(tmp_path):
-    box = LatticeBox(1, 3)
-    rng = np.random.default_rng(1)
-    op = OperatorMatrix(box, rng.standard_normal((box.size, box.size))
-                        + 1j * rng.standard_normal((box.size, box.size)))
-    write_matrix_binary(op, tmp_path / "m.pdzm")
-    blob = (tmp_path / "m.pdzm").read_bytes()
-    assert blob[:4] == b"PDZM"
-    assert len(blob) == 16 + 16 * box.size**2
-    back = read_matrix_binary(tmp_path / "m.pdzm")
-    assert back.box == box
-    np.testing.assert_array_equal(back.values, op.values)
-
-
-def test_matrix_binary_with_nan_entry_raises_non_finite(tmp_path):
-    box = LatticeBox(1, 2)
-    write_matrix_binary(OperatorMatrix(box, np.eye(box.size)), tmp_path / "m.pdzm")
-    blob = bytearray((tmp_path / "m.pdzm").read_bytes())
-    blob[16:32] = np.array([complex(np.nan, 0.0)], dtype="<c16").tobytes()
-    (tmp_path / "m.pdzm").write_bytes(bytes(blob))
-    with pytest.raises(NonFiniteValueError):
-        read_matrix_binary(tmp_path / "m.pdzm")
 
 
 # ---------------------------------------------------------------------------
@@ -750,19 +744,19 @@ def test_diagnose_decay_makes_one_kernel_pass_for_every_exponent(tmp_path, capsy
                                                                   expr, full_passes, band_reads):
     # a separated symbol reads the columns that can hold a maximum, never all of kappa
     passes, reads = [], []
-    kappa_blocks, kappa_columns = SampledSymbol.kappa_blocks, SampledSymbol.kappa_columns
+    kappa_blocks, kappa_bound = SampledSymbol.kappa_blocks, SampledSymbol.kappa_bound
 
-    def counted(sym):
-        passes.append(sym)
-        return kappa_blocks(sym)
+    def counted(sym, columns=None):
+        passes.extend([sym] if columns is None else [])
+        return kappa_blocks(sym, columns)
 
-    def counted_columns(sym):
-        band = kappa_columns(sym)
-        reads.extend([] if band is None else [sym])
-        return band
+    def counted_bound(sym):
+        bound = kappa_bound(sym)
+        reads.extend([] if bound is None else [sym])
+        return bound
 
     monkeypatch.setattr(SampledSymbol, "kappa_blocks", counted)
-    monkeypatch.setattr(SampledSymbol, "kappa_columns", counted_columns)
+    monkeypatch.setattr(SampledSymbol, "kappa_bound", counted_bound)
     job = {
         "box": {"n": 1, "N": 8},
         "symbols": [{"name": "E", "kind": "expression", "params": {"expr": expr}}],

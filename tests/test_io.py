@@ -1,16 +1,13 @@
 """The block-wise CSV writers against the per-row formatter in ``oracles``,
 byte for byte, and the sequence reader's messages."""
 
-import re
-import struct
-
 import numpy as np
 import pytest
 
 from pdz import Kernel, LatticeBox, LatticeSequence, SymbolExpansion
 from pdz import io as pdzio
 from pdz import symbols
-from pdz.errors import ConfigError, DomainMismatchError
+from pdz.errors import ConfigError
 
 import helpers
 import oracles
@@ -238,22 +235,3 @@ def test_sequence_csv_read_reports_the_first_row_at_fault(tmp_path):
             == "malformed row '0,0'")
     assert (_read_error(tmp_path, "k_1,re,im\n-1,1,0\n" + "\n".join(faults[3:] + faults[:3]))
             == "duplicate point [-1]")
-
-
-def _dump_header(magic=b"PDZM", n=1, M=3) -> bytes:
-    return struct.pack("<4sIII", magic, n, M, 0)
-
-
-@pytest.mark.parametrize("blob, error, message", [
-    (None, ConfigError, "cannot read matrix dump"),
-    (b"PDZM", ConfigError, "too short for a matrix dump"),
-    (_dump_header(magic=b"PDZX"), ConfigError, "bad magic b'PDZX'"),
-    (_dump_header(M=4), DomainMismatchError, "stored M=4 is not odd and >= 3"),
-    (_dump_header() + bytes(16), ConfigError, "payload 16 bytes, expected 144"),
-], ids=["unreadable", "too-short", "bad-magic", "even-M", "payload-size"])
-def test_matrix_binary_read_messages(tmp_path, blob, error, message):
-    path = tmp_path / "m.bin"
-    if blob is not None:
-        path.write_bytes(blob)
-    with pytest.raises(error, match=re.escape(message)):
-        pdzio.read_matrix_binary(path)

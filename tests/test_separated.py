@@ -148,18 +148,20 @@ BAND = {
 
 
 def _band_reads(monkeypatch):
-    """The columns each ``read`` of :meth:`SampledSymbol.kappa_columns` asks for."""
-    reads, kappa_columns = [], SampledSymbol.kappa_columns
+    """The columns each band read, :meth:`SampledSymbol.kappa_blocks` given
+    columns, asks for."""
+    reads, kappa_blocks = [], SampledSymbol.kappa_blocks
 
-    def recorded(sym):
-        bound, read = kappa_columns(sym)
-        return bound, lambda columns: (reads.append(np.asarray(columns)), read(columns))[1]
-    monkeypatch.setattr(SampledSymbol, "kappa_columns", recorded)
+    def recorded(sym, columns=None):
+        if columns is not None:
+            reads.append(np.asarray(columns))
+        return kappa_blocks(sym, columns)
+    monkeypatch.setattr(SampledSymbol, "kappa_blocks", recorded)
     return reads
 
 
 def _without_band(monkeypatch):
-    monkeypatch.setattr(SampledSymbol, "kappa_columns", lambda sym: None)
+    monkeypatch.setattr(SampledSymbol, "kappa_bound", lambda sym: None)
 
 
 @pytest.mark.parametrize("rows,n,N", helpers.block_cases(BOXES))

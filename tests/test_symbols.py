@@ -93,6 +93,54 @@ def test_witnesses_are_plain_python_numbers():
     assert _plain((rep.witness_k, rep.witness_x)) == ([int], [float])
 
 
+def _non_finite(kind, box, grid):
+    """A non-finite datum of ``kind`` (two bad entries, the first at k = -2,
+    x = 2/9 or (k, m) = (-1, 2)), its message and its ``where``."""
+    if kind == "matrix":
+        from pdz import OperatorMatrix
+        vals = np.eye(box.size, dtype=complex)
+        vals[box.index_of(np.array([-1])), box.index_of(np.array([2]))] = np.nan
+        vals[box.index_of(np.array([3])), 0] = np.inf
+        return (lambda: OperatorMatrix(box, vals), "operator matrix non-finite at k=(-1,), m=(2,)",
+                ((-1,), (2,)))
+    vals = np.ones(box.size, dtype=complex)
+    if kind == "sequence":
+        from pdz import LatticeSequence
+        vals[box.index_of(np.array([-2]))], vals[box.index_of(np.array([3]))] = np.nan, np.inf
+        return (lambda: LatticeSequence(box, vals), "lattice sequence non-finite at k=(-2,)",
+                ((-2,),))
+    vals[2], vals[5] = complex(0.0, np.inf), np.nan
+    return (lambda: TorusFunction(grid, vals),
+            "torus function non-finite at x=(0.2222222222222222,)", ((2 / 9,),))
+
+
+@pytest.mark.parametrize("kind", ["sequence", "function", "matrix"])
+def test_a_non_finite_datum_names_its_first_point(kind):
+    box, grid = helpers.box_and_grid(1, 4)
+    build, message, where = _non_finite(kind, box, grid)
+    with pytest.raises(NonFiniteValueError) as err:
+        build()
+    assert str(err.value) == message and err.value.where == where
+    assert [type(v) for point in err.value.where for v in point] == [type(v) for point in where
+                                                                      for v in point]
+
+
+#: The functions that test a scalar with ``np.isfinite`` and name no point.
+_SCALAR_CHECKS = {"_finite_sum", "_verified", "gmres", "_factor_arrays"}
+
+
+def test_non_finite_arrays_are_checked_in_one_place():
+    # every np.isfinite of an array, and the witness that follows, is
+    # grids.require_finite; the other callers test a scalar
+    callers = set()
+    for path in Path(pdz.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(fn.name for node in ast.walk(fn)
+                               if isinstance(node, ast.Attribute) and node.attr == "isfinite")
+    assert callers == _SCALAR_CHECKS | {"require_finite"}
+
+
 def _k_and_x_dependent(k, x):
     kf = np.asarray(k, dtype=float)
     return ((1.0 + np.sqrt((kf**2).sum(axis=-1))) * np.exp(2j * np.pi * x[..., 0])
@@ -430,6 +478,20 @@ def test_a_circulant_tree_on_a_block_is_bit_identical_to_the_whole_one(monkeypat
              for alpha, node in pdz.symbols.x_derivatives(values, grid, 3, operators)}
     for alpha, node in pdz.symbols.x_derivatives(values[7:19], grid, 3, operators):
         assert np.array_equal(node, whole[alpha][7:19]), alpha
+
+
+@pytest.mark.parametrize("N", [1, 6, pdz.symbols.CIRCULANT_AXIS_MAX // 2])
+def test_a_one_axis_grid_takes_the_fft_route(N):
+    # at n = 1 a circulant product stacks one line per product, slower than
+    # FFT, multiplier and inverse FFT: a short axis takes the FFT route too,
+    # its operators the grid-shaped multipliers
+    grid = helpers.box_and_grid(1, N)[1]
+    assert grid.M <= pdz.symbols.CIRCULANT_AXIS_MAX
+    for factor in FACTORS.values():
+        got = pdz.symbols.axis_operators(grid, 3, factor)
+        want = pdz.symbols.axis_multipliers(grid, 3, factor)
+        assert [[op.shape for op in axis] for axis in got] == [[grid.shape] * 3]
+        assert all(np.array_equal(g, w) for g, w in zip(got[0], want[0]))
 
 
 @pytest.mark.parametrize("n, N", [(1, 20), (2, 20)])
